@@ -1,0 +1,409 @@
+"""Command-line interface.
+
+Exit codes: 0 success (an unknown verdict is a success), 2 parse error,
+3 validation error (invalid descriptor, boundary, finite type, bad
+parameters), 4 internal invariant violation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from typing import Any, Optional
+
+from . import constructions, homology
+from .decide import (
+    Answer,
+    DecisionError,
+    InternalInvariantViolation,
+    Verdict,
+    WitnessRef,
+    CITATIONS,
+    decide,
+)
+from .dsl import ParseError, parse_endspace, parse_ordinal, parse_surface
+from .endspace import (
+    Canonical,
+    INFINITE,
+    SpaceInvariants,
+    cb_rank,
+    invariants,
+    is_homeomorphic,
+    normalize,
+    RankUndecidable,
+    strip_marks,
+)
+from .ordinal import compare, kind
+from .surface import ValidationError, surface_invariants, surfaces_homeomorphic
+
+OK, PARSE_ERROR, VALIDATION_ERROR, INTERNAL_ERROR = 0, 2, 3, 4
+
+
+def _count_json(n: int | float) -> Any:
+    return "infinity" if n == INFINITE else n
+
+
+def _invariants_json(inv: SpaceInvariants) -> dict:
+    return {
+        "countable": inv.countable,
+        "isolated_count": _count_json(inv.isolated_count),
+        "scattered_rank": None if inv.scattered_rank is None else str(inv.scattered_rank),
+        "has_kernel": inv.has_kernel,
+        "td_max": {"value": inv.td_max.value, "exact": inv.td_max.exact},
+    }
+
+
+def _witness_json(w: Optional[WitnessRef]) -> Optional[dict]:
+    if w is None:
+        return None
+    return {"degree": w.degree, "description": w.description, "computation": w.computation}
+
+
+def _answer_json(a: Answer) -> dict:
+    out: dict[str, Any] = {"answer": a.result, "citation": a.citation}
+    if a.coefficients:
+        out["coefficients"] = a.coefficients
+    if a.note:
+        out["note"] = a.note
+    out["witness"] = _witness_json(a.witness)
+    return out
+
+
+def verdict_json(v: Verdict) -> dict:
+    d = v.derived
+    derived: dict[str, Any] = {
+        "genus": _count_json(d.genus),
+        "genus_class": d.genus_class,
+        "punctures": _count_json(d.punctures),
+        "mixed_end": d.mixed_end,
+        "end_space": d.end_space,
+    }
+    if d.td is not None:
+        derived["td_max"] = {"value": d.td.value, "exact": d.td.exact}
+    if d.witness_set:
+        derived["witness_set"] = d.witness_set
+    if d.notes:
+        derived["notes"] = list(d.notes)
+    return {
+        "qI": _answer_json(v.qI),
+        "qII": _answer_json(v.qII),
+        "qIII": _answer_json(v.qIII),
+        "derived": derived,
+    }
+
+
+_GLYPHS = {"yes": "yes", "no": "no", "unknown": "?"}
+
+
+def _verdict_text(v: Verdict) -> str:
+    lines = []
+    for q, a in zip(("I", "II", "III"), v.answers()):
+        scope = f" ({a.coefficients})" if a.coefficients else ""
+        extra = f" -- {a.note}" if a.note else ""
+        lines.append(f"question {q}: {_GLYPHS[a.result]}{scope} [{a.citation}]{extra}")
+        if a.witness:
+            lines.append(f"  witness, degree {a.witness.degree}: {a.witness.description}")
+    d = v.derived
+    lines.append(
+        f"derived: genus={_count_json(d.genus)} punctures={_count_json(d.punctures)} "
+        f"mixed_end={str(d.mixed_end).lower()} ends={d.end_space}"
+    )
+    for note in d.notes:
+        lines.append(f"note: {note}")
+    return "\n".join(lines)
+
+
+def _emit(args: argparse.Namespace, payload: dict, text: str) -> int:
+    if getattr(args, "json", False):
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(text)
+    return OK
+
+
+# -- command handlers ---------------------------------------------------------
+
+
+def _cmd_ord_eval(args) -> int:
+    o = parse_ordinal(args.ordinal)
+    payload = {
+        "normal_form": str(o),
+        "kind": kind(o).value,
+        "terms": [[str(e), c] for e, c in o.terms],
+    }
+    return _emit(args, payload, str(o))
+
+
+def _cmd_ord_compare(args) -> int:
+    c = compare(parse_ordinal(args.left), parse_ordinal(args.right))
+    word = {-1: "less", 0: "equal", 1: "greater"}[c]
+    return _emit(args, {"result": word}, word)
+
+
+def _cmd_ends_normalize(args) -> int:
+    e = parse_endspace(args.endspace)
+    nf = normalize(e)
+    if isinstance(nf, Canonical):
+        payload = {"status": "canonical", "expr": str(nf.form), "description": nf.form.describe()}
+        text = f"canonical: {nf.form} ({nf.form.describe()})"
+    else:
+        payload = {"status": "irreducible", "expr": str(nf.expr)}
+        text = f"irreducible: {nf.expr}"
+    return _emit(args, payload, text)
+
+
+def _cmd_ends_invariants(args) -> int:
+    e = strip_marks(parse_endspace(args.endspace))
+    inv = invariants(e)
+    payload = _invariants_json(inv)
+    try:
+        rank = str(cb_rank(e))
+    except RankUndecidable:
+        rank = "undecidable"
+    text = (
+        f"countable={str(inv.countable).lower()} isolated={_count_json(inv.isolated_count)} "
+        f"rank={rank} kernel={str(inv.has_kernel).lower()} "
+        f"td_max={'>=' if not inv.td_max.exact else ''}{inv.td_max.value}"
+    )
+    return _emit(args, payload, text)
+
+
+def _cmd_ends_homeo(args) -> int:
+    h = is_homeomorphic(parse_endspace(args.left), parse_endspace(args.right))
+    return _emit(args, {"result": h.value}, h.value.capitalize())
+
+
+def _cmd_surface_validate(args) -> int:
+    d = parse_surface(args.surface)
+    from .surface import validate
+
+    validate(d)
+    return _emit(args, {"ok": True}, "ok")
+
+
+def _cmd_surface_invariants(args) -> int:
+    inv = surface_invariants(parse_surface(args.surface))
+    payload = {
+        "genus": _count_json(inv.genus),
+        "boundary": inv.boundary,
+        "punctures": _count_json(inv.punctures),
+        "mixed_end": inv.mixed_end,
+        "ends": _invariants_json(inv.ends_invariants),
+    }
+    text = (
+        f"genus={_count_json(inv.genus)} boundary={inv.boundary} "
+        f"punctures={_count_json(inv.punctures)} mixed_end={str(inv.mixed_end).lower()}"
+    )
+    return _emit(args, payload, text)
+
+
+def _cmd_surface_homeo(args) -> int:
+    h = surfaces_homeomorphic(parse_surface(args.left), parse_surface(args.right))
+    return _emit(args, {"result": h.value}, h.value.capitalize())
+
+
+def _cmd_decide(args) -> int:
+    if args.jsonl:
+        return _run_batch(args.jsonl)
+    v = decide(parse_surface(args.surface))
+    return _emit(args, verdict_json(v), _verdict_text(v))
+
+
+def _run_batch(path: str) -> int:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for line in lines:
+        line = line.strip()
+        if not line:
+            print(json.dumps({"error": {"kind": "empty_line"}}))
+            continue
+        try:
+            print(json.dumps(verdict_json(decide(parse_surface(line))), sort_keys=True))
+        except ParseError as err:
+            print(json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}}))
+        except (ValidationError, DecisionError) as err:
+            print(json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}}))
+    return OK
+
+
+def _cmd_hom_snf(args) -> int:
+    try:
+        rows = json.loads(args.matrix)
+        matrix = homology.IntegerMatrix.from_rows(rows)
+    except (json.JSONDecodeError, TypeError, ValueError) as err:
+        raise ParseError(0, ("JSON matrix, e.g. [[2,4],[6,8]]",), str(err)) from err
+    res = homology.smith_normal_form(matrix)
+    payload = {
+        "diagonal": list(res.diagonal),
+        "left": [list(r) for r in res.left.entries],
+        "right": [list(r) for r in res.right.entries],
+    }
+    return _emit(args, payload, "diagonal: " + " ".join(str(x) for x in res.diagonal))
+
+
+def _parse_presentation(text: str) -> homology.FinitePresentation:
+    ngens = None
+    relators = []
+    for idx, chunk in enumerate(text.split(";")):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if chunk.startswith("gens="):
+            ngens = int(chunk[5:])
+        elif chunk.startswith("rel="):
+            relators.append(tuple(int(tok) for tok in chunk[4:].split()))
+        else:
+            raise ParseError(text.find(chunk), ("'gens='", "'rel='"), f"bad presentation chunk {chunk!r}")
+    if ngens is None:
+        raise ParseError(0, ("'gens='",), "presentation needs a generator count")
+    return homology.FinitePresentation(ngens, tuple(relators))
+
+
+def _cmd_hom_abelianize(args) -> int:
+    if args.preset:
+        pres = homology.preset(args.preset, args.n)
+    elif args.presentation:
+        pres = _parse_presentation(args.presentation)
+    else:
+        raise homology.BadParameter("give either --preset or a presentation")
+    group = homology.abelianize(pres)
+    payload = {
+        "presentation": str(pres),
+        "group": str(group),
+        "rank": group.rank,
+        "torsion": list(group.torsion),
+    }
+    return _emit(args, payload, str(group))
+
+
+def _cmd_hom_poincare(args) -> int:
+    kind_name = {"torus": homology.TORUS_POWER, "wreath": homology.WREATH_QUOTIENT}.get(args.kind)
+    if kind_name is None:
+        raise homology.BadParameter(f"kind must be 'torus' or 'wreath', got {args.kind!r}")
+    coeffs = homology.poincare_series(kind_name, args.p, args.max_degree)
+    return _emit(args, {"coefficients": list(coeffs)}, " ".join(str(c) for c in coeffs))
+
+
+def _cmd_construct_snake(args) -> int:
+    path = constructions.snake_bijection(args.count)
+    if getattr(args, "json", False):
+        print(json.dumps([list(p) for p in path.points]))
+        return OK
+    for x, y in path.points:
+        print(f"{x} {y}")
+    return OK
+
+
+def _cmd_citations(args) -> int:
+    payload = dict(sorted(CITATIONS.items()))
+    text = "\n".join(f"{tag}: {text}" for tag, text in sorted(CITATIONS.items()))
+    return _emit(args, payload, text)
+
+
+# -- wiring -------------------------------------------------------------------
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="infsurf", description=__doc__)
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def with_json(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        p.add_argument("--json", action="store_true", help="emit JSON")
+        return p
+
+    ordp = sub.add_parser("ord", help="ordinal arithmetic").add_subparsers(dest="sub", required=True)
+    p = with_json(ordp.add_parser("eval", help="normalize an ordinal expression"))
+    p.add_argument("ordinal")
+    p.set_defaults(func=_cmd_ord_eval)
+    p = with_json(ordp.add_parser("compare", help="compare two ordinals"))
+    p.add_argument("left")
+    p.add_argument("right")
+    p.set_defaults(func=_cmd_ord_compare)
+
+    endsp = sub.add_parser("ends", help="end-space calculus").add_subparsers(dest="sub", required=True)
+    p = with_json(endsp.add_parser("normalize"))
+    p.add_argument("endspace")
+    p.set_defaults(func=_cmd_ends_normalize)
+    p = with_json(endsp.add_parser("invariants"))
+    p.add_argument("endspace")
+    p.set_defaults(func=_cmd_ends_invariants)
+    p = with_json(endsp.add_parser("homeo"))
+    p.add_argument("left")
+    p.add_argument("right")
+    p.set_defaults(func=_cmd_ends_homeo)
+
+    surfp = sub.add_parser("surface", help="surface descriptors").add_subparsers(dest="sub", required=True)
+    p = with_json(surfp.add_parser("validate"))
+    p.add_argument("surface")
+    p.set_defaults(func=_cmd_surface_validate)
+    p = with_json(surfp.add_parser("invariants"))
+    p.add_argument("surface")
+    p.set_defaults(func=_cmd_surface_invariants)
+    p = with_json(surfp.add_parser("homeo"))
+    p.add_argument("left")
+    p.add_argument("right")
+    p.set_defaults(func=_cmd_surface_homeo)
+
+    p = with_json(sub.add_parser("decide", help="answer the three support questions"))
+    p.add_argument("surface", nargs="?", default=None)
+    p.add_argument("--jsonl", metavar="FILE", help="batch mode: one descriptor per line")
+    p.set_defaults(func=_cmd_decide)
+
+    homp = sub.add_parser("hom", help="homology oracle").add_subparsers(dest="sub", required=True)
+    p = with_json(homp.add_parser("snf"))
+    p.add_argument("matrix", help="JSON rows, e.g. [[2,4],[6,8]]")
+    p.set_defaults(func=_cmd_hom_snf)
+    p = with_json(homp.add_parser("abelianize"))
+    p.add_argument("presentation", nargs="?", default=None, help="gens=2; rel=1 2 1 -2 -1 -2")
+    p.add_argument("--preset", choices=["braid", "symmetric", "spherical_braid", "sl2z"])
+    p.add_argument("-n", type=int, default=None)
+    p.set_defaults(func=_cmd_hom_abelianize)
+    p = with_json(homp.add_parser("poincare"))
+    p.add_argument("kind", choices=["torus", "wreath"])
+    p.add_argument("p", type=int)
+    p.add_argument("max_degree", type=int)
+    p.set_defaults(func=_cmd_hom_poincare)
+
+    conp = sub.add_parser("construct", help="combinatorial witnesses").add_subparsers(dest="sub", required=True)
+    p = with_json(conp.add_parser("snake"))
+    p.add_argument("count", type=int)
+    p.set_defaults(func=_cmd_construct_snake)
+
+    p = with_json(sub.add_parser("citations", help="list the citation tags used in verdicts"))
+    p.set_defaults(func=_cmd_citations)
+
+    return top
+
+
+def _report_error(args, kind_name: str, message: str, extra: Optional[dict] = None) -> None:
+    if getattr(args, "json", False):
+        payload = {"error": {"kind": kind_name, "message": message, **(extra or {})}}
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(f"error ({kind_name}): {message}", file=sys.stderr)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "command", None) == "decide" and not args.jsonl and not args.surface:
+        parser.error("decide needs a descriptor or --jsonl FILE")
+    try:
+        return args.func(args)
+    except ParseError as err:
+        _report_error(args, "parse", str(err), {"offset": err.offset, "expected": list(err.expected)})
+        return PARSE_ERROR
+    except (ValidationError, DecisionError, homology.BadParameter, homology.UnknownPreset, homology.OutOfTable) as err:
+        _report_error(args, type(err).__name__, str(err))
+        return VALIDATION_ERROR
+    except (InternalInvariantViolation, AssertionError) as err:
+        _report_error(args, "internal", str(err))
+        return INTERNAL_ERROR
+    except ValueError as err:
+        _report_error(args, type(err).__name__, str(err))
+        return VALIDATION_ERROR
+
+
+if __name__ == "__main__":
+    sys.exit(main())

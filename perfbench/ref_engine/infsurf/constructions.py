@@ -1,0 +1,63 @@
+"""Combinatorial witnesses: the snake enumeration of the half-plane grid.
+
+The strip-to-grid homeomorphism only needs a bijection from the natural
+numbers onto the half-plane grid Z x N that starts at the origin, moves by
+unit steps, and fills each sup-norm ball around the origin before leaving
+it.  The path below walks the square shells outward, alternating direction,
+so the ball of radius r (which has (2r+1)(r+1) cells) is exactly the image
+of the first (2r+1)(r+1) indices.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class GridPath:
+    points: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if not self.points:
+            raise ValueError("a grid path has at least one cell")
+        if self.points[0] != (0, 0):
+            raise ValueError("a grid path starts at the origin")
+        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
+            if abs(x1 - x0) + abs(y1 - y0) != 1:
+                raise ValueError(f"non-adjacent step {(x0, y0)} -> {(x1, y1)}")
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("grid path revisits a cell")
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+def ball_size(radius: int) -> int:
+    """Number of half-plane cells (x, y), y >= 0, with max(|x|, y) <= radius."""
+    return (2 * radius + 1) * (radius + 1)
+
+
+def _shell(radius: int) -> list[tuple[int, int]]:
+    """Cells at sup-norm distance exactly `radius`, ordered along the walk.
+
+    Odd shells run bottom-right, up, across and down to the bottom-left;
+    even shells run the mirror image, so consecutive shells stay adjacent.
+    """
+    r = radius
+    start = r if r % 2 else -r
+    column_up = [(start, y) for y in range(0, r + 1)]
+    top = [(x, r) for x in (range(start - 1, -start - 1, -1) if start > 0 else range(start + 1, -start + 1))]
+    column_down = [(-start, y) for y in range(r - 1, -1, -1)]
+    return column_up + top + column_down
+
+
+def snake_bijection(count: int) -> GridPath:
+    """First `count` cells of the shell-filling enumeration of Z x N."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    cells: list[tuple[int, int]] = [(0, 0)]
+    radius = 1
+    while len(cells) < count:
+        cells.extend(_shell(radius))
+        radius += 1
+    return GridPath(tuple(cells[:count]))

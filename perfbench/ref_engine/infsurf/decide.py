@@ -1,0 +1,425 @@
+"""Answer the three compact-support questions for an infinite-type surface.
+
+For a boundaryless infinite-type surface the engine reports whether the
+homology of its mapping class group contains nonzero classes supported on
+(I) a compact subsurface, (II) a finite-type subsurface fixing the
+punctures, and (III) an arbitrary properly-embedded finite-type subsurface.
+Positive answers hold integrally and come with an executed witness
+computation; negative answers record whether they hold for all field
+coefficients or for arbitrary coefficients.  Cells the theory leaves open
+are reported as unknown, which is a successful outcome, not an error.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
+
+from . import homology
+from .endspace import (
+    Canonical,
+    INFINITE,
+    Scattered,
+    TdMax,
+    normalize,
+    strip_marks,
+    td_max,
+)
+from .surface import (
+    SurfaceDescriptor,
+    ValidationError,
+    has_mixed_end,
+    is_infinite_type,
+    punctures_of,
+    validate,
+)
+
+YES = "yes"
+NO = "no"
+UNKNOWN = "unknown"
+
+INTEGRAL = "integral"
+ANY_FIELD = "any_field"
+ANY_COEFFICIENTS = "any_coefficients"
+
+EVERY_EVEN_DEGREE = "every even degree"
+
+QUESTIONS = ("I", "II", "III")
+
+
+class DecisionError(ValueError):
+    pass
+
+
+class HasBoundary(DecisionError):
+    pass
+
+
+class NotInfiniteType(DecisionError):
+    pass
+
+
+class InvalidDescriptor(DecisionError):
+    pass
+
+
+class InternalInvariantViolation(RuntimeError):
+    """The engine produced a verdict violating one of its own invariants."""
+
+
+CITATIONS = {
+    "infinite-genus-compact-vanishing": (
+        "With infinite genus, every compact subsurface is shiftable after a homology "
+        "transfer, so compactly supported classes die with any field coefficients."
+    ),
+    "infinite-genus-no-punctures-vanishing": (
+        "With infinite genus and no punctures, finite-type-supported classes die with "
+        "any field coefficients."
+    ),
+    "no-punctures-questions-coincide": (
+        "Without punctures the compact-support and finite-type-support subgroups "
+        "agree, so questions I, II and III coincide."
+    ),
+    "infinite-genus-finite-punctures-nonvanishing": (
+        "With infinite genus and finitely many (at least one) punctures, the circle "
+        "wreath product detects compactly supported integral classes: the image "
+        "contains a Z summand in every even degree."
+    ),
+    "mixed-end-vanishing": (
+        "A mixed end makes every finite-type subsurface shiftable after transfer, so "
+        "finite-type-supported classes die with any field coefficients."
+    ),
+    "infinite-genus-unmixed-open": (
+        "With infinite genus and infinitely many punctures but no mixed end, the "
+        "shifting methods do not apply; the question is open."
+    ),
+    "finite-genus-nonvanishing": (
+        "With finite positive genus, capping surjects low-degree homology onto that "
+        "of the closed-surface mapping class group, which is nonzero in degree 1 "
+        "(genus 1) or degree 2 (genus >= 2)."
+    ),
+    "cantor-tree-vanishing": (
+        "Genus zero with at most one puncture: the mapping class group of the "
+        "one-holed Cantor tree is acyclic, so finite-type-supported classes die with "
+        "any coefficients."
+    ),
+    "two-or-three-punctures-braid-sign": (
+        "With 2 or 3 punctures the braid sign class survives: first homology of the "
+        "braid group surjects onto that of the symmetric group, Z/2."
+    ),
+    "two-or-three-punctures-open": (
+        "Genus zero with 2 or 3 punctures: compact and puncture-fixing support "
+        "remain open."
+    ),
+    "distinguished-ends-nonvanishing": (
+        "Genus zero with a topologically distinguished end set of size n >= 4: the "
+        "class 2 in Z/2k is nonzero and compactly supported in degree 1."
+    ),
+    "single-interval-vanishing": (
+        "Genus zero with end space a single ordinal interval [0, w^a]: the surface "
+        "is a grid (successor a) or an exhausted union of shiftable pieces (limit "
+        "a), so finite-type-supported classes die with any field coefficients."
+    ),
+    "genus-zero-infinite-punctures-open": (
+        "Genus zero with infinitely many punctures, end space neither certified "
+        "distinguished-rich nor a single ordinal interval: open."
+    ),
+    "positive-answers-propagate": (
+        "Compact support is a special case of puncture-fixing finite-type support, "
+        "which is a special case of finite-type support, so positive answers "
+        "propagate from I to II to III."
+    ),
+}
+
+
+@dataclass(frozen=True)
+class WitnessRef:
+    degree: int | str  # a positive degree, or EVERY_EVEN_DEGREE
+    description: str
+    computation: dict
+
+
+@dataclass(frozen=True)
+class Answer:
+    result: str  # YES / NO / UNKNOWN
+    citation: str
+    coefficients: Optional[str] = None
+    witness: Optional[WitnessRef] = None
+    note: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.citation not in CITATIONS:
+            raise InternalInvariantViolation(f"unknown citation {self.citation!r}")
+        if self.result == YES and (self.coefficients != INTEGRAL or self.witness is None):
+            raise InternalInvariantViolation("a positive answer needs integral coefficients and a witness")
+        if self.result == NO and self.coefficients not in (ANY_FIELD, ANY_COEFFICIENTS):
+            raise InternalInvariantViolation("a negative answer needs its coefficient scope")
+        if self.result == UNKNOWN and (self.coefficients or self.witness):
+            raise InternalInvariantViolation("an unknown answer carries no scope or witness")
+
+
+@dataclass(frozen=True)
+class DerivedFacts:
+    genus: int | float
+    genus_class: str  # "zero" | "finite_positive" | "infinite"
+    punctures: int | float
+    mixed_end: bool
+    end_space: str
+    td: Optional[TdMax] = None
+    witness_set: Optional[str] = None
+    notes: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Verdict:
+    qI: Answer
+    qII: Answer
+    qIII: Answer
+    derived: DerivedFacts
+
+    def answers(self) -> tuple[Answer, Answer, Answer]:
+        return (self.qI, self.qII, self.qIII)
+
+    def triple(self) -> tuple[str, str, str]:
+        return (self.qI.result, self.qII.result, self.qIII.result)
+
+
+def _check_chain(v: Verdict) -> Verdict:
+    a, b, c = v.triple()
+    if (a == YES and b != YES) or (b == YES and c != YES):
+        raise InternalInvariantViolation(f"implication chain broken: {a}, {b}, {c}")
+    return v
+
+
+# -- executed witnesses -----------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _torus_witness() -> WitnessRef:
+    group = homology.abelianize(homology.preset("sl2z"))
+    if str(group) != "Z/12":
+        raise InternalInvariantViolation(f"expected Z/12, computed {group}")
+    return WitnessRef(
+        degree=1,
+        description="first homology of the genus-1 mapping class group is Z/12",
+        computation={"kind": "abelianization", "presentation": "sl2z", "group": str(group)},
+    )
+
+
+@lru_cache(maxsize=None)
+def _closed_surface_witness(g: int) -> WitnessRef:
+    group = homology.h_lookup(homology.H2_MAP_CLOSED, g)
+    if group.rank == 0 and not group.torsion:
+        raise InternalInvariantViolation(f"H2 lookup for genus {g} is trivial")
+    return WitnessRef(
+        degree=2,
+        description=f"second homology of the closed genus-{g} mapping class group is {group}",
+        computation={"kind": "h2_lookup", "genus": g, "group": str(group)},
+    )
+
+
+@lru_cache(maxsize=None)
+def _braid_sign_witness(p: int) -> WitnessRef:
+    braid = homology.abelianize(homology.preset("braid", p))
+    sym = homology.abelianize(homology.preset("symmetric", p))
+    if str(braid) != "Z" or str(sym) != "Z/2":
+        raise InternalInvariantViolation(f"braid sign data wrong: {braid}, {sym}")
+    return WitnessRef(
+        degree=1,
+        description=f"the sign class: H1 of the {p}-strand braid group ({braid}) surjects onto H1 of the symmetric group ({sym})",
+        computation={"kind": "braid_sign", "strands": p, "h1_braid": str(braid), "h1_symmetric": str(sym)},
+    )
+
+
+@lru_cache(maxsize=None)
+def _distinguished_witness(n: int) -> WitnessRef:
+    report = homology.prop74_square(n)
+    if not (report.element_nonzero and report.square_commutes):
+        raise InternalInvariantViolation(f"distinguished-end witness failed for n={n}: {report}")
+    spherical = homology.abelianize(homology.preset("spherical_braid", n))
+    if spherical.order() != 2 * n - 2:
+        raise InternalInvariantViolation(f"spherical braid abelianization wrong for n={n}: {spherical}")
+    return WitnessRef(
+        degree=1,
+        description=f"the class 2 in Z/{report.modulus} pulled back from {n} distinguished ends is nonzero",
+        computation={
+            "kind": "distinguished_square",
+            "n": n,
+            "k": report.k,
+            "modulus": report.modulus,
+            "element": report.element,
+            "element_nonzero": report.element_nonzero,
+            "square_commutes": report.square_commutes,
+            "full_twist_residue": report.full_twist_residue,
+            "spherical_braid_abelianization": str(spherical),
+        },
+    )
+
+
+@lru_cache(maxsize=None)
+def _even_degree_witness(p: int) -> WitnessRef:
+    degree = 20
+    coeffs = homology.poincare_series(homology.WREATH_QUOTIENT, p, degree)
+    if any(coeffs[d] < 1 for d in range(0, degree + 1, 2)):
+        raise InternalInvariantViolation(f"wreath series not positive in every even degree: {coeffs}")
+    return WitnessRef(
+        degree=EVERY_EVEN_DEGREE,
+        description=(
+            f"the circle-wreath classifying space for {p} punctures retracts onto the image: "
+            "a Z summand in every even degree"
+        ),
+        computation={
+            "kind": "even_degree_summands",
+            "punctures": p,
+            "series_coefficients": list(coeffs),
+            "positive_in_every_even_degree": True,
+        },
+    )
+
+
+# -- the decision table -----------------------------------------------------
+
+
+def decide(d: SurfaceDescriptor) -> Verdict:
+    """Map a valid, boundaryless, infinite-type descriptor to its verdict."""
+    try:
+        validate(d)
+    except ValidationError as err:
+        raise InvalidDescriptor(str(err)) from err
+    if d.boundary != 0:
+        raise HasBoundary(f"the decision table covers boundaryless surfaces, got boundary={d.boundary}")
+    if not is_infinite_type(d):
+        raise NotInfiniteType("the decision table covers infinite-type surfaces")
+
+    g = d.genus
+    p = punctures_of(d)
+    mixed = has_mixed_end(d)
+    unmarked = strip_marks(d.ends)
+    nf = normalize(unmarked)
+    end_text = str(nf.form if isinstance(nf, Canonical) else nf.expr)
+    end_desc = nf.form.describe() if isinstance(nf, Canonical) else f"irreducible: {nf.expr}"
+
+    if g == INFINITE:
+        verdict = _decide_infinite_genus(p, mixed)
+    elif g > 0:
+        verdict = _decide_finite_genus(int(g))
+    else:
+        verdict = _decide_genus_zero(p, nf, unmarked)
+
+    qI, qII, qIII, td, witness_set, notes = verdict
+    derived = DerivedFacts(
+        genus=g,
+        genus_class="infinite" if g == INFINITE else ("zero" if g == 0 else "finite_positive"),
+        punctures=p,
+        mixed_end=mixed,
+        end_space=f"{end_text} ({end_desc})",
+        td=td,
+        witness_set=witness_set,
+        notes=notes,
+    )
+    return _check_chain(Verdict(qI, qII, qIII, derived))
+
+
+_Row = tuple[Answer, Answer, Answer, Optional[TdMax], Optional[str], tuple[str, ...]]
+
+
+def _decide_infinite_genus(p: int | float, mixed: bool) -> _Row:
+    no_compact = Answer(NO, "infinite-genus-compact-vanishing", coefficients=ANY_FIELD)
+    if p == 0:
+        cite = "infinite-genus-no-punctures-vanishing"
+        note = "questions I, II and III coincide without punctures"
+        qI = Answer(NO, "infinite-genus-compact-vanishing", coefficients=ANY_FIELD, note=note)
+        return (qI, Answer(NO, cite, coefficients=ANY_FIELD, note=note),
+                Answer(NO, cite, coefficients=ANY_FIELD, note=note), None, None,
+                (note,))
+    if p != INFINITE:
+        witness = _even_degree_witness(int(p))
+        qII = Answer(YES, "infinite-genus-finite-punctures-nonvanishing", coefficients=INTEGRAL, witness=witness)
+        qIII = Answer(
+            YES,
+            "positive-answers-propagate",
+            coefficients=INTEGRAL,
+            witness=witness,
+            note="propagated from question II",
+        )
+        return (no_compact, qII, qIII, None, "punctures", ())
+    if mixed:
+        cite = "mixed-end-vanishing"
+        return (no_compact, Answer(NO, cite, coefficients=ANY_FIELD),
+                Answer(NO, cite, coefficients=ANY_FIELD), None, None, ())
+    cite = "infinite-genus-unmixed-open"
+    return (no_compact, Answer(UNKNOWN, cite), Answer(UNKNOWN, cite), None, None, ())
+
+
+def _decide_finite_genus(g: int) -> _Row:
+    witness = _torus_witness() if g == 1 else _closed_surface_witness(g)
+    cite = "finite-genus-nonvanishing"
+    qI = Answer(YES, cite, coefficients=INTEGRAL, witness=witness)
+    prop = "propagated from question I"
+    return (
+        qI,
+        Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop),
+        Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop),
+        None,
+        None,
+        (),
+    )
+
+
+def _decide_genus_zero(p: int | float, nf, unmarked) -> _Row:
+    if p != INFINITE:
+        p = int(p)
+        if p <= 1:
+            cite = "cantor-tree-vanishing"
+            a = Answer(NO, cite, coefficients=ANY_COEFFICIENTS)
+            return (a, a, a, None, None, ())
+        if p <= 3:
+            open_cite = "two-or-three-punctures-open"
+            qIII = Answer(
+                YES,
+                "two-or-three-punctures-braid-sign",
+                coefficients=INTEGRAL,
+                witness=_braid_sign_witness(p),
+            )
+            return (Answer(UNKNOWN, open_cite), Answer(UNKNOWN, open_cite), qIII, None, "punctures", ())
+        witness = _distinguished_witness(p)
+        qI = Answer(YES, "distinguished-ends-nonvanishing", coefficients=INTEGRAL, witness=witness)
+        prop = "propagated from question I"
+        qII = Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop)
+        qIII = Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop)
+        return (qI, qII, qIII, None, "punctures", ())
+
+    td = td_max(unmarked)
+    if td.at_least(4):
+        witness = _distinguished_witness(td.value)
+        note = None if td.exact else "distinguished set certified by a lower bound"
+        qI = Answer(YES, "distinguished-ends-nonvanishing", coefficients=INTEGRAL, witness=witness, note=note)
+        prop = "propagated from question I"
+        qII = Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop)
+        qIII = Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop)
+        return (qI, qII, qIII, td, "distinguished end set", ())
+    if isinstance(nf, Canonical):
+        s = nf.form.scattered
+        if not nf.form.has_kernel and isinstance(s, Scattered) and s.copies == 1:
+            cite = "single-interval-vanishing"
+            a = Answer(NO, cite, coefficients=ANY_FIELD)
+            return (a, a, a, td, None, ())
+    cite = "genus-zero-infinite-punctures-open"
+    notes = () if td.exact else ("indeterminate invariant: only a lower bound for the distinguished set is certified",)
+    a = Answer(UNKNOWN, cite)
+    return (a, a, a, td, None, notes)
+
+
+class NoWitness(LookupError):
+    pass
+
+
+def witness_for(v: Verdict, question: str) -> WitnessRef:
+    """Witness backing a positive answer; raises NoWitness otherwise."""
+    if question not in QUESTIONS:
+        raise ValueError(f"question must be one of {QUESTIONS}, got {question!r}")
+    answer = dict(zip(QUESTIONS, v.answers()))[question]
+    if answer.result != YES or answer.witness is None:
+        raise NoWitness(f"question {question} is not answered positively")
+    return answer.witness

@@ -1,0 +1,592 @@
+"""Symbolic end spaces: closed subsets of the Cantor set and their calculus.
+
+Expressions are finite trees built from a point, a closed ordinal interval
+[0, b], the Cantor set, finite disjoint unions and two one-point
+compactifications: ``SeqCompactification(c)`` compactifies countably many
+copies of ``c`` and ``LimitCompactification(s)`` compactifies the disjoint
+union of the intervals [0, w^a_i] along the canonical sequence a_i
+converging to the limit ordinal ``s``.
+
+Every countable expression normalizes to a canonical form - a finite
+discrete space or ``n`` disjoint copies of [0, w^a] - and every expression
+whose isolated points stay away from the perfect kernel normalizes to that
+canonical scattered part next to a Cantor set.  A compactification point
+accumulated by both kernel and scattered material falls outside the
+decidable fragment and is reported as irreducible.
+
+Leaves and compactification points carry a planar/non-planar mark used by
+the surface layer; everything in this module ignores marks.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+from typing import Iterator, Optional, Union as TUnion
+
+from .ordinal import Kind, ONE, ZERO, Ordinal, add, compare, div_omega, from_int, kind, omega_pow, power_str
+
+INFINITE = math.inf
+
+
+class Mark(Enum):
+    PLANAR = "p"
+    NONPLANAR = "np"
+
+
+PLANAR = Mark.PLANAR
+NONPLANAR = Mark.NONPLANAR
+
+
+# ---------------------------------------------------------------------------
+# expression trees
+
+
+@dataclass(frozen=True)
+class Empty:
+    def __str__(self) -> str:
+        return "empty"
+
+
+@dataclass(frozen=True)
+class Pt:
+    mark: Mark = PLANAR
+
+    def __str__(self) -> str:
+        return "pt" + _mark_suffix(self.mark)
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The closed ordinal interval [0, bound] with the order topology."""
+
+    bound: Ordinal
+    mark: Mark = PLANAR
+
+    def __str__(self) -> str:
+        return f"I({self.bound})" + _mark_suffix(self.mark)
+
+
+@dataclass(frozen=True)
+class Cantor:
+    mark: Mark = PLANAR
+
+    def __str__(self) -> str:
+        return "cantor" + _mark_suffix(self.mark)
+
+
+@dataclass(frozen=True)
+class DisjointUnion:
+    children: tuple["EndSpaceExpr", ...]
+
+    def __post_init__(self) -> None:
+        if len(self.children) < 2:
+            raise ValueError("a union needs at least two summands; use union()")
+        for c in self.children:
+            if isinstance(c, (Empty, DisjointUnion)):
+                raise ValueError("union children must be flattened and nonempty; use union()")
+
+    def __str__(self) -> str:
+        return "U(" + ", ".join(str(c) for c in self.children) + ")"
+
+
+@dataclass(frozen=True)
+class SeqCompactification:
+    """One-point compactification of countably many disjoint copies of `child`."""
+
+    child: "EndSpaceExpr"
+    point_mark: Mark = PLANAR
+
+    def __post_init__(self) -> None:
+        if isinstance(self.child, Empty):
+            raise ValueError("cannot compactify copies of the empty space")
+
+    def __str__(self) -> str:
+        inner = str(self.child)
+        if self.point_mark is NONPLANAR:
+            return f"seq1pc({inner}; np)"
+        return f"seq1pc({inner})"
+
+
+@dataclass(frozen=True)
+class LimitCompactification:
+    """One-point compactification of the intervals [0, w^a_i] with a_i -> sup.
+
+    The a_i are the canonical fundamental sequence of the limit ordinal
+    `sup`; the resulting space does not depend on that choice.  The implicit
+    interval pieces are planar; only the added point carries a mark.
+    """
+
+    sup: Ordinal
+    point_mark: Mark = PLANAR
+
+    def __post_init__(self) -> None:
+        if kind(self.sup) is not Kind.LIMIT:
+            raise ValueError(f"limit compactification needs a limit ordinal, got {self.sup}")
+
+    def __str__(self) -> str:
+        if self.point_mark is NONPLANAR:
+            return f"lim1pc({self.sup}; np)"
+        return f"lim1pc({self.sup})"
+
+
+EndSpaceExpr = TUnion[Empty, Pt, Interval, Cantor, DisjointUnion, SeqCompactification, LimitCompactification]
+
+EMPTY = Empty()
+
+
+def _mark_suffix(mark: Mark) -> str:
+    return "!np" if mark is NONPLANAR else ""
+
+
+def union(*children: EndSpaceExpr) -> EndSpaceExpr:
+    """Disjoint union with construction-time flattening.
+
+    Nested unions are inlined and empty summands dropped, so the returned
+    expression satisfies the union invariants (or collapses to its single
+    summand, or to the empty space).
+    """
+    flat: list[EndSpaceExpr] = []
+    for c in children:
+        if isinstance(c, Empty):
+            continue
+        if isinstance(c, DisjointUnion):
+            flat.extend(c.children)
+        else:
+            flat.append(c)
+    if not flat:
+        return EMPTY
+    if len(flat) == 1:
+        return flat[0]
+    return DisjointUnion(tuple(flat))
+
+
+def strip_marks(e: EndSpaceExpr) -> EndSpaceExpr:
+    """The same expression with every mark reset to planar."""
+    if isinstance(e, Pt):
+        return Pt()
+    if isinstance(e, Interval):
+        return Interval(e.bound)
+    if isinstance(e, Cantor):
+        return Cantor()
+    if isinstance(e, DisjointUnion):
+        return DisjointUnion(tuple(strip_marks(c) for c in e.children))
+    if isinstance(e, SeqCompactification):
+        return SeqCompactification(strip_marks(e.child))
+    if isinstance(e, LimitCompactification):
+        return LimitCompactification(e.sup)
+    return e
+
+
+def walk(e: EndSpaceExpr) -> Iterator[EndSpaceExpr]:
+    yield e
+    if isinstance(e, DisjointUnion):
+        for c in e.children:
+            yield from walk(c)
+    elif isinstance(e, SeqCompactification):
+        yield from walk(e.child)
+
+
+# ---------------------------------------------------------------------------
+# canonical forms
+
+
+@dataclass(frozen=True)
+class Discrete:
+    """A finite discrete space."""
+
+    count: int
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError("discrete part needs at least one point")
+
+    def describe(self) -> str:
+        return "1 isolated point" if self.count == 1 else f"{self.count} isolated points"
+
+
+@dataclass(frozen=True)
+class Scattered:
+    """`copies` disjoint copies of the ordinal interval [0, w^exponent]."""
+
+    copies: int
+    exponent: Ordinal
+
+    def __post_init__(self) -> None:
+        if self.copies < 1:
+            raise ValueError("need at least one copy")
+        if self.exponent.is_zero():
+            raise ValueError("exponent 0 would be a finite space; use Discrete")
+
+    def describe(self) -> str:
+        noun = "copy" if self.copies == 1 else "copies"
+        return f"{self.copies} {noun} of [0,{power_str(self.exponent)}]"
+
+
+ScatteredPart = TUnion[Discrete, Scattered, None]
+
+
+@dataclass(frozen=True)
+class CanonicalEndSpace:
+    """Normal form: an optional Cantor kernel next to an optional scattered part."""
+
+    has_kernel: bool
+    scattered: ScatteredPart
+
+    def is_empty(self) -> bool:
+        return not self.has_kernel and self.scattered is None
+
+    def describe(self) -> str:
+        if self.is_empty():
+            return "empty space"
+        parts = []
+        if self.has_kernel:
+            parts.append("Cantor set")
+        if self.scattered is not None:
+            parts.append(self.scattered.describe())
+        return " plus ".join(parts)
+
+    def __str__(self) -> str:
+        return str(embed(self))
+
+
+EMPTY_CANON = CanonicalEndSpace(False, None)
+CANTOR_CANON = CanonicalEndSpace(True, None)
+
+
+@dataclass(frozen=True)
+class Canonical:
+    form: CanonicalEndSpace
+
+
+@dataclass(frozen=True)
+class Irreducible:
+    """Fully simplified expression outside the decidable fragment."""
+
+    expr: EndSpaceExpr
+
+
+NormalForm = TUnion[Canonical, Irreducible]
+
+
+class RankUndecidable(ValueError):
+    """Raised when a Cantor-Bendixson rank is requested outside the canonical fragment."""
+
+
+def embed(c: CanonicalEndSpace) -> EndSpaceExpr:
+    """A (planar-marked) expression denoting the canonical space."""
+    pieces: list[EndSpaceExpr] = []
+    if c.has_kernel:
+        pieces.append(Cantor())
+    s = c.scattered
+    if isinstance(s, Discrete):
+        pieces.append(Pt() if s.count == 1 else Interval(from_int(s.count - 1)))
+    elif isinstance(s, Scattered):
+        pieces.append(Interval(omega_pow(s.exponent, s.copies)))
+    return union(*pieces)
+
+
+def _merge_scattered(a: ScatteredPart, b: ScatteredPart) -> ScatteredPart:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if isinstance(a, Discrete) and isinstance(b, Discrete):
+        return Discrete(a.count + b.count)
+    # finite discrete summands are absorbed by any interval copies
+    if isinstance(a, Discrete):
+        return b
+    if isinstance(b, Discrete):
+        return a
+    c = compare(a.exponent, b.exponent)
+    if c == 0:
+        return Scattered(a.copies + b.copies, a.exponent)
+    # only the summands of maximal rank survive
+    return a if c > 0 else b
+
+
+def _merge(a: CanonicalEndSpace, b: CanonicalEndSpace) -> CanonicalEndSpace:
+    return CanonicalEndSpace(a.has_kernel or b.has_kernel, _merge_scattered(a.scattered, b.scattered))
+
+
+@dataclass(frozen=True)
+class _Reduced:
+    canon: CanonicalEndSpace
+    atoms: tuple[EndSpaceExpr, ...] = ()
+
+
+def _reduce(e: EndSpaceExpr) -> _Reduced:
+    if isinstance(e, Empty):
+        return _Reduced(EMPTY_CANON)
+    if isinstance(e, Pt):
+        return _Reduced(CanonicalEndSpace(False, Discrete(1)))
+    if isinstance(e, Cantor):
+        return _Reduced(CANTOR_CANON)
+    if isinstance(e, Interval):
+        b = e.bound
+        if b.is_finite():
+            return _Reduced(CanonicalEndSpace(False, Discrete(b.as_int() + 1)))
+        exp, coeff = b.leading()
+        # [0, w^g*n + rest] splits off n copies of [0, w^g]; the tail has
+        # strictly smaller rank and is absorbed by them
+        return _Reduced(CanonicalEndSpace(False, Scattered(coeff, exp)))
+    if isinstance(e, DisjointUnion):
+        canon = EMPTY_CANON
+        atoms: list[EndSpaceExpr] = []
+        for c in e.children:
+            r = _reduce(c)
+            canon = _merge(canon, r.canon)
+            atoms.extend(r.atoms)
+        return _Reduced(canon, tuple(atoms))
+    if isinstance(e, LimitCompactification):
+        return _Reduced(CanonicalEndSpace(False, Scattered(1, e.sup)))
+    if isinstance(e, SeqCompactification):
+        r = _reduce(e.child)
+        if r.atoms:
+            return _Reduced(EMPTY_CANON, (SeqCompactification(_assemble(r)),))
+        c = r.canon
+        if c.is_empty():
+            # compactifying nothing leaves just the added point
+            return _Reduced(CanonicalEndSpace(False, Discrete(1)))
+        if c.has_kernel and c.scattered is None:
+            # countably many Cantor sets plus a limit point: compact, perfect,
+            # totally disconnected and metrizable, hence a Cantor set again
+            return _Reduced(CANTOR_CANON)
+        if c.has_kernel:
+            # the added point is accumulated by kernel and scattered material
+            return _Reduced(EMPTY_CANON, (SeqCompactification(embed(c)),))
+        s = c.scattered
+        if isinstance(s, Discrete):
+            return _Reduced(CanonicalEndSpace(False, Scattered(1, ONE)))
+        assert isinstance(s, Scattered)
+        return _Reduced(CanonicalEndSpace(False, Scattered(1, add(s.exponent, ONE))))
+    raise TypeError(f"not an end-space expression: {e!r}")
+
+
+def _assemble(r: _Reduced) -> EndSpaceExpr:
+    parts: list[EndSpaceExpr] = []
+    if not r.canon.is_empty():
+        parts.append(embed(r.canon))
+    parts.extend(sorted(r.atoms, key=str))
+    return union(*parts)
+
+
+def normalize(e: EndSpaceExpr) -> NormalForm:
+    """Confluent normal form of an end-space expression (marks are ignored)."""
+    r = _reduce(strip_marks(e))
+    if not r.atoms:
+        return Canonical(r.canon)
+    return Irreducible(_assemble(r))
+
+
+# ---------------------------------------------------------------------------
+# Cantor-Bendixson calculus
+
+
+def cb_derivative(e: EndSpaceExpr) -> EndSpaceExpr:
+    """Expression for the derived set (isolated points removed); marks survive."""
+    if isinstance(e, (Empty, Pt)):
+        return EMPTY if isinstance(e, Pt) else e
+    if isinstance(e, Cantor):
+        return e
+    if isinstance(e, Interval):
+        q = div_omega(e.bound)
+        if q.is_zero():
+            return EMPTY
+        if q == ONE:
+            return Pt(e.mark)
+        if q.is_finite():
+            # the derived set is the q limit ordinals in [0, bound], discrete
+            return Interval(from_int(q.as_int() - 1), e.mark)
+        return Interval(q, e.mark)
+    if isinstance(e, DisjointUnion):
+        return union(*(cb_derivative(c) for c in e.children))
+    if isinstance(e, SeqCompactification):
+        d = cb_derivative(e.child)
+        if isinstance(d, Empty):
+            # the added point survives as the limit of the deleted points
+            return Pt(e.point_mark)
+        return SeqCompactification(d, e.point_mark)
+    if isinstance(e, LimitCompactification):
+        # each interval piece loses a layer but the exponents still approach
+        # the same limit, so the derived set has the same form
+        return e
+    raise TypeError(f"not an end-space expression: {e!r}")
+
+
+def _canonical_rank(c: CanonicalEndSpace) -> Ordinal:
+    s = c.scattered
+    if s is None:
+        return ZERO
+    if isinstance(s, Discrete):
+        return ONE
+    return add(s.exponent, ONE)
+
+
+def cb_rank(e: EndSpaceExpr) -> Ordinal:
+    """Cantor-Bendixson rank of the space; requires a canonical normal form."""
+    nf = normalize(e)
+    if isinstance(nf, Irreducible):
+        raise RankUndecidable(f"rank undecidable outside the canonical fragment: {nf.expr}")
+    return _canonical_rank(nf.form)
+
+
+def isolated_count(e: EndSpaceExpr) -> int | float:
+    """Number of isolated points, as an integer or INFINITE."""
+    if isinstance(e, Empty):
+        return 0
+    if isinstance(e, Pt):
+        return 1
+    if isinstance(e, Cantor):
+        return 0
+    if isinstance(e, Interval):
+        return e.bound.as_int() + 1 if e.bound.is_finite() else INFINITE
+    if isinstance(e, DisjointUnion):
+        return sum(isolated_count(c) for c in e.children)
+    if isinstance(e, SeqCompactification):
+        return INFINITE if isolated_count(e.child) > 0 else 0
+    if isinstance(e, LimitCompactification):
+        return INFINITE
+    raise TypeError(f"not an end-space expression: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# topologically distinguished subsets
+
+
+@dataclass(frozen=True)
+class TdMax:
+    """Size of the largest finite topologically distinguished subset.
+
+    ``exact`` is False when only a certified lower bound is known (this
+    happens exactly on irreducible forms).
+    """
+
+    value: int
+    exact: bool = True
+
+    def at_least(self, n: int) -> bool:
+        return self.value >= n
+
+
+def _rank_bound(e: EndSpaceExpr) -> Ordinal:
+    """Upper bound for the ranks of ordinal-interval germs occurring in `e`."""
+    if isinstance(e, (Empty, Cantor)):
+        return ZERO
+    if isinstance(e, Pt):
+        return ONE
+    if isinstance(e, Interval):
+        b = e.bound
+        return ONE if b.is_finite() else add(b.leading()[0], ONE)
+    if isinstance(e, DisjointUnion):
+        best = ZERO
+        for c in e.children:
+            r = _rank_bound(c)
+            if compare(r, best) > 0:
+                best = r
+        return best
+    if isinstance(e, SeqCompactification):
+        return add(_rank_bound(e.child), ONE)
+    if isinstance(e, LimitCompactification):
+        return add(e.sup, ONE)
+    raise TypeError(f"not an end-space expression: {e!r}")
+
+
+def _has_compactification(e: EndSpaceExpr) -> bool:
+    return any(isinstance(n, (SeqCompactification, LimitCompactification)) for n in walk(e))
+
+
+def _canonical_td(c: CanonicalEndSpace) -> int:
+    # the finite germ classes of a canonical space: all points of a finite
+    # discrete part, or the (finitely many) top-rank points of the interval
+    # copies; Cantor points form an infinite class and contribute nothing
+    s = c.scattered
+    if s is None:
+        return 0
+    if isinstance(s, Discrete):
+        return s.count
+    return s.copies
+
+
+def td_max(e: EndSpaceExpr) -> TdMax:
+    """Maximum size of a finite topologically distinguished subset.
+
+    Exact on canonical forms.  On irreducible forms a conservative lower
+    bound is certified: the compactification points of the top-level
+    irreducible summands (when no deeper compactification could alias
+    their neighbourhood germs) plus any canonical top-rank class whose
+    germ rank exceeds everything realised inside the irreducible summands.
+    """
+    r = _reduce(strip_marks(e))
+    if not r.atoms:
+        return TdMax(_canonical_td(r.canon))
+    claimed = 0
+    shallow = all(not _has_compactification(a.child) for a in r.atoms if isinstance(a, SeqCompactification))
+    if shallow:
+        claimed += len(r.atoms)
+    spoiled = ZERO
+    for a in r.atoms:
+        rb = _rank_bound(a.child) if isinstance(a, SeqCompactification) else _rank_bound(a)
+        if compare(rb, spoiled) > 0:
+            spoiled = rb
+    s = r.canon.scattered
+    if isinstance(s, Scattered) and compare(add(s.exponent, ONE), spoiled) > 0:
+        claimed += s.copies
+    return TdMax(claimed, exact=False)
+
+
+# ---------------------------------------------------------------------------
+# invariants and the homeomorphism decision
+
+
+@dataclass(frozen=True)
+class SpaceInvariants:
+    countable: bool
+    isolated_count: int | float
+    scattered_rank: Optional[Ordinal]
+    has_kernel: bool
+    td_max: TdMax
+
+
+def invariants(e: EndSpaceExpr) -> SpaceInvariants:
+    nf = normalize(e)
+    if isinstance(nf, Canonical):
+        has_kernel = nf.form.has_kernel
+        rank: Optional[Ordinal] = _canonical_rank(nf.form)
+    else:
+        has_kernel = True
+        rank = None
+    return SpaceInvariants(
+        countable=not has_kernel,
+        isolated_count=isolated_count(e),
+        scattered_rank=rank,
+        has_kernel=has_kernel,
+        td_max=td_max(e),
+    )
+
+
+class Homeo(Enum):
+    YES = "yes"
+    NO = "no"
+    UNKNOWN = "unknown"
+
+
+def is_homeomorphic(a: EndSpaceExpr, b: EndSpaceExpr) -> Homeo:
+    """Decide homeomorphism of the unmarked spaces where the calculus can."""
+    na, nb = normalize(a), normalize(b)
+    if isinstance(na, Canonical) and isinstance(nb, Canonical):
+        return Homeo.YES if na.form == nb.form else Homeo.NO
+    if isinstance(na, Irreducible) and isinstance(nb, Irreducible) and na.expr == nb.expr:
+        return Homeo.YES
+    ka = isinstance(na, Irreducible) or na.form.has_kernel
+    kb = isinstance(nb, Irreducible) or nb.form.has_kernel
+    if ka != kb:
+        return Homeo.NO
+    if isolated_count(a) != isolated_count(b):
+        return Homeo.NO
+    ra = _canonical_rank(na.form) if isinstance(na, Canonical) else None
+    rb = _canonical_rank(nb.form) if isinstance(nb, Canonical) else None
+    if ra is not None and rb is not None and ra != rb:
+        return Homeo.NO
+    return Homeo.UNKNOWN

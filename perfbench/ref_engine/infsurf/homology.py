@@ -1,0 +1,427 @@
+"""Exact integer linear algebra and the group-theoretic witness arithmetic.
+
+Everything here is exact: matrices hold arbitrary-precision integers, the
+Smith normal form comes with its unimodular transforms, abelianizations are
+cokernels of exponent-sum matrices, and the power-series coefficients are
+computed as integers.  These computations back every positive verdict of
+the decision engine.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import comb, gcd
+from typing import Iterable
+
+
+class UnknownPreset(ValueError):
+    pass
+
+
+class BadParameter(ValueError):
+    pass
+
+
+class OutOfTable(LookupError):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# matrices
+
+
+@dataclass(frozen=True)
+class IntegerMatrix:
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        widths = {len(r) for r in self.entries}
+        if len(widths) > 1:
+            raise ValueError("ragged rows")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntegerMatrix":
+        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+
+    @classmethod
+    def identity(cls, n: int) -> "IntegerMatrix":
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
+        return cls(tuple((0,) * cols for _ in range(rows)))
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0]) if self.entries else 0
+
+    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
+        cols = list(zip(*other.entries)) if other.entries else []
+        return IntegerMatrix(
+            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries)
+        )
+
+    def determinant(self) -> int:
+        """Exact determinant by fraction-free (Bareiss) elimination."""
+        if self.rows != self.cols:
+            raise ValueError("determinant of a non-square matrix")
+        n = self.rows
+        if n == 0:
+            return 1
+        m = [list(r) for r in self.entries]
+        sign = 1
+        prev = 1
+        for k in range(n - 1):
+            if m[k][k] == 0:
+                for i in range(k + 1, n):
+                    if m[i][k] != 0:
+                        m[k], m[i] = m[i], m[k]
+                        sign = -sign
+                        break
+                else:
+                    return 0
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                m[i][k] = 0
+            prev = m[k][k]
+        return sign * m[n - 1][n - 1]
+
+
+@dataclass(frozen=True)
+class SNFResult:
+    diagonal: tuple[int, ...]
+    left: IntegerMatrix
+    right: IntegerMatrix
+
+
+def smith_normal_form(a: IntegerMatrix) -> SNFResult:
+    """Smith normal form with unimodular transforms: left @ a @ right is
+    diagonal with d1 | d2 | ... and all di >= 0.
+
+    Pivots are chosen as the smallest nonzero absolute value, ties broken
+    by lowest (row-major) index, so the output is deterministic.
+    """
+    m, n = a.rows, a.cols
+    d = [list(r) for r in a.entries]
+    left = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    right = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        left[i], left[j] = left[j], left[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in right:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        # row_dst += q * row_src
+        for k in range(n):
+            d[dst][k] += q * d[src][k]
+        for k in range(m):
+            left[dst][k] += q * left[src][k]
+
+    def add_col(src, dst, q):
+        for row in d:
+            row[dst] += q * row[src]
+        for row in right:
+            row[dst] += q * row[src]
+
+    def pivot_at(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(d[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+        return best
+
+    for t in range(min(m, n)):
+        while True:
+            best = pivot_at(t)
+            if best is None:
+                break
+            _, pi, pj = best
+            if pi != t:
+                swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            p = d[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    add_row(t, i, -(d[i][t] // p))
+                    if d[i][t]:
+                        dirty = True
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    add_col(t, j, -(d[t][j] // p))
+                    if d[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide the whole remaining block for the chain
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if d[i][j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+        if d[t][t] < 0:
+            for k in range(n):
+                d[t][k] = -d[t][k]
+            for k in range(m):
+                left[t][k] = -left[t][k]
+
+    diag = tuple(d[t][t] for t in range(min(m, n)))
+    return SNFResult(diag, IntegerMatrix.from_rows(left), IntegerMatrix.from_rows(right))
+
+
+def gcd_of_minors(a: IntegerMatrix, size: int) -> int:
+    """gcd of all size x size minors (0 when no nonzero minor exists)."""
+    from itertools import combinations
+
+    g = 0
+    for rows in combinations(range(a.rows), size):
+        for cols in combinations(range(a.cols), size):
+            sub = IntegerMatrix.from_rows(
+                [[a.entries[i][j] for j in cols] for i in rows]
+            )
+            g = gcd(g, sub.determinant())
+    return g
+
+
+# ---------------------------------------------------------------------------
+# presentations and abelianization
+
+
+@dataclass(frozen=True)
+class FinitePresentation:
+    """Generators 1..ngens; a relator is a word of signed generator indices."""
+
+    ngens: int
+    relators: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if self.ngens < 0:
+            raise ValueError("negative generator count")
+        for w in self.relators:
+            for letter in w:
+                if letter == 0 or abs(letter) > self.ngens:
+                    raise ValueError(f"letter {letter} out of range for {self.ngens} generators")
+
+    def exponent_matrix(self) -> IntegerMatrix:
+        rows = []
+        for w in self.relators:
+            row = [0] * self.ngens
+            for letter in w:
+                row[abs(letter) - 1] += 1 if letter > 0 else -1
+            rows.append(row)
+        return IntegerMatrix.from_rows(rows)
+
+    def __str__(self) -> str:
+        parts = [f"gens={self.ngens}"]
+        parts.extend("rel=" + " ".join(str(x) for x in w) for w in self.relators)
+        return "; ".join(parts)
+
+
+@dataclass(frozen=True)
+class AbelianGroup:
+    """Z^rank plus cyclic torsion with invariant factors t1 | t2 | ..."""
+
+    rank: int
+    torsion: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.rank < 0:
+            raise ValueError("negative rank")
+        for t in self.torsion:
+            if t < 2:
+                raise ValueError("torsion factors must be >= 2")
+        for a, b in zip(self.torsion, self.torsion[1:]):
+            if b % a:
+                raise ValueError("torsion factors must form a divisibility chain")
+
+    def order(self) -> int | None:
+        if self.rank:
+            return None
+        out = 1
+        for t in self.torsion:
+            out *= t
+        return out
+
+    def __str__(self) -> str:
+        parts = ["Z"] * self.rank + [f"Z/{t}" for t in self.torsion]
+        return " + ".join(parts) if parts else "0"
+
+
+def abelianize(p: FinitePresentation) -> AbelianGroup:
+    """Cokernel of the exponent-sum matrix, via Smith normal form."""
+    snf = smith_normal_form(p.exponent_matrix())
+    nonzero = [x for x in snf.diagonal if x]
+    return AbelianGroup(rank=p.ngens - len(nonzero), torsion=tuple(x for x in nonzero if x > 1))
+
+
+def _braid_relators(n: int) -> list[tuple[int, ...]]:
+    rels: list[tuple[int, ...]] = []
+    for i in range(1, n - 1):
+        rels.append((i, i + 1, i, -(i + 1), -i, -(i + 1)))
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            rels.append((i, j, -i, -j))
+    return rels
+
+
+def preset(name: str, n: int | None = None) -> FinitePresentation:
+    """Standard presentations: braid(n), symmetric(n), spherical_braid(n)
+    for n >= 2, and sl2z (two generators s, t with s^4 = 1 and s^2 = t^3)."""
+    if name == "sl2z":
+        if n is not None:
+            raise BadParameter("sl2z takes no parameter")
+        return FinitePresentation(2, ((1, 1, 1, 1), (1, 1, -2, -2, -2)))
+    if name not in ("braid", "symmetric", "spherical_braid"):
+        raise UnknownPreset(name)
+    if n is None or n < 2:
+        raise BadParameter(f"{name} needs n >= 2, got {n!r}")
+    rels = _braid_relators(n)
+    if name == "symmetric":
+        rels.extend((i, i) for i in range(1, n))
+    elif name == "spherical_braid":
+        rels.append(tuple(range(1, n)) + tuple(range(n - 1, 0, -1)))
+    return FinitePresentation(n - 1, tuple(rels))
+
+
+# ---------------------------------------------------------------------------
+# witness arithmetic
+
+
+def full_twist_image(n: int) -> int:
+    """Image n(n-1) of the full twist in Z/(2n-2): 0 for even n, n-1 for odd n."""
+    if n < 2:
+        raise BadParameter("need n >= 2")
+    r = (n * (n - 1)) % (2 * n - 2)
+    assert r == (0 if n % 2 == 0 else n - 1)
+    return r
+
+
+def k_of(n: int) -> int:
+    """k = n-1 for even n and (n-1)/2 for odd n."""
+    if n < 2:
+        raise BadParameter("need n >= 2")
+    return n - 1 if n % 2 == 0 else (n - 1) // 2
+
+
+@dataclass(frozen=True)
+class SquareReport:
+    """The checked multiplication-by-2 square from Z/k into Z/2k."""
+
+    n: int
+    k: int
+    modulus: int  # 2k
+    element: int  # the class of 2 in Z/2k
+    element_nonzero: bool
+    square_commutes: bool
+    full_twist_residue: int  # image of the full twist in Z/2k
+
+
+def prop74_square(n: int) -> SquareReport:
+    """Build and verify the degree-one witness square for n distinguished ends.
+
+    The doubling map Z/k -> Z/2k must be a well-defined injection, the
+    square against reduction from Z must commute, and the full twist must
+    die in Z/2k.  The witness class 2 is nonzero exactly when k >= 2,
+    i.e. when n >= 4.
+    """
+    k = k_of(n)
+    two_k = 2 * k
+    commutes = all((2 * (x % k)) % two_k == (2 * x) % two_k for x in range(2 * two_k))
+    injective = len({(2 * x) % two_k for x in range(k)}) == k
+    twist = (n * (n - 1)) % two_k
+    assert twist == 0, "the full twist must vanish in Z/2k"
+    return SquareReport(
+        n=n,
+        k=k,
+        modulus=two_k,
+        element=2 % two_k,
+        element_nonzero=(2 % two_k) != 0,
+        square_commutes=commutes and injective,
+        full_twist_residue=twist,
+    )
+
+
+# ---------------------------------------------------------------------------
+# low-degree lookup table (cited values, not recomputed)
+
+
+H1_MAP_TORUS = "H1MapTorus"
+H2_MAP_CLOSED = "H2MapClosed"
+
+_H2_TABLE = {2: AbelianGroup(0, (2,)), 3: AbelianGroup(1, (2,))}
+
+
+def h_lookup(kind: str, g: int) -> AbelianGroup:
+    """First or second homology of the mapping class group of a closed surface."""
+    if kind == H1_MAP_TORUS:
+        if g != 1:
+            raise OutOfTable(f"H1 table only holds genus 1, got {g}")
+        return AbelianGroup(0, (12,))
+    if kind == H2_MAP_CLOSED:
+        if g < 2:
+            raise OutOfTable(f"H2 table starts at genus 2, got {g}")
+        return _H2_TABLE.get(g, AbelianGroup(1))
+    raise OutOfTable(f"unknown table {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Poincare series
+
+
+TORUS_POWER = "TorusPower"
+WREATH_QUOTIENT = "WreathQuotient"
+
+
+def poincare_series(kind: str, p: int, max_degree: int) -> tuple[int, ...]:
+    """Exact coefficients, degrees 0..max_degree, of the rational series for
+    the classifying space of a p-torus, 1/(1-t^2)^p, or of its wreath
+    quotient, prod_{i=1..p} 1/(1-t^(2i)).
+
+    The wreath coefficient of t^(2d) counts the partitions of d into parts
+    of size at most p.
+    """
+    if p < 1:
+        raise BadParameter("need p >= 1")
+    if max_degree < 0 or max_degree % 2:
+        raise BadParameter("max_degree must be a non-negative even integer")
+    if kind == TORUS_POWER:
+        steps = [2] * p
+    elif kind == WREATH_QUOTIENT:
+        steps = [2 * i for i in range(1, p + 1)]
+    else:
+        raise BadParameter(f"unknown series kind {kind!r}")
+    coeff = [0] * (max_degree + 1)
+    coeff[0] = 1
+    for s in steps:
+        for deg in range(s, max_degree + 1):
+            coeff[deg] += coeff[deg - s]
+    return tuple(coeff)
+
+
+def torus_power_coefficient(p: int, degree: int) -> int:
+    """Closed form for the TorusPower series: monomial count in p variables."""
+    if degree % 2:
+        return 0
+    return comb(degree // 2 + p - 1, p - 1)
