@@ -10,7 +10,7 @@ the decision engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 from typing import Iterable
 
 
@@ -47,10 +47,6 @@ class IntegerMatrix:
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -67,32 +63,6 @@ class IntegerMatrix:
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries)
         )
 
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -101,108 +71,128 @@ class SNFResult:
     right: IntegerMatrix
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def _hermite_pass(rows: list[list[int]], width: int) -> list[list[int]]:
+    """Reduced row Hermite form of the first ``width`` columns of ``rows``.
+
+    The entries past ``width`` are the row's transform and take part in
+    every row operation.  Rows are added one at a time in Kannan-Bachem
+    order: an incoming row is reduced against the pivot rows, and after it
+    the entries above each pivot are brought into [0, pivot).  That keeps
+    every entry, transforms included, from growing beyond what the
+    pivots force.  Returns the pivot rows (positive pivots, in column
+    order) followed by the zero rows.
+    """
+    pivots: list[list[int]] = []
+    cols: list[int] = []
+    zeros: list[list[int]] = []
+    for row in rows:
+        k = c = 0
+        changed = None  # index of the first pivot row this row altered
+        while True:
+            while c < width and not row[c]:
+                c += 1
+            if c == width:
+                zeros.append(row)
+                break
+            while k < len(cols) and cols[k] < c:
+                k += 1
+            if k == len(cols) or cols[k] != c:
+                pivots.insert(k, row if row[c] > 0 else [-x for x in row])
+                cols.insert(k, c)
+                if changed is None:
+                    changed = k
+                break
+            p = pivots[k]
+            a, b = p[c], row[c]
+            if b % a:
+                g, s, t = _xgcd(a, b)
+                a, b = a // g, b // g
+                pivots[k] = [s * x + t * y for x, y in zip(p, row)]
+                row = [a * y - b * x for x, y in zip(p, row)]
+                if changed is None:
+                    changed = k
+            else:
+                q = b // a
+                row = [y - q * x for x, y in zip(p, row)]
+            k += 1
+            c += 1
+        if changed is None:
+            continue
+        for k in range(changed, len(cols)):
+            c, p = cols[k], pivots[k]
+            v = p[c]
+            for j in range(k):
+                q = pivots[j][c] // v
+                if q:
+                    pivots[j] = [y - q * x for x, y in zip(p, pivots[j])]
+    return pivots + zeros
+
+
 def smith_normal_form(a: IntegerMatrix) -> SNFResult:
     """Smith normal form with unimodular transforms: left @ a @ right is
     diagonal with d1 | d2 | ... and all di >= 0.
 
-    Pivots are chosen as the smallest nonzero absolute value, ties broken
-    by lowest (row-major) index, so the output is deterministic.
+    Row and column Hermite passes alternate until the matrix is diagonal;
+    a column pass is a row pass on the transpose, with the right transform
+    kept transposed.  A gcd/lcm step per pair of diagonal entries then
+    repairs the divisibility chain.  The diagonal is unique; the
+    transforms are one valid unimodular pair, not a canonical one.
+    Reducing above every pivot after each new row, as Kannan and Bachem
+    (1979) do, keeps their entries near the size of the matrix's minors
+    instead of letting them compound from pass to pass.
     """
     m, n = a.rows, a.cols
-    d = [list(r) for r in a.entries]
-    left = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    right = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
-        for k in range(n):
-            d[dst][k] += q * d[src][k]
-        for k in range(m):
-            left[dst][k] += q * left[src][k]
-
-    def add_col(src, dst, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in right:
-            row[dst] += q * row[src]
-
-    def pivot_at(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(d[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        return best
-
-    for t in range(min(m, n)):
-        while True:
-            best = pivot_at(t)
-            if best is None:
-                break
-            _, pi, pj = best
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
-            p = d[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    add_row(t, i, -(d[i][t] // p))
-                    if d[i][t]:
-                        dirty = True
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    add_col(t, j, -(d[t][j] // p))
-                    if d[t][j]:
-                        dirty = True
-            if dirty:
+    # [matrix row | transform row]; ``other`` is the transform of the other
+    # side, transposed, and ``flipped`` says the matrix is held transposed
+    rows = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(a.entries)]
+    other = [[int(i == j) for j in range(n)] for i in range(n)]
+    width, flipped = n, False
+    while True:
+        rows = _hermite_pass(rows, width)
+        if all(not x or i == j for i, r in enumerate(rows) for j, x in enumerate(r[:width])):
+            break
+        rows, other = (
+            [list(col) + t for col, t in zip(zip(*(r[:width] for r in rows)), other)],
+            [r[width:] for r in rows],
+        )
+        width, flipped = len(other), not flipped
+    # every diagonal entry is a pivot, so positive, and zero rows came last
+    diag = [rows[i][i] for i in range(min(m, n))]
+    side = [r[width:] for r in rows]
+    left, right_t = (other, side) if flipped else (side, other)
+    rank = sum(1 for d in diag if d)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x, y = diag[i], diag[j]
+            if y % x == 0:
                 continue
-            # pivot must divide the whole remaining block for the chain
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if d[t][t] < 0:
-            for k in range(n):
-                d[t][k] = -d[t][k]
-            for k in range(m):
-                left[t][k] = -left[t][k]
-
-    diag = tuple(d[t][t] for t in range(min(m, n)))
-    return SNFResult(diag, IntegerMatrix.from_rows(left), IntegerMatrix.from_rows(right))
-
-
-def gcd_of_minors(a: IntegerMatrix, size: int) -> int:
-    """gcd of all size x size minors (0 when no nonzero minor exists)."""
-    from itertools import combinations
-
-    g = 0
-    for rows in combinations(range(a.rows), size):
-        for cols in combinations(range(a.cols), size):
-            sub = IntegerMatrix.from_rows(
-                [[a.entries[i][j] for j in cols] for i in rows]
-            )
-            g = gcd(g, sub.determinant())
-    return g
+            # diag(x, y) -> diag(g, xy/g)
+            g, s, t = _xgcd(x, y)
+            x, y = x // g, y // g
+            li, lj, ri, rj = left[i], left[j], right_t[i], right_t[j]
+            left[i] = [s * u + t * v for u, v in zip(li, lj)]
+            left[j] = [x * v - y * u for u, v in zip(li, lj)]
+            right_t[i] = [u + v for u, v in zip(ri, rj)]
+            right_t[j] = [s * x * v - t * y * u for u, v in zip(ri, rj)]
+            diag[i], diag[j] = g, g * x * y
+    return SNFResult(
+        tuple(diag),
+        IntegerMatrix(tuple(map(tuple, left))),
+        IntegerMatrix(tuple(map(tuple, zip(*right_t)))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +260,14 @@ class AbelianGroup:
 
 
 def abelianize(p: FinitePresentation) -> AbelianGroup:
-    """Cokernel of the exponent-sum matrix, via Smith normal form."""
-    snf = smith_normal_form(p.exponent_matrix())
+    """Cokernel of the exponent-sum matrix, via Smith normal form.
+
+    Zero rows (commutator relators, for instance) are dropped first: they
+    do not change the cokernel, and each would add a row and a column to
+    the left transform.
+    """
+    rows = tuple(r for r in p.exponent_matrix().entries if any(r))
+    snf = smith_normal_form(IntegerMatrix(rows))
     nonzero = [x for x in snf.diagonal if x]
     return AbelianGroup(rank=p.ngens - len(nonzero), torsion=tuple(x for x in nonzero if x > 1))
 
@@ -409,7 +405,8 @@ def poincare_series(kind: str, p: int, max_degree: int) -> tuple[int, ...]:
     if kind == TORUS_POWER:
         steps = [2] * p
     elif kind == WREATH_QUOTIENT:
-        steps = [2 * i for i in range(1, p + 1)]
+        # a step above max_degree adds nothing
+        steps = [2 * i for i in range(1, min(p, max_degree // 2) + 1)]
     else:
         raise BadParameter(f"unknown series kind {kind!r}")
     coeff = [0] * (max_degree + 1)

@@ -3,12 +3,15 @@
 Everything here deliberately avoids the code paths it is used to check:
 ordinals are handled as dense coefficient vectors, ranks are read off the
 expression structure directly, and partition counts are enumerated by
-brute force.
+brute force.  Integer matrices get their determinants by fraction-free
+elimination and their minor gcds by enumerating minors.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
+from math import gcd
 
 from infsurf.endspace import (
     Cantor,
@@ -20,6 +23,7 @@ from infsurf.endspace import (
     SeqCompactification,
     union,
 )
+from infsurf.homology import IntegerMatrix
 from infsurf.ordinal import ONE, ZERO, Ordinal, add, from_int, omega_pow
 
 # -- dense-vector ordinal oracle (ordinals below w^k) -------------------------
@@ -85,6 +89,50 @@ def top_rank_profile(e: EndSpaceExpr) -> tuple[Ordinal, int]:
     if isinstance(e, LimitCompactification):
         return add(e.sup, ONE), 1
     raise AssertionError(f"profile oracle only covers countable expressions, got {e!r}")
+
+
+# -- integer matrices -------------------------------------------------------------
+
+
+def zero_matrix(rows: int, cols: int) -> IntegerMatrix:
+    return IntegerMatrix(tuple((0,) * cols for _ in range(rows)))
+
+
+def determinant(a: IntegerMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(r) for r in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def gcd_of_minors(a: IntegerMatrix, size: int) -> int:
+    """gcd of all size x size minors (0 when no nonzero minor exists)."""
+    g = 0
+    for rows in combinations(range(a.rows), size):
+        for cols in combinations(range(a.cols), size):
+            sub = IntegerMatrix.from_rows([[a.entries[i][j] for j in cols] for i in rows])
+            g = gcd(g, determinant(sub))
+    return g
 
 
 # -- partitions -----------------------------------------------------------------

@@ -1,6 +1,14 @@
 import json
+import os
+import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import infsurf
 from infsurf.cli import main
+from infsurf.homology import WREATH_QUOTIENT, IntegerMatrix, poincare_series
 
 
 def run(capsys, *argv):
@@ -97,6 +105,19 @@ def test_hom_snf(capsys):
     assert payload["diagonal"] == [2, 4]
 
 
+def test_hom_snf_64x64_json(capsys):
+    rng = random.Random(64)
+    rows = [[rng.randint(-9, 9) for _ in range(64)] for _ in range(64)]
+    code, out, _ = run(capsys, "hom", "snf", json.dumps(rows), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    diag = payload["diagonal"]
+    product = IntegerMatrix.from_rows(payload["left"]) @ IntegerMatrix.from_rows(rows) @ IntegerMatrix.from_rows(
+        payload["right"]
+    )
+    assert product == IntegerMatrix.from_rows([[diag[i] if i == j else 0 for j in range(64)] for i in range(64)])
+
+
 def test_hom_snf_bad_json(capsys):
     code, _, _ = run(capsys, "hom", "snf", "[[2,4],[6,8")
     assert code == 2
@@ -155,6 +176,26 @@ def test_batch_mode(tmp_path, capsys):
     assert rows[1]["error"]["kind"] == "HasBoundary"
     assert rows[2]["error"]["kind"] == "parse"
     assert rows[3]["qI"]["answer"] == "yes"
+
+
+def test_decide_huge_puncture_count_answers_at_once():
+    # a series loop over every one of the 10^11 punctures would exhaust
+    # memory; the child gets a 1 GiB address-space cap so that fails fast
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(infsurf.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "infsurf", "decide", "--json",
+         "surface(genus=inf, boundary=0, ends=U(pt!np, I(100000000000)))"],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["derived"]["punctures"] == 100000000001
+    assert payload["qII"]["answer"] == "yes"
+    coeffs = payload["qII"]["witness"]["computation"]["series_coefficients"]
+    assert coeffs == list(poincare_series(WREATH_QUOTIENT, 10, 20))
 
 
 def test_internal_invariant_violation_exit_code(capsys, monkeypatch):

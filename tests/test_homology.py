@@ -15,7 +15,6 @@ from infsurf.homology import (
     WREATH_QUOTIENT,
     abelianize,
     full_twist_image,
-    gcd_of_minors,
     h_lookup,
     k_of,
     poincare_series,
@@ -24,7 +23,7 @@ from infsurf.homology import (
     smith_normal_form,
     torus_power_coefficient,
 )
-from oracles import partitions_with_max_part
+from oracles import determinant, gcd_of_minors, partitions_with_max_part, zero_matrix
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -36,8 +35,8 @@ def _check_snf(a: IntegerMatrix):
     m, n = a.rows, a.cols
     assert len(res.diagonal) == min(m, n)
     # unimodular transforms that actually diagonalize
-    assert abs(res.left.determinant()) == 1
-    assert abs(res.right.determinant()) == 1
+    assert abs(determinant(res.left)) == 1
+    assert abs(determinant(res.right)) == 1
     product = res.left @ a @ res.right
     for i in range(m):
         for j in range(n):
@@ -67,7 +66,7 @@ def test_snf_worked_example():
 
 
 def test_snf_zero_matrix():
-    res = smith_normal_form(IntegerMatrix.zero(2, 3))
+    res = smith_normal_form(zero_matrix(2, 3))
     assert res.diagonal == (0, 0)
 
 
@@ -85,6 +84,50 @@ def test_snf_properties_and_minor_gcds():
 def test_snf_is_deterministic():
     a = IntegerMatrix.from_rows([[3, 1, -4], [2, 2, 8], [0, 5, 7]])
     assert smith_normal_form(a) == smith_normal_form(a)
+
+
+def test_snf_matches_sympy_oracle():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+
+    rng = random.Random(109)
+    shapes = [(k, k) for k in range(1, 9)] + [(2, 7), (7, 2), (3, 8), (8, 5), (1, 6), (6, 1)]
+    for rows, cols in shapes:
+        for kind in ("random", "singular", "sparse", "zero"):
+            if kind == "zero":
+                a = zero_matrix(rows, cols)
+            elif kind == "singular" and rows > 1:
+                # the last row repeats a combination of two others
+                base = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows - 1)]
+                x, y = rng.choice(base), rng.choice(base)
+                c = rng.randint(-3, 3)
+                a = IntegerMatrix.from_rows(base + [[u + c * v for u, v in zip(x, y)]])
+            elif kind == "sparse":
+                a = IntegerMatrix.from_rows(
+                    [[rng.randint(-30, 30) if rng.random() < 0.3 else 0 for _ in range(cols)] for _ in range(rows)]
+                )
+            else:
+                a = _random_matrix(rng, rows, cols)
+            res = _check_snf(a)
+            want = normalforms.smith_normal_form(Matrix(a.entries), domain=ZZ)
+            assert list(res.diagonal) == [want[i, i] for i in range(min(rows, cols))]
+
+
+def test_snf_dense_transforms_stay_small():
+    rng = random.Random(113)
+    for size in (16, 24):
+        a = _random_matrix(rng, size, size)
+        res = smith_normal_form(a)
+        assert res.left @ a @ res.right == IntegerMatrix.from_rows(
+            [[res.diagonal[i] if i == j else 0 for j in range(size)] for i in range(size)]
+        )
+        product = 1
+        for d in res.diagonal:
+            product *= d
+        assert product == abs(determinant(a))
+        # the transforms stay within a few times the digit count of |det a|
+        bound = 4 * len(str(product)) + 10
+        assert max(len(str(abs(x))) for m in (res.left, res.right) for row in m.entries for x in row) <= bound
 
 
 # -- presentations ---------------------------------------------------------------
@@ -116,6 +159,18 @@ def test_braid_presentation_shape():
 )
 def test_abelianization_golden_values(name, n, expected):
     assert str(abelianize(preset(name, n))) == expected
+
+
+@pytest.mark.parametrize("name", ["braid", "symmetric", "spherical_braid", "sl2z"])
+def test_abelianize_drops_zero_rows_without_changing_the_group(name):
+    for n in [None] if name == "sl2z" else range(2, 25):
+        pres = preset(name, n)
+        full = pres.exponent_matrix()
+        kept = IntegerMatrix(tuple(r for r in full.entries if any(r)))
+        full_diag = [d for d in smith_normal_form(full).diagonal if d]
+        assert [d for d in smith_normal_form(kept).diagonal if d] == full_diag
+        group = AbelianGroup(pres.ngens - len(full_diag), tuple(d for d in full_diag if d > 1))
+        assert abelianize(pres) == group
 
 
 def test_spherical_braid_family():
@@ -243,6 +298,16 @@ def test_wreath_series_counts_bounded_partitions():
             else:
                 assert coeffs[d] == partitions_with_max_part(d // 2, p)
                 assert coeffs[d] >= 1
+
+
+def test_wreath_series_ignores_steps_above_the_degree():
+    for p in range(1, 31):
+        coeffs = poincare_series(WREATH_QUOTIENT, p, 40)
+        assert coeffs == tuple(
+            0 if d % 2 else partitions_with_max_part(d // 2, p) for d in range(41)
+        )
+    # only parts <= 10 fit in degree 20
+    assert poincare_series(WREATH_QUOTIENT, 10**5, 20) == poincare_series(WREATH_QUOTIENT, 10, 20)
 
 
 def test_series_parameter_validation():
