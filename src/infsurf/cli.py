@@ -23,19 +23,9 @@ from .decide import (
     decide,
 )
 from .dsl import ParseError, parse_endspace, parse_ordinal, parse_surface
-from .endspace import (
-    Canonical,
-    INFINITE,
-    SpaceInvariants,
-    cb_rank,
-    invariants,
-    is_homeomorphic,
-    normalize,
-    RankUndecidable,
-    strip_marks,
-)
+from .endspace import Canonical, INFINITE, SpaceInvariants, is_homeomorphic, normalize, summarize
 from .ordinal import compare, kind
-from .surface import ValidationError, surface_invariants, surfaces_homeomorphic
+from .surface import ValidationError, surface_invariants, surfaces_homeomorphic, validate
 
 OK, PARSE_ERROR, VALIDATION_ERROR, INTERNAL_ERROR = 0, 2, 3, 4
 
@@ -154,13 +144,9 @@ def _cmd_ends_normalize(args) -> int:
 
 
 def _cmd_ends_invariants(args) -> int:
-    e = strip_marks(parse_endspace(args.endspace))
-    inv = invariants(e)
+    inv = summarize(parse_endspace(args.endspace)).invariants()
     payload = _invariants_json(inv)
-    try:
-        rank = str(cb_rank(e))
-    except RankUndecidable:
-        rank = "undecidable"
+    rank = "undecidable" if inv.scattered_rank is None else str(inv.scattered_rank)
     text = (
         f"countable={str(inv.countable).lower()} isolated={_count_json(inv.isolated_count)} "
         f"rank={rank} kernel={str(inv.has_kernel).lower()} "
@@ -175,10 +161,7 @@ def _cmd_ends_homeo(args) -> int:
 
 
 def _cmd_surface_validate(args) -> int:
-    d = parse_surface(args.surface)
-    from .surface import validate
-
-    validate(d)
+    validate(parse_surface(args.surface))
     return _emit(args, {"ok": True}, "ok")
 
 
@@ -205,14 +188,18 @@ def _cmd_surface_homeo(args) -> int:
 
 def _cmd_decide(args) -> int:
     if args.jsonl:
-        return _run_batch(args.jsonl)
+        return _run_batch(args)
     v = decide(parse_surface(args.surface))
     return _emit(args, verdict_json(v), _verdict_text(v))
 
 
-def _run_batch(path: str) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def _run_batch(args) -> int:
+    try:
+        with open(args.jsonl, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as err:
+        _report_error(args, type(err).__name__, f"cannot read batch file: {err}")
+        return VALIDATION_ERROR
     for line in lines:
         line = line.strip()
         if not line:
@@ -230,6 +217,11 @@ def _run_batch(path: str) -> int:
 def _cmd_hom_snf(args) -> int:
     try:
         rows = json.loads(args.matrix)
+        # json gives floats and booleans that int() would silently truncate
+        if not isinstance(rows, list) or any(
+            not isinstance(row, list) or any(type(x) is not int for x in row) for row in rows
+        ):
+            raise ValueError("every matrix entry must be an integer")
         matrix = homology.IntegerMatrix.from_rows(rows)
     except (json.JSONDecodeError, TypeError, ValueError) as err:
         raise ParseError(0, ("JSON matrix, e.g. [[2,4],[6,8]]",), str(err)) from err
@@ -245,16 +237,19 @@ def _cmd_hom_snf(args) -> int:
 def _parse_presentation(text: str) -> homology.FinitePresentation:
     ngens = None
     relators = []
-    for idx, chunk in enumerate(text.split(";")):
+    for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if chunk.startswith("gens="):
-            ngens = int(chunk[5:])
-        elif chunk.startswith("rel="):
-            relators.append(tuple(int(tok) for tok in chunk[4:].split()))
-        else:
+        if not chunk.startswith(("gens=", "rel=")):
             raise ParseError(text.find(chunk), ("'gens='", "'rel='"), f"bad presentation chunk {chunk!r}")
+        try:
+            if chunk.startswith("gens="):
+                ngens = int(chunk[5:])
+            else:
+                relators.append(tuple(int(tok) for tok in chunk[4:].split()))
+        except ValueError as err:
+            raise ParseError(text.find(chunk), ("integers",), f"bad presentation chunk {chunk!r}") from err
     if ngens is None:
         raise ParseError(0, ("'gens='",), "presentation needs a generator count")
     return homology.FinitePresentation(ngens, tuple(relators))

@@ -17,23 +17,8 @@ from functools import lru_cache
 from typing import Optional
 
 from . import homology
-from .endspace import (
-    Canonical,
-    INFINITE,
-    Scattered,
-    TdMax,
-    normalize,
-    strip_marks,
-    td_max,
-)
-from .surface import (
-    SurfaceDescriptor,
-    ValidationError,
-    has_mixed_end,
-    is_infinite_type,
-    punctures_of,
-    validate,
-)
+from .endspace import Canonical, INFINITE, NormalForm, Scattered, Summary, TdMax
+from .surface import SurfaceDescriptor, ValidationError, validate
 
 YES = "yes"
 NO = "no"
@@ -284,19 +269,18 @@ def _even_degree_witness(p: int) -> WitnessRef:
 def decide(d: SurfaceDescriptor) -> Verdict:
     """Map a valid, boundaryless, infinite-type descriptor to its verdict."""
     try:
-        validate(d)
+        s = validate(d)
     except ValidationError as err:
         raise InvalidDescriptor(str(err)) from err
     if d.boundary != 0:
         raise HasBoundary(f"the decision table covers boundaryless surfaces, got boundary={d.boundary}")
-    if not is_infinite_type(d):
+    if d.genus != INFINITE and not s.is_infinite():
         raise NotInfiniteType("the decision table covers infinite-type surfaces")
 
     g = d.genus
-    p = punctures_of(d)
-    mixed = has_mixed_end(d)
-    unmarked = strip_marks(d.ends)
-    nf = normalize(unmarked)
+    p = s.planar_isolated
+    mixed = s.mixed
+    nf = s.normal_form()
     end_text = str(nf.form if isinstance(nf, Canonical) else nf.expr)
     end_desc = nf.form.describe() if isinstance(nf, Canonical) else f"irreducible: {nf.expr}"
 
@@ -305,7 +289,7 @@ def decide(d: SurfaceDescriptor) -> Verdict:
     elif g > 0:
         verdict = _decide_finite_genus(int(g))
     else:
-        verdict = _decide_genus_zero(p, nf, unmarked)
+        verdict = _decide_genus_zero(p, nf, s)
 
     qI, qII, qIII, td, witness_set, notes = verdict
     derived = DerivedFacts(
@@ -367,7 +351,7 @@ def _decide_finite_genus(g: int) -> _Row:
     )
 
 
-def _decide_genus_zero(p: int | float, nf, unmarked) -> _Row:
+def _decide_genus_zero(p: int | float, nf: NormalForm, s: Summary) -> _Row:
     if p != INFINITE:
         p = int(p)
         if p <= 1:
@@ -390,7 +374,7 @@ def _decide_genus_zero(p: int | float, nf, unmarked) -> _Row:
         qIII = Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop)
         return (qI, qII, qIII, None, "punctures", ())
 
-    td = td_max(unmarked)
+    td = s.td_max()
     if td.at_least(4):
         witness = _distinguished_witness(td.value)
         note = None if td.exact else "distinguished set certified by a lower bound"
@@ -400,8 +384,8 @@ def _decide_genus_zero(p: int | float, nf, unmarked) -> _Row:
         qIII = Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop)
         return (qI, qII, qIII, td, "distinguished end set", ())
     if isinstance(nf, Canonical):
-        s = nf.form.scattered
-        if not nf.form.has_kernel and isinstance(s, Scattered) and s.copies == 1:
+        part = nf.form.scattered
+        if not nf.form.has_kernel and isinstance(part, Scattered) and part.copies == 1:
             cite = "single-interval-vanishing"
             a = Answer(NO, cite, coefficients=ANY_FIELD)
             return (a, a, a, td, None, ())

@@ -15,7 +15,11 @@ accumulated by both kernel and scattered material falls outside the
 decidable fragment and is reported as irreducible.
 
 Leaves and compactification points carry a planar/non-planar mark used by
-the surface layer; everything in this module ignores marks.
+the surface layer.  Normal forms, ranks, invariants and the homeomorphism
+decision ignore marks.  ``summarize`` reads every fact the engine needs in
+one bottom-up pass; next to the mark-free reduced form its summary carries
+the mark facts of the surface layer: the marks present, the planar isolated
+points, mixed ends and the first closedness violation.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union as TUnion
+from functools import reduce
+from typing import NamedTuple, Optional, Sequence, Union as TUnion
 
 from .ordinal import Kind, ONE, ZERO, Ordinal, add, compare, div_omega, from_int, kind, omega_pow, power_str
 
@@ -33,6 +38,10 @@ INFINITE = math.inf
 class Mark(Enum):
     PLANAR = "p"
     NONPLANAR = "np"
+
+    # members are singletons, so hashing by identity agrees with equality
+    # and keeps the summary's mark tables off Enum's Python-level __hash__
+    __hash__ = object.__hash__
 
 
 PLANAR = Mark.PLANAR
@@ -179,15 +188,6 @@ def strip_marks(e: EndSpaceExpr) -> EndSpaceExpr:
     return e
 
 
-def walk(e: EndSpaceExpr) -> Iterator[EndSpaceExpr]:
-    yield e
-    if isinstance(e, DisjointUnion):
-        for c in e.children:
-            yield from walk(c)
-    elif isinstance(e, SeqCompactification):
-        yield from walk(e.child)
-
-
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -310,61 +310,189 @@ def _merge(a: CanonicalEndSpace, b: CanonicalEndSpace) -> CanonicalEndSpace:
     return CanonicalEndSpace(a.has_kernel or b.has_kernel, _merge_scattered(a.scattered, b.scattered))
 
 
-@dataclass(frozen=True)
-class _Reduced:
+# ---------------------------------------------------------------------------
+# the one-pass summary
+
+
+class Summary(NamedTuple):
+    """Every fact the engine reads off an expression, from one bottom-up pass.
+
+    The reduced form (``canon`` next to the irreducible ``atoms``) and the
+    counts ignore marks, and the atoms are built afresh, unmarked; the mark
+    fields are what the surface layer reads.  ``violation`` is the path,
+    relative to the summarized node, of the first compactification point
+    marked planar over non-planar material.  ``atom_rank`` bounds the ranks
+    of ordinal-interval germs inside the pieces of the atoms, and ``nested``
+    tells whether those pieces contain a compactification.
+    """
+
     canon: CanonicalEndSpace
-    atoms: tuple[EndSpaceExpr, ...] = ()
+    atoms: tuple[EndSpaceExpr, ...]
+    isolated: int | float
+    planar_isolated: int | float
+    marks: frozenset[Mark]
+    mixed: bool
+    violation: Optional[str]
+    atom_rank: Ordinal
+    nested: bool
+
+    def normal_form(self) -> NormalForm:
+        if not self.atoms:
+            return Canonical(self.canon)
+        return Irreducible(_assemble(self))
+
+    def is_infinite(self) -> bool:
+        """True when the space has infinitely many points."""
+        return bool(self.atoms) or self.canon.has_kernel or self.isolated == INFINITE
+
+    def td_max(self) -> TdMax:
+        if not self.atoms:
+            return TdMax(_canonical_td(self.canon))
+        claimed = 0 if self.nested else len(self.atoms)
+        s = self.canon.scattered
+        if isinstance(s, Scattered) and compare(add(s.exponent, ONE), self.atom_rank) > 0:
+            claimed += s.copies
+        return TdMax(claimed, exact=False)
+
+    def invariants(self) -> SpaceInvariants:
+        if self.atoms:
+            has_kernel, rank = True, None
+        else:
+            has_kernel, rank = self.canon.has_kernel, _canonical_rank(self.canon)
+        return SpaceInvariants(
+            countable=not has_kernel,
+            isolated_count=self.isolated,
+            scattered_rank=rank,
+            has_kernel=has_kernel,
+            td_max=self.td_max(),
+        )
+
+    def homeomorphic_to(self, other: "Summary") -> Homeo:
+        """Decide homeomorphism of the unmarked spaces where the calculus can."""
+        na, nb = self.normal_form(), other.normal_form()
+        if isinstance(na, Canonical) and isinstance(nb, Canonical):
+            return Homeo.YES if na.form == nb.form else Homeo.NO
+        if isinstance(na, Irreducible) and isinstance(nb, Irreducible) and na.expr == nb.expr:
+            return Homeo.YES
+        ka = isinstance(na, Irreducible) or na.form.has_kernel
+        kb = isinstance(nb, Irreducible) or nb.form.has_kernel
+        if ka != kb or self.isolated != other.isolated:
+            return Homeo.NO
+        ra = _canonical_rank(na.form) if isinstance(na, Canonical) else None
+        rb = _canonical_rank(nb.form) if isinstance(nb, Canonical) else None
+        if ra is not None and rb is not None and ra != rb:
+            return Homeo.NO
+        return Homeo.UNKNOWN
 
 
-def _reduce(e: EndSpaceExpr) -> _Reduced:
-    if isinstance(e, Empty):
-        return _Reduced(EMPTY_CANON)
+_NO_MARKS: frozenset[Mark] = frozenset()
+_MARKS = {m: frozenset((m,)) for m in Mark}
+# a limit compactification's interval pieces are planar
+_LIMIT_MARKS = {m: frozenset((m, PLANAR)) for m in Mark}
+_ONE_POINT = CanonicalEndSpace(False, Discrete(1))
+
+_EMPTY_SUMMARY = Summary(EMPTY_CANON, (), 0, 0, _NO_MARKS, False, None, ZERO, False)
+_PT_SUMMARY = {m: Summary(_ONE_POINT, (), 1, int(m is PLANAR), _MARKS[m], False, None, ZERO, False) for m in Mark}
+_CANTOR_SUMMARY = {m: Summary(CANTOR_CANON, (), 0, 0, _MARKS[m], False, None, ZERO, False) for m in Mark}
+
+
+def summarize(e: EndSpaceExpr) -> Summary:
+    """The summary of `e`, folded bottom-up in one traversal."""
     if isinstance(e, Pt):
-        return _Reduced(CanonicalEndSpace(False, Discrete(1)))
-    if isinstance(e, Cantor):
-        return _Reduced(CANTOR_CANON)
+        return _PT_SUMMARY[e.mark]
+    if isinstance(e, DisjointUnion):
+        return join([summarize(c) for c in e.children])
     if isinstance(e, Interval):
         b = e.bound
         if b.is_finite():
-            return _Reduced(CanonicalEndSpace(False, Discrete(b.as_int() + 1)))
-        exp, coeff = b.leading()
-        # [0, w^g*n + rest] splits off n copies of [0, w^g]; the tail has
-        # strictly smaller rank and is absorbed by them
-        return _Reduced(CanonicalEndSpace(False, Scattered(coeff, exp)))
-    if isinstance(e, DisjointUnion):
-        canon = EMPTY_CANON
-        atoms: list[EndSpaceExpr] = []
-        for c in e.children:
-            r = _reduce(c)
-            canon = _merge(canon, r.canon)
-            atoms.extend(r.atoms)
-        return _Reduced(canon, tuple(atoms))
-    if isinstance(e, LimitCompactification):
-        return _Reduced(CanonicalEndSpace(False, Scattered(1, e.sup)))
+            n: int | float = b.as_int() + 1
+            canon = CanonicalEndSpace(False, Discrete(n))
+        else:
+            exp, coeff = b.leading()
+            n = INFINITE
+            # [0, w^g*n + rest] splits off n copies of [0, w^g]; the tail has
+            # strictly smaller rank and is absorbed by them
+            canon = CanonicalEndSpace(False, Scattered(coeff, exp))
+        return Summary(canon, (), n, n if e.mark is PLANAR else 0, _MARKS[e.mark], False, None, ZERO, False)
     if isinstance(e, SeqCompactification):
-        r = _reduce(e.child)
-        if r.atoms:
-            return _Reduced(EMPTY_CANON, (SeqCompactification(_assemble(r)),))
-        c = r.canon
-        if c.is_empty():
-            # compactifying nothing leaves just the added point
-            return _Reduced(CanonicalEndSpace(False, Discrete(1)))
-        if c.has_kernel and c.scattered is None:
-            # countably many Cantor sets plus a limit point: compact, perfect,
-            # totally disconnected and metrizable, hence a Cantor set again
-            return _Reduced(CANTOR_CANON)
-        if c.has_kernel:
-            # the added point is accumulated by kernel and scattered material
-            return _Reduced(EMPTY_CANON, (SeqCompactification(embed(c)),))
-        s = c.scattered
-        if isinstance(s, Discrete):
-            return _Reduced(CanonicalEndSpace(False, Scattered(1, ONE)))
-        assert isinstance(s, Scattered)
-        return _Reduced(CanonicalEndSpace(False, Scattered(1, add(s.exponent, ONE))))
+        return _compactify(summarize(e.child), e.point_mark)
+    if isinstance(e, Cantor):
+        return _CANTOR_SUMMARY[e.mark]
+    if isinstance(e, LimitCompactification):
+        return Summary(
+            CanonicalEndSpace(False, Scattered(1, e.sup)), (), INFINITE, INFINITE,
+            _LIMIT_MARKS[e.point_mark], e.point_mark is NONPLANAR, None, ZERO, False,
+        )
+    if isinstance(e, Empty):
+        return _EMPTY_SUMMARY
     raise TypeError(f"not an end-space expression: {e!r}")
 
 
-def _assemble(r: _Reduced) -> EndSpaceExpr:
+def join(parts: Sequence[Summary]) -> Summary:
+    """Summary of the disjoint union of the summarized spaces, in order."""
+    if not parts:
+        return _EMPTY_SUMMARY
+    canons, atom_groups, isolated, planar, marks, mixed, violations, ranks, nested = zip(*parts)
+    canon = reduce(_merge, canons)
+    atoms = sum(atom_groups, ())
+    violation = next((f".children[{i}]{v}" for i, v in enumerate(violations) if v is not None), None)
+    return Summary(
+        canon,
+        atoms,
+        sum(isolated),
+        sum(planar),
+        _NO_MARKS.union(*marks),
+        any(mixed),
+        violation,
+        max(ranks) if atoms else ZERO,
+        any(nested),
+    )
+
+
+def _compactify(r: Summary, point: Mark) -> Summary:
+    """Summary of the one-point compactification of countably many copies."""
+    # a planar limit of non-planar ends would leave the non-planar set open
+    if point is PLANAR and NONPLANAR in r.marks:
+        violation: Optional[str] = ""
+    else:
+        violation = None if r.violation is None else ".child" + r.violation
+    atoms: tuple[EndSpaceExpr, ...] = ()
+    atom_rank, nested = ZERO, False
+    c = r.canon
+    if r.atoms:
+        canon = EMPTY_CANON
+        atoms = (SeqCompactification(_assemble(r)),)
+        atom_rank, nested = max(_canonical_rank(c), add(r.atom_rank, ONE)), True
+    elif c.is_empty():
+        # compactifying nothing leaves just the added point
+        canon = _ONE_POINT
+    elif c.has_kernel and c.scattered is None:
+        # countably many Cantor sets plus a limit point: compact, perfect,
+        # totally disconnected and metrizable, hence a Cantor set again
+        canon = CANTOR_CANON
+    elif c.has_kernel:
+        # the added point is accumulated by kernel and scattered material
+        canon = EMPTY_CANON
+        atoms = (SeqCompactification(embed(c)),)
+        atom_rank = _canonical_rank(c)
+    elif isinstance(c.scattered, Discrete):
+        canon = CanonicalEndSpace(False, Scattered(1, ONE))
+    else:
+        canon = CanonicalEndSpace(False, Scattered(1, add(c.scattered.exponent, ONE)))
+    return Summary(
+        canon,
+        atoms,
+        INFINITE if r.isolated > 0 else 0,
+        INFINITE if r.planar_isolated > 0 else 0,
+        r.marks | _MARKS[point],
+        (point is NONPLANAR and r.planar_isolated > 0) or r.mixed,
+        violation,
+        atom_rank,
+        nested,
+    )
+
+
+def _assemble(r: Summary) -> EndSpaceExpr:
     parts: list[EndSpaceExpr] = []
     if not r.canon.is_empty():
         parts.append(embed(r.canon))
@@ -374,10 +502,7 @@ def _assemble(r: _Reduced) -> EndSpaceExpr:
 
 def normalize(e: EndSpaceExpr) -> NormalForm:
     """Confluent normal form of an end-space expression (marks are ignored)."""
-    r = _reduce(strip_marks(e))
-    if not r.atoms:
-        return Canonical(r.canon)
-    return Irreducible(_assemble(r))
+    return summarize(e).normal_form()
 
 
 # ---------------------------------------------------------------------------
@@ -434,21 +559,7 @@ def cb_rank(e: EndSpaceExpr) -> Ordinal:
 
 def isolated_count(e: EndSpaceExpr) -> int | float:
     """Number of isolated points, as an integer or INFINITE."""
-    if isinstance(e, Empty):
-        return 0
-    if isinstance(e, Pt):
-        return 1
-    if isinstance(e, Cantor):
-        return 0
-    if isinstance(e, Interval):
-        return e.bound.as_int() + 1 if e.bound.is_finite() else INFINITE
-    if isinstance(e, DisjointUnion):
-        return sum(isolated_count(c) for c in e.children)
-    if isinstance(e, SeqCompactification):
-        return INFINITE if isolated_count(e.child) > 0 else 0
-    if isinstance(e, LimitCompactification):
-        return INFINITE
-    raise TypeError(f"not an end-space expression: {e!r}")
+    return summarize(e).isolated
 
 
 # ---------------------------------------------------------------------------
@@ -468,33 +579,6 @@ class TdMax:
 
     def at_least(self, n: int) -> bool:
         return self.value >= n
-
-
-def _rank_bound(e: EndSpaceExpr) -> Ordinal:
-    """Upper bound for the ranks of ordinal-interval germs occurring in `e`."""
-    if isinstance(e, (Empty, Cantor)):
-        return ZERO
-    if isinstance(e, Pt):
-        return ONE
-    if isinstance(e, Interval):
-        b = e.bound
-        return ONE if b.is_finite() else add(b.leading()[0], ONE)
-    if isinstance(e, DisjointUnion):
-        best = ZERO
-        for c in e.children:
-            r = _rank_bound(c)
-            if compare(r, best) > 0:
-                best = r
-        return best
-    if isinstance(e, SeqCompactification):
-        return add(_rank_bound(e.child), ONE)
-    if isinstance(e, LimitCompactification):
-        return add(e.sup, ONE)
-    raise TypeError(f"not an end-space expression: {e!r}")
-
-
-def _has_compactification(e: EndSpaceExpr) -> bool:
-    return any(isinstance(n, (SeqCompactification, LimitCompactification)) for n in walk(e))
 
 
 def _canonical_td(c: CanonicalEndSpace) -> int:
@@ -518,22 +602,7 @@ def td_max(e: EndSpaceExpr) -> TdMax:
     their neighbourhood germs) plus any canonical top-rank class whose
     germ rank exceeds everything realised inside the irreducible summands.
     """
-    r = _reduce(strip_marks(e))
-    if not r.atoms:
-        return TdMax(_canonical_td(r.canon))
-    claimed = 0
-    shallow = all(not _has_compactification(a.child) for a in r.atoms if isinstance(a, SeqCompactification))
-    if shallow:
-        claimed += len(r.atoms)
-    spoiled = ZERO
-    for a in r.atoms:
-        rb = _rank_bound(a.child) if isinstance(a, SeqCompactification) else _rank_bound(a)
-        if compare(rb, spoiled) > 0:
-            spoiled = rb
-    s = r.canon.scattered
-    if isinstance(s, Scattered) and compare(add(s.exponent, ONE), spoiled) > 0:
-        claimed += s.copies
-    return TdMax(claimed, exact=False)
+    return summarize(e).td_max()
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +619,7 @@ class SpaceInvariants:
 
 
 def invariants(e: EndSpaceExpr) -> SpaceInvariants:
-    nf = normalize(e)
-    if isinstance(nf, Canonical):
-        has_kernel = nf.form.has_kernel
-        rank: Optional[Ordinal] = _canonical_rank(nf.form)
-    else:
-        has_kernel = True
-        rank = None
-    return SpaceInvariants(
-        countable=not has_kernel,
-        isolated_count=isolated_count(e),
-        scattered_rank=rank,
-        has_kernel=has_kernel,
-        td_max=td_max(e),
-    )
+    return summarize(e).invariants()
 
 
 class Homeo(Enum):
@@ -574,19 +630,4 @@ class Homeo(Enum):
 
 def is_homeomorphic(a: EndSpaceExpr, b: EndSpaceExpr) -> Homeo:
     """Decide homeomorphism of the unmarked spaces where the calculus can."""
-    na, nb = normalize(a), normalize(b)
-    if isinstance(na, Canonical) and isinstance(nb, Canonical):
-        return Homeo.YES if na.form == nb.form else Homeo.NO
-    if isinstance(na, Irreducible) and isinstance(nb, Irreducible) and na.expr == nb.expr:
-        return Homeo.YES
-    ka = isinstance(na, Irreducible) or na.form.has_kernel
-    kb = isinstance(nb, Irreducible) or nb.form.has_kernel
-    if ka != kb:
-        return Homeo.NO
-    if isolated_count(a) != isolated_count(b):
-        return Homeo.NO
-    ra = _canonical_rank(na.form) if isinstance(na, Canonical) else None
-    rb = _canonical_rank(nb.form) if isinstance(nb, Canonical) else None
-    if ra is not None and rb is not None and ra != rb:
-        return Homeo.NO
-    return Homeo.UNKNOWN
+    return summarize(a).homeomorphic_to(summarize(b))

@@ -363,18 +363,13 @@ def prop74_square(n: int) -> SquareReport:
 # low-degree lookup table (cited values, not recomputed)
 
 
-H1_MAP_TORUS = "H1MapTorus"
 H2_MAP_CLOSED = "H2MapClosed"
 
 _H2_TABLE = {2: AbelianGroup(0, (2,)), 3: AbelianGroup(1, (2,))}
 
 
 def h_lookup(kind: str, g: int) -> AbelianGroup:
-    """First or second homology of the mapping class group of a closed surface."""
-    if kind == H1_MAP_TORUS:
-        if g != 1:
-            raise OutOfTable(f"H1 table only holds genus 1, got {g}")
-        return AbelianGroup(0, (12,))
+    """Second homology of the mapping class group of a closed surface."""
     if kind == H2_MAP_CLOSED:
         if g < 2:
             raise OutOfTable(f"H2 table starts at genus 2, got {g}")
@@ -395,30 +390,22 @@ def poincare_series(kind: str, p: int, max_degree: int) -> tuple[int, ...]:
     the classifying space of a p-torus, 1/(1-t^2)^p, or of its wreath
     quotient, prod_{i=1..p} 1/(1-t^(2i)).
 
-    The wreath coefficient of t^(2d) counts the partitions of d into parts
-    of size at most p.
+    The torus coefficient of t^(2d) counts the monomials of degree d in p
+    variables, C(d+p-1, p-1).  The wreath coefficient of t^(2d) counts the
+    partitions of d into parts of size at most p.
     """
     if p < 1:
         raise BadParameter("need p >= 1")
     if max_degree < 0 or max_degree % 2:
         raise BadParameter("max_degree must be a non-negative even integer")
     if kind == TORUS_POWER:
-        steps = [2] * p
-    elif kind == WREATH_QUOTIENT:
-        # a step above max_degree adds nothing
-        steps = [2 * i for i in range(1, min(p, max_degree // 2) + 1)]
-    else:
+        return tuple(0 if deg % 2 else comb(deg // 2 + p - 1, p - 1) for deg in range(max_degree + 1))
+    if kind != WREATH_QUOTIENT:
         raise BadParameter(f"unknown series kind {kind!r}")
     coeff = [0] * (max_degree + 1)
     coeff[0] = 1
-    for s in steps:
+    # a part above max_degree/2 adds nothing
+    for s in range(2, 2 * min(p, max_degree // 2) + 1, 2):
         for deg in range(s, max_degree + 1):
             coeff[deg] += coeff[deg - s]
     return tuple(coeff)
-
-
-def torus_power_coefficient(p: int, degree: int) -> int:
-    """Closed form for the TorusPower series: monomial count in p variables."""
-    if degree % 2:
-        return 0
-    return comb(degree // 2 + p - 1, p - 1)

@@ -212,27 +212,3 @@ def max_of(values: Sequence[Ordinal]) -> tuple[Ordinal, int]:
         elif c == 0:
             mult += 1
     return best, mult
-
-
-def fundamental_sequence(lam: Ordinal, i: int) -> Ordinal:
-    """i-th entry of the canonical sequence converging to the limit ordinal `lam`.
-
-    The last CNF term w^g*c loses one from its coefficient and is followed
-    by w^(g-1)*i when g is a successor, or by w^(g[i]) when g is a limit.
-    """
-    if kind(lam) is not Kind.LIMIT:
-        raise ValueError(f"{lam} is not a limit ordinal")
-    if i < 0:
-        raise ValueError("index must be non-negative")
-    *rest, (exp, coeff) = lam.terms
-    prefix = Ordinal((*rest, (exp, coeff - 1))) if coeff > 1 else Ordinal(rest)
-    if kind(exp) is Kind.SUCCESSOR or exp.is_finite():
-        pred = (
-            from_int(exp.as_int() - 1)
-            if exp.is_finite()
-            else Ordinal((*exp.terms[:-1], *(((ZERO, exp.terms[-1][1] - 1),) if exp.terms[-1][1] > 1 else ())))
-        )
-        step = omega_pow(pred, i) if i else ZERO
-    else:
-        step = omega_pow(fundamental_sequence(exp, i))
-    return add(prefix, step)

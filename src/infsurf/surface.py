@@ -10,27 +10,19 @@ infinite exactly when a non-planar mark is present.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .endspace import (
-    Cantor,
     DisjointUnion,
     Empty,
     EndSpaceExpr,
     Homeo,
     INFINITE,
-    Interval,
-    LimitCompactification,
-    Mark,
     NONPLANAR,
-    PLANAR,
-    Pt,
-    SeqCompactification,
     SpaceInvariants,
-    invariants,
-    is_homeomorphic,
-    strip_marks,
-    union,
+    Summary,
+    join,
+    summarize,
 )
 
 
@@ -77,88 +69,35 @@ class SurfaceInvariants:
     ends_invariants: SpaceInvariants
 
 
-def _marks(e: EndSpaceExpr) -> Iterator[Mark]:
-    if isinstance(e, (Pt, Interval, Cantor)):
-        yield e.mark
-    elif isinstance(e, DisjointUnion):
-        for c in e.children:
-            yield from _marks(c)
-    elif isinstance(e, SeqCompactification):
-        yield e.point_mark
-        yield from _marks(e.child)
-    elif isinstance(e, LimitCompactification):
-        yield e.point_mark
-        yield PLANAR  # the implicit interval pieces are planar
-
-
-def has_nonplanar(e: EndSpaceExpr) -> bool:
-    return any(m is NONPLANAR for m in _marks(e))
-
-
-def _closedness_violation(e: EndSpaceExpr, path: str) -> Optional[str]:
-    if isinstance(e, DisjointUnion):
-        for i, c in enumerate(e.children):
-            bad = _closedness_violation(c, f"{path}.children[{i}]")
-            if bad:
-                return bad
-    elif isinstance(e, SeqCompactification):
-        if e.point_mark is PLANAR and has_nonplanar(e.child):
-            return path
-        return _closedness_violation(e.child, f"{path}.child")
-    return None
-
-
-def validate(d: SurfaceDescriptor) -> None:
-    """Check mark-closedness and the genus/non-planar biconditional.
+def validate(d: SurfaceDescriptor) -> Summary:
+    """Check mark-closedness and the genus/non-planar biconditional, and
+    return the summary of the ends.
 
     Raises ClosednessViolation or GenusMarkMismatch with the path of the
     first offending subexpression.
     """
-    bad = _closedness_violation(d.ends, "ends")
-    if bad is not None:
+    s = summarize(d.ends)
+    if s.violation is not None:
         raise ClosednessViolation(
             "a compactification point over non-planar ends is a limit of them and must be marked non-planar",
-            bad,
+            "ends" + s.violation,
         )
-    np_present = has_nonplanar(d.ends)
+    np_present = NONPLANAR in s.marks
     if (d.genus == INFINITE) != np_present:
         if np_present:
             raise GenusMarkMismatch("non-planar ends force infinite genus")
         raise GenusMarkMismatch("infinite genus requires a non-planar end")
+    return s
 
 
 def is_infinite_type(d: SurfaceDescriptor) -> bool:
-    if d.genus == INFINITE:
-        return True
-    inv = invariants(strip_marks(d.ends))
-    return inv.has_kernel or inv.isolated_count == INFINITE
+    return d.genus == INFINITE or summarize(d.ends).is_infinite()
 
 
 def punctures_of(d: SurfaceDescriptor) -> int | float:
     """Number of isolated planar ends (a planar end has a neighbourhood free
     of non-planar ends, so whole-space and subspace isolation agree)."""
-    validate(d)
-    return _planar_isolated(d.ends)
-
-
-def _planar_isolated(e: EndSpaceExpr) -> int | float:
-    if isinstance(e, Empty):
-        return 0
-    if isinstance(e, Pt):
-        return 1 if e.mark is PLANAR else 0
-    if isinstance(e, Cantor):
-        return 0
-    if isinstance(e, Interval):
-        if e.mark is not PLANAR:
-            return 0
-        return e.bound.as_int() + 1 if e.bound.is_finite() else INFINITE
-    if isinstance(e, DisjointUnion):
-        return sum(_planar_isolated(c) for c in e.children)
-    if isinstance(e, SeqCompactification):
-        return INFINITE if _planar_isolated(e.child) > 0 else 0
-    if isinstance(e, LimitCompactification):
-        return INFINITE  # the interval pieces are planar and full of isolated points
-    raise TypeError(f"not an end-space expression: {e!r}")
+    return validate(d).planar_isolated
 
 
 def has_mixed_end(d: SurfaceDescriptor) -> bool:
@@ -167,55 +106,35 @@ def has_mixed_end(d: SurfaceDescriptor) -> bool:
     Under leaf-uniform marking this can only happen at a non-planar
     compactification point whose pieces contain punctures.
     """
-    validate(d)
-    return _mixed(d.ends)
-
-
-def _mixed(e: EndSpaceExpr) -> bool:
-    if isinstance(e, DisjointUnion):
-        return any(_mixed(c) for c in e.children)
-    if isinstance(e, SeqCompactification):
-        if e.point_mark is NONPLANAR and _planar_isolated(e.child) > 0:
-            return True
-        return _mixed(e.child)
-    if isinstance(e, LimitCompactification):
-        return e.point_mark is NONPLANAR
-    return False
+    return validate(d).mixed
 
 
 def surface_invariants(d: SurfaceDescriptor) -> SurfaceInvariants:
-    validate(d)
+    s = validate(d)
     return SurfaceInvariants(
         genus=d.genus,
         boundary=d.boundary,
-        punctures=punctures_of(d),
-        mixed_end=has_mixed_end(d),
-        ends_invariants=invariants(strip_marks(d.ends)),
+        punctures=s.planar_isolated,
+        mixed_end=s.mixed,
+        ends_invariants=s.invariants(),
     )
 
 
-def _uniform_mark(e: EndSpaceExpr) -> Optional[Mark]:
-    """The common mark of every end in the subtree, or None if mixed."""
-    seen = set(_marks(e))
-    if len(seen) == 1:
-        return seen.pop()
-    return None
-
-
-def _split_pair(e: EndSpaceExpr) -> Optional[tuple[EndSpaceExpr, EndSpaceExpr]]:
-    """Split the ends into (non-planar part, planar part) when the non-planar
-    set is a union of whole top-level summands (hence clopen); None otherwise."""
+def _split_pair(e: EndSpaceExpr) -> Optional[tuple[Summary, Summary]]:
+    """Summaries of the (non-planar part, planar part) of the ends when the
+    non-planar set is a union of whole top-level summands (hence clopen);
+    None otherwise."""
     summands = e.children if isinstance(e, DisjointUnion) else (e,)
-    np_parts: list[EndSpaceExpr] = []
-    p_parts: list[EndSpaceExpr] = []
-    for s in summands:
-        if isinstance(s, Empty):
+    np_parts: list[Summary] = []
+    p_parts: list[Summary] = []
+    for c in summands:
+        if isinstance(c, Empty):
             continue
-        m = _uniform_mark(s)
-        if m is None:
+        s = summarize(c)
+        if len(s.marks) != 1:
             return None
-        (np_parts if m is NONPLANAR else p_parts).append(s)
-    return union(*np_parts), union(*p_parts)
+        (np_parts if NONPLANAR in s.marks else p_parts).append(s)
+    return join(np_parts), join(p_parts)
 
 
 def surfaces_homeomorphic(d1: SurfaceDescriptor, d2: SurfaceDescriptor) -> Homeo:
@@ -226,21 +145,20 @@ def surfaces_homeomorphic(d1: SurfaceDescriptor, d2: SurfaceDescriptor) -> Homeo
     pair to fall in the clopen fragment on both sides, with the non-planar
     parts and their complements each decidably homeomorphic.
     """
-    validate(d1)
-    validate(d2)
+    s1 = validate(d1)
+    s2 = validate(d2)
     if d1.genus != d2.genus or d1.boundary != d2.boundary:
         return Homeo.NO
-    if punctures_of(d1) != punctures_of(d2):
+    if s1.planar_isolated != s2.planar_isolated:
         return Homeo.NO
-    whole = is_homeomorphic(strip_marks(d1.ends), strip_marks(d2.ends))
-    if whole is Homeo.NO:
+    if s1.homeomorphic_to(s2) is Homeo.NO:
         return Homeo.NO
-    s1 = _split_pair(d1.ends)
-    s2 = _split_pair(d2.ends)
-    if s1 is None or s2 is None:
+    split1 = _split_pair(d1.ends)
+    split2 = _split_pair(d2.ends)
+    if split1 is None or split2 is None:
         return Homeo.UNKNOWN
-    hx = is_homeomorphic(strip_marks(s1[0]), strip_marks(s2[0]))
-    hy = is_homeomorphic(strip_marks(s1[1]), strip_marks(s2[1]))
+    hx = split1[0].homeomorphic_to(split2[0])
+    hy = split1[1].homeomorphic_to(split2[1])
     if hx is Homeo.NO or hy is Homeo.NO:
         return Homeo.NO
     if hx is Homeo.YES and hy is Homeo.YES:

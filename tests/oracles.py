@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths it is used to check:
 ordinals are handled as dense coefficient vectors, ranks are read off the
 expression structure directly, and partition counts are enumerated by
 brute force.  Integer matrices get their determinants by fraction-free
-elimination and their minor gcds by enumerating minors.
+elimination and their minor gcds by enumerating minors.  The end-space
+facts that `endspace.summarize` gathers in one pass are recomputed here by
+one recursion per fact.
 """
 
 from __future__ import annotations
@@ -13,18 +15,33 @@ import random
 from itertools import combinations
 from math import gcd
 
+from typing import Iterator, Optional
+
 from infsurf.endspace import (
+    CANTOR_CANON,
+    EMPTY_CANON,
+    INFINITE,
+    NONPLANAR,
+    PLANAR,
     Cantor,
+    CanonicalEndSpace,
+    Discrete,
     DisjointUnion,
+    Empty,
     EndSpaceExpr,
     Interval,
     LimitCompactification,
+    Mark,
     Pt,
+    Scattered,
     SeqCompactification,
+    TdMax,
+    embed,
+    strip_marks,
     union,
 )
 from infsurf.homology import IntegerMatrix
-from infsurf.ordinal import ONE, ZERO, Ordinal, add, from_int, omega_pow
+from infsurf.ordinal import ONE, ZERO, Kind, Ordinal, add, compare, from_int, kind, omega_pow
 
 # -- dense-vector ordinal oracle (ordinals below w^k) -------------------------
 
@@ -157,6 +174,225 @@ def _partitions_bounded(n: int, bound: int) -> int:
     return total
 
 
+# -- end-space facts, one recursion each ------------------------------------------
+
+
+def walk(e: EndSpaceExpr) -> Iterator[EndSpaceExpr]:
+    yield e
+    if isinstance(e, DisjointUnion):
+        for c in e.children:
+            yield from walk(c)
+    elif isinstance(e, SeqCompactification):
+        yield from walk(e.child)
+
+
+def marks(e: EndSpaceExpr) -> Iterator[Mark]:
+    if isinstance(e, (Pt, Interval, Cantor)):
+        yield e.mark
+    elif isinstance(e, DisjointUnion):
+        for c in e.children:
+            yield from marks(c)
+    elif isinstance(e, SeqCompactification):
+        yield e.point_mark
+        yield from marks(e.child)
+    elif isinstance(e, LimitCompactification):
+        yield e.point_mark
+        yield PLANAR  # the implicit interval pieces are planar
+
+
+def has_nonplanar(e: EndSpaceExpr) -> bool:
+    return any(m is NONPLANAR for m in marks(e))
+
+
+def closedness_violation(e: EndSpaceExpr, path: str = "ends") -> Optional[str]:
+    """Path of the first compactification point marked planar over
+    non-planar material, in pre-order."""
+    if isinstance(e, DisjointUnion):
+        for i, c in enumerate(e.children):
+            bad = closedness_violation(c, f"{path}.children[{i}]")
+            if bad:
+                return bad
+    elif isinstance(e, SeqCompactification):
+        if e.point_mark is PLANAR and has_nonplanar(e.child):
+            return path
+        return closedness_violation(e.child, f"{path}.child")
+    return None
+
+
+def isolated_count(e: EndSpaceExpr, planar_only: bool = False) -> int | float:
+    """Isolated points; with planar_only, only those marked planar."""
+    if isinstance(e, (Empty, Cantor)):
+        return 0
+    if isinstance(e, (Pt, Interval)):
+        if planar_only and e.mark is not PLANAR:
+            return 0
+        if isinstance(e, Pt):
+            return 1
+        return e.bound.as_int() + 1 if e.bound.is_finite() else INFINITE
+    if isinstance(e, DisjointUnion):
+        return sum(isolated_count(c, planar_only) for c in e.children)
+    if isinstance(e, SeqCompactification):
+        return INFINITE if isolated_count(e.child, planar_only) > 0 else 0
+    if isinstance(e, LimitCompactification):
+        return INFINITE  # the interval pieces are planar and full of isolated points
+    raise TypeError(f"not an end-space expression: {e!r}")
+
+
+def mixed(e: EndSpaceExpr) -> bool:
+    """A non-planar compactification point accumulated by planar isolated points."""
+    if isinstance(e, DisjointUnion):
+        return any(mixed(c) for c in e.children)
+    if isinstance(e, SeqCompactification):
+        if e.point_mark is NONPLANAR and isolated_count(e.child, planar_only=True) > 0:
+            return True
+        return mixed(e.child)
+    if isinstance(e, LimitCompactification):
+        return e.point_mark is NONPLANAR
+    return False
+
+
+def rank_bound(e: EndSpaceExpr) -> Ordinal:
+    """Upper bound for the ranks of ordinal-interval germs occurring in `e`."""
+    if isinstance(e, (Empty, Cantor)):
+        return ZERO
+    if isinstance(e, Pt):
+        return ONE
+    if isinstance(e, Interval):
+        b = e.bound
+        return ONE if b.is_finite() else add(b.leading()[0], ONE)
+    if isinstance(e, DisjointUnion):
+        best = ZERO
+        for c in e.children:
+            r = rank_bound(c)
+            if compare(r, best) > 0:
+                best = r
+        return best
+    if isinstance(e, SeqCompactification):
+        return add(rank_bound(e.child), ONE)
+    if isinstance(e, LimitCompactification):
+        return add(e.sup, ONE)
+    raise TypeError(f"not an end-space expression: {e!r}")
+
+
+def has_compactification(e: EndSpaceExpr) -> bool:
+    return any(isinstance(n, (SeqCompactification, LimitCompactification)) for n in walk(e))
+
+
+def _merge_canon(a: CanonicalEndSpace, b: CanonicalEndSpace) -> CanonicalEndSpace:
+    sa, sb = a.scattered, b.scattered
+    if sa is None or sb is None:
+        s = sa if sb is None else sb
+    elif isinstance(sa, Discrete) and isinstance(sb, Discrete):
+        s = Discrete(sa.count + sb.count)
+    elif isinstance(sa, Discrete) or isinstance(sb, Discrete):
+        # finite discrete summands are absorbed by interval copies
+        s = sb if isinstance(sa, Discrete) else sa
+    else:
+        c = compare(sa.exponent, sb.exponent)
+        s = Scattered(sa.copies + sb.copies, sa.exponent) if c == 0 else (sa if c > 0 else sb)
+    return CanonicalEndSpace(a.has_kernel or b.has_kernel, s)
+
+
+def reduce_expr(e: EndSpaceExpr) -> tuple[CanonicalEndSpace, tuple[EndSpaceExpr, ...]]:
+    """(canonical part, irreducible atoms) of the marks-stripped expression."""
+    return _reduce(strip_marks(e))
+
+
+def _reduce(e: EndSpaceExpr) -> tuple[CanonicalEndSpace, tuple[EndSpaceExpr, ...]]:
+    if isinstance(e, Empty):
+        return EMPTY_CANON, ()
+    if isinstance(e, Pt):
+        return CanonicalEndSpace(False, Discrete(1)), ()
+    if isinstance(e, Cantor):
+        return CANTOR_CANON, ()
+    if isinstance(e, Interval):
+        b = e.bound
+        if b.is_finite():
+            return CanonicalEndSpace(False, Discrete(b.as_int() + 1)), ()
+        exp, coeff = b.leading()
+        return CanonicalEndSpace(False, Scattered(coeff, exp)), ()
+    if isinstance(e, DisjointUnion):
+        canon, atoms = EMPTY_CANON, ()
+        for c in e.children:
+            cc, ca = _reduce(c)
+            canon, atoms = _merge_canon(canon, cc), atoms + ca
+        return canon, atoms
+    if isinstance(e, LimitCompactification):
+        return CanonicalEndSpace(False, Scattered(1, e.sup)), ()
+    if isinstance(e, SeqCompactification):
+        c, atoms = _reduce(e.child)
+        if atoms:
+            return EMPTY_CANON, (SeqCompactification(assemble(c, atoms)),)
+        if c.is_empty():
+            return CanonicalEndSpace(False, Discrete(1)), ()
+        if c.has_kernel and c.scattered is None:
+            return CANTOR_CANON, ()
+        if c.has_kernel:
+            return EMPTY_CANON, (SeqCompactification(embed(c)),)
+        s = c.scattered
+        exp = ONE if isinstance(s, Discrete) else add(s.exponent, ONE)
+        return CanonicalEndSpace(False, Scattered(1, exp)), ()
+    raise TypeError(f"not an end-space expression: {e!r}")
+
+
+def assemble(canon: CanonicalEndSpace, atoms: tuple[EndSpaceExpr, ...]) -> EndSpaceExpr:
+    parts = [] if canon.is_empty() else [embed(canon)]
+    return union(*parts, *sorted(atoms, key=str))
+
+
+def td_max(e: EndSpaceExpr) -> TdMax:
+    """The certified distinguished-set size, from the reduced form."""
+    canon, atoms = reduce_expr(e)
+    s = canon.scattered
+    if not atoms:
+        return TdMax(0 if s is None else (s.count if isinstance(s, Discrete) else s.copies))
+    claimed = len(atoms) if not any(has_compactification(a.child) for a in atoms) else 0
+    spoiled = ZERO
+    for a in atoms:
+        if compare(rank_bound(a.child), spoiled) > 0:
+            spoiled = rank_bound(a.child)
+    if isinstance(s, Scattered) and compare(add(s.exponent, ONE), spoiled) > 0:
+        claimed += s.copies
+    return TdMax(claimed, exact=False)
+
+
+# -- ordinals and series ----------------------------------------------------------
+
+
+def fundamental_sequence(lam: Ordinal, i: int) -> Ordinal:
+    """i-th entry of the canonical sequence converging to the limit ordinal `lam`.
+
+    The last CNF term w^g*c loses one from its coefficient and is followed
+    by w^(g-1)*i when g is a successor, or by w^(g[i]) when g is a limit.
+    """
+    if kind(lam) is not Kind.LIMIT:
+        raise ValueError(f"{lam} is not a limit ordinal")
+    if i < 0:
+        raise ValueError("index must be non-negative")
+    *rest, (exp, coeff) = lam.terms
+    prefix = Ordinal((*rest, (exp, coeff - 1))) if coeff > 1 else Ordinal(rest)
+    if kind(exp) is Kind.SUCCESSOR or exp.is_finite():
+        pred = (
+            from_int(exp.as_int() - 1)
+            if exp.is_finite()
+            else Ordinal((*exp.terms[:-1], *(((ZERO, exp.terms[-1][1] - 1),) if exp.terms[-1][1] > 1 else ())))
+        )
+        step = omega_pow(pred, i) if i else ZERO
+    else:
+        step = omega_pow(fundamental_sequence(exp, i))
+    return add(prefix, step)
+
+
+def torus_power_series(p: int, max_degree: int) -> tuple[int, ...]:
+    """Coefficients of 1/(1-t^2)^p, multiplying in one factor at a time."""
+    coeff = [0] * (max_degree + 1)
+    coeff[0] = 1
+    for _ in range(p):
+        for deg in range(2, max_degree + 1):
+            coeff[deg] += coeff[deg - 2]
+    return tuple(coeff)
+
+
 # -- random generators -----------------------------------------------------------
 
 
@@ -215,3 +451,20 @@ def random_expr(rng: random.Random, depth: int = 4) -> EndSpaceExpr:
     if roll < 0.93:
         return SeqCompactification(random_expr(rng, depth - 1))
     return LimitCompactification(random_limit_ordinal(rng))
+
+
+def random_marked_expr(rng: random.Random, depth: int = 4) -> EndSpaceExpr:
+    """Random expression with every mark drawn freely, so compactification
+    points marked planar over non-planar material occur."""
+
+    def mark():
+        return NONPLANAR if rng.random() < 0.35 else PLANAR
+
+    if depth <= 0 or rng.random() < 0.25:
+        return rng.choice([Pt(mark()), Cantor(mark()), Interval(random_ordinal(rng), mark())])
+    roll = rng.random()
+    if roll < 0.45:
+        return union(*(random_marked_expr(rng, depth - 1) for _ in range(rng.randint(2, 4))))
+    if roll < 0.88:
+        return SeqCompactification(random_marked_expr(rng, depth - 1), mark())
+    return LimitCompactification(random_limit_ordinal(rng), mark())

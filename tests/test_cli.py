@@ -1,10 +1,13 @@
 import json
+import math
 import os
 import random
 import resource
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import infsurf
 from infsurf.cli import main
@@ -123,6 +126,14 @@ def test_hom_snf_bad_json(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("matrix", ["[[1.5,2.7]]", "[[true,2]]", "[[1,2],[3,null]]", "[1,2]"])
+def test_hom_snf_rejects_non_integer_entries(capsys, matrix):
+    # int() would truncate 1.5 to 1 and read true as 1: a silently wrong answer
+    code, out, err = run(capsys, "hom", "snf", matrix)
+    assert code == 2
+    assert out == "" and "error (parse)" in err
+
+
 def test_hom_abelianize_preset(capsys):
     code, out, _ = run(capsys, "hom", "abelianize", "--preset", "sl2z", "--json")
     assert code == 0
@@ -132,6 +143,13 @@ def test_hom_abelianize_preset(capsys):
 def test_hom_abelianize_text_presentation(capsys):
     code, out, _ = run(capsys, "hom", "abelianize", "gens=2; rel=1 2 1 -2 -1 -2")
     assert code == 0 and out.strip() == "Z"
+
+
+@pytest.mark.parametrize("text", ["gens=x; rel=1", "gens=2; rel=1 a", "gens=; rel=1"])
+def test_hom_abelianize_bad_integer_is_a_parse_error(capsys, text):
+    code, _, err = run(capsys, "hom", "abelianize", text)
+    assert code == 2
+    assert "error (parse)" in err
 
 
 def test_hom_poincare(capsys):
@@ -178,24 +196,49 @@ def test_batch_mode(tmp_path, capsys):
     assert rows[3]["qI"]["answer"] == "yes"
 
 
-def test_decide_huge_puncture_count_answers_at_once():
-    # a series loop over every one of the 10^11 punctures would exhaust
-    # memory; the child gets a 1 GiB address-space cap so that fails fast
+def test_batch_mode_unreadable_file(tmp_path, capsys):
+    code, out, err = run(capsys, "decide", "--jsonl", str(tmp_path / "missing.txt"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error (FileNotFoundError): cannot read batch file") and "Traceback" not in err
+    code, out, _ = run(capsys, "decide", "--jsonl", str(tmp_path), "--json")
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "IsADirectoryError"
+
+
+def _run_capped(*argv):
+    """`python -m infsurf ARGV` in a child with a 1 GiB address-space cap, so
+    that a computation sized by a huge parameter fails fast instead of
+    exhausting memory."""
+
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ, PYTHONPATH=str(Path(infsurf.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "infsurf", "decide", "--json",
-         "surface(genus=inf, boundary=0, ends=U(pt!np, I(100000000000)))"],
+    return subprocess.run(
+        [sys.executable, "-m", "infsurf", *argv],
         capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap_memory,
     )
+
+
+def test_decide_huge_puncture_count_answers_at_once():
+    proc = _run_capped("decide", "--json", "surface(genus=inf, boundary=0, ends=U(pt!np, I(100000000000)))")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["derived"]["punctures"] == 100000000001
     assert payload["qII"]["answer"] == "yes"
     coeffs = payload["qII"]["witness"]["computation"]["series_coefficients"]
     assert coeffs == list(poincare_series(WREATH_QUOTIENT, 10, 20))
+
+
+def test_torus_poincare_huge_p_answers_at_once():
+    proc = _run_capped("hom", "poincare", "torus", "100000000000", "20", "--json")
+    assert proc.returncode == 0, proc.stderr
+    coeffs = json.loads(proc.stdout)["coefficients"]
+    p = 10**11
+    assert coeffs[:5] == [1, 0, p, 0, p * (p + 1) // 2]
+    assert coeffs[20] == math.comb(10 + p - 1, p - 1)
+    assert all(c == 0 for c in coeffs[1::2])
 
 
 def test_internal_invariant_violation_exit_code(capsys, monkeypatch):

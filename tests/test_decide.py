@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from infsurf import endspace, surface
+from infsurf.catalog import CATALOG
 from infsurf.decide import (
     ANY_COEFFICIENTS,
     ANY_FIELD,
@@ -193,3 +195,22 @@ def test_any_coefficient_noes_occur_only_for_near_cantor_trees():
             if a.coefficients == ANY_COEFFICIENTS:
                 assert v.derived.genus_class == "zero"
                 assert v.derived.punctures in (0, 1)
+
+
+def test_decide_summarizes_the_ends_once(monkeypatch):
+    # the summary of the root carries every fact the table reads, so the
+    # ends are validated and summarized once per decision
+    seen = []
+    fold = endspace.summarize
+
+    def counting(e):
+        seen.append(e)
+        return fold(e)
+
+    monkeypatch.setattr(endspace, "summarize", counting)
+    monkeypatch.setattr(surface, "summarize", counting)
+    for entry in CATALOG:
+        d = parse_surface(entry.descriptor)
+        seen.clear()
+        decide(d)
+        assert sum(e is d.ends for e in seen) == 1, entry.name

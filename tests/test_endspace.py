@@ -29,11 +29,13 @@ from infsurf.endspace import (
     is_homeomorphic,
     isolated_count,
     normalize,
+    summarize,
     td_max,
     union,
 )
 from infsurf.ordinal import ONE, OMEGA, ZERO, add, from_int, omega_pow
-from oracles import random_countable_expr, random_expr, top_rank_profile
+import oracles
+from oracles import random_countable_expr, random_expr, random_marked_expr, top_rank_profile
 
 W2 = omega_pow(from_int(2))
 W3 = omega_pow(from_int(3))
@@ -420,3 +422,32 @@ def test_profile_oracle_agrees_with_normal_forms():
             assert (rank, mult) == (ONE, s.count)
         else:
             assert (rank, mult) == (add(s.exponent, ONE), s.copies)
+
+
+# -- the one-pass summary -----------------------------------------------------
+
+
+def test_summary_matches_the_per_fact_oracles():
+    rng = random.Random(131)
+    violations = irreducible = nested = 0
+    for i in range(2500):
+        e = EMPTY if i == 0 else random_marked_expr(rng, rng.randint(0, 4))
+        s = summarize(e)
+        canon, atoms = oracles.reduce_expr(e)
+        # the reduced form ignores marks and holds no input node
+        assert s.canon == canon
+        assert s.atoms == atoms
+        assert s.isolated == oracles.isolated_count(e)
+        assert s.planar_isolated == oracles.isolated_count(e, planar_only=True)
+        assert s.marks == set(oracles.marks(e))
+        assert s.mixed == oracles.mixed(e)
+        bad = oracles.closedness_violation(e)
+        assert (None if s.violation is None else "ends" + s.violation) == bad
+        assert s.atom_rank == max((oracles.rank_bound(a.child) for a in atoms), default=ZERO)
+        assert s.nested == any(oracles.has_compactification(a.child) for a in atoms)
+        assert s.td_max() == oracles.td_max(e)
+        violations += bad is not None
+        irreducible += bool(atoms)
+        nested += s.nested
+    # the generator must exercise the rare branches
+    assert violations >= 300 and irreducible >= 200 and nested >= 50

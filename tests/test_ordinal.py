@@ -12,12 +12,11 @@ from infsurf.ordinal import (
     compare,
     div_omega,
     from_int,
-    fundamental_sequence,
     kind,
     max_of,
     omega_pow,
 )
-from oracles import div_omega_vector, from_vector, random_ordinal, to_vector
+from oracles import div_omega_vector, from_vector, fundamental_sequence, random_ordinal, to_vector
 
 W2 = omega_pow(from_int(2))
 W_OMEGA = omega_pow(OMEGA)

@@ -26,6 +26,7 @@ from infsurf.surface import (
     surfaces_homeomorphic,
     validate,
 )
+from oracles import has_nonplanar
 
 NP_PT = Pt(NONPLANAR)
 LOCH_NESS = SurfaceDescriptor(INFINITE, 0, NP_PT)
@@ -189,8 +190,6 @@ def _random_marked_expr(rng: random.Random, depth: int):
         return union(*(_random_marked_expr(rng, depth - 1) for _ in range(rng.randint(2, 3))))
     if roll < 0.9:
         child = _random_marked_expr(rng, depth - 1)
-        from infsurf.surface import has_nonplanar
-
         pm = NONPLANAR if has_nonplanar(child) or rng.random() < 0.3 else PLANAR
         return SeqCompactification(child, pm)
     return LimitCompactification(omega_pow(ONE_OR_TWO(rng)), NONPLANAR if rng.random() < 0.3 else PLANAR)
@@ -201,8 +200,6 @@ def ONE_OR_TWO(rng):
 
 
 def _random_valid_descriptor(rng: random.Random) -> SurfaceDescriptor:
-    from infsurf.surface import has_nonplanar
-
     while True:
         ends = _random_marked_expr(rng, rng.randint(1, 3))
         genus = INFINITE if has_nonplanar(ends) else rng.choice([0, 0, 1, 3])
@@ -229,8 +226,6 @@ def test_planar_descriptor_punctures_match_isolated_counts():
     checked = 0
     while checked < 200:
         d = _random_valid_descriptor(rng)
-        from infsurf.surface import has_nonplanar
-
         if has_nonplanar(d.ends):
             continue
         checked += 1
