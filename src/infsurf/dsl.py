@@ -10,9 +10,16 @@ Surfaces:   surface(genus=inf|<n>, boundary=<n>, ends=<end space>)
 Input ordinals need not be in normal form; sums are renormalized, so
 "1 + w" parses to w.  Printing (str() on the values) always emits the
 canonical form, and print/parse round-trips are exact.
+
+One regular expression splits the text into tokens and one loop reads
+them, keeping the open ``U(``, ``seq1pc(``, ``I(``, ``lim1pc(`` and ``w^(``
+constructs on an explicit stack.  At most ``MAX_DEPTH`` of them may be
+open at once; deeper input is a parse error.
 """
 
 from __future__ import annotations
+
+import re
 
 from .endspace import (
     Cantor,
@@ -27,8 +34,16 @@ from .endspace import (
     SeqCompactification,
     union,
 )
-from .ordinal import Ordinal, add, from_int, omega_pow
+from .ordinal import ONE, OMEGA, Ordinal, add, from_int, omega_pow
 from .surface import SurfaceDescriptor
+
+MAX_DEPTH = 100
+"""Most ``U``/``seq1pc``/``I``/``lim1pc``/``w^`` parentheses open at once.
+
+The engine's folds, comparisons and printers recurse once per level, so
+this keeps every descriptor that parses well inside Python's recursion
+limit.
+"""
 
 
 class ParseError(ValueError):
@@ -39,201 +54,244 @@ class ParseError(ValueError):
         self.message = message
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# A natural is a run of ASCII digits and a word any other run of word
+# characters, so "3abc" is the natural 3 followed by the word "abc".
+# Whitespace separates tokens and is otherwise skipped.
+_TOKEN = re.compile(r"[0-9]+|[^\W0-9]\w*|!np|!p|\S")
+_WORD_RUN = re.compile(r"\w*")
+_DIGITS = frozenset("0123456789")
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+_PT = {m: Pt(m) for m in Mark}
+_CANTOR = {m: Cantor(m) for m in Mark}
+_LEAVES = {"pt": _PT, "cantor": _CANTOR}
+_LEAF_MARKS = {"!np": NONPLANAR, "!p": PLANAR}
+_POINT_MARKS = {"np": NONPLANAR, "p": PLANAR}
+_HEADS = ("'pt'", "'cantor'", "'I'", "'U'", "'seq1pc'", "'lim1pc'")
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def fail(self, expected: tuple[str, ...], message: str = "unexpected input") -> "ParseError":
-        return ParseError(self.pos, expected, message)
-
-    def try_literal(self, lit: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
-
-    def expect(self, lit: str) -> None:
-        if not self.try_literal(lit):
-            raise self.fail((repr(lit),))
-
-    def word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise self.fail(("natural number",))
-        return int(self.text[start:self.pos])
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def expect_end(self) -> None:
-        if not self.at_end():
-            raise self.fail(("end of input",), "trailing input")
+# what is being parsed, and the constructs that wait on the stack for a value
+_ORDINAL, _ENDSPACE, _SURFACE = range(3)
+_UNION, _SEQ, _INTERVAL, _LIMIT, _POWER = range(5)
+_OPENERS = {"U": _UNION, "seq1pc": _SEQ, "I": _INTERVAL, "lim1pc": _LIMIT}
 
 
-# -- ordinals ----------------------------------------------------------------
+def _offset(text: str, i: int) -> int:
+    """Offset of token ``i``, or the length of the text past the last one."""
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == i:
+            return m.start()
+    return len(text)
 
 
-def _ordinal(sc: _Scanner) -> Ordinal:
-    total = _term(sc)
-    while sc.try_literal("+"):
-        total = add(total, _term(sc))
-    return total
+def _fail(
+    text: str, i: int, expected: tuple[str, ...], message: str = "unexpected input", word: bool = False
+) -> ParseError:
+    """The error at token ``i``; with ``word`` it is placed after the whole
+    run of word characters there, which a keyword position reads as one word."""
+    offset = _offset(text, i)
+    if word:
+        offset = _WORD_RUN.match(text, offset).end()
+    return ParseError(offset, expected, message)
 
 
-def _term(sc: _Scanner) -> Ordinal:
-    ch = sc.peek()
-    if ch == "w":
-        mark = sc.pos
-        if sc.word() != "w":
-            sc.pos = mark
-            raise sc.fail(("'w'", "natural number"))
-        exp = from_int(1)
-        if sc.try_literal("^"):
-            if sc.try_literal("("):
-                exp = _ordinal(sc)
-                sc.expect(")")
-            elif sc.peek() == "w":
-                if sc.word() != "w":
-                    raise sc.fail(("'w'", "natural number"), "malformed exponent")
-                exp = omega_pow(from_int(1))
-            elif sc.peek().isdigit():
-                exp = from_int(sc.nat())
+def _too_deep(text: str, i: int) -> ParseError:
+    return ParseError(_offset(text, i), (f"at most {MAX_DEPTH} nested parentheses",), "nesting too deep")
+
+
+def _natural(text: str, toks: list[str], i: int) -> int:
+    tok = toks[i]
+    if tok[:1] not in _DIGITS:
+        raise _fail(text, i, ("natural number",))
+    return int(tok)
+
+
+def _coefficient(text: str, toks: list[str], i: int) -> tuple[int, int]:
+    """The optional ``*n`` after a power of w, and the index after it."""
+    if toks[i] != "*":
+        return 1, i
+    return _natural(text, toks, i + 1), i + 2
+
+
+def _surface_head(text: str, toks: list[str]) -> tuple[int | float, int]:
+    """Genus and boundary from the first twelve tokens,
+    ``surface(genus=G, boundary=B, ends=``."""
+    if toks[0] != "surface":
+        raise _fail(text, 0, ("'surface'",), word=True)
+    if toks[1] != "(":
+        raise _fail(text, 1, ("'('",))
+    if toks[2] != "genus":
+        raise _fail(text, 2, ("'genus='",), word=True)
+    if toks[3] != "=":
+        raise _fail(text, 3, ("'='",))
+    if toks[4] == "inf":
+        genus: int | float = INFINITE
+    elif toks[4].startswith("inf"):
+        # "inf" is read as a prefix of the word; the ',' must follow it
+        raise ParseError(_offset(text, 4) + 3, ("','",), "unexpected input")
+    else:
+        genus = _natural(text, toks, 4)
+    if toks[5] != ",":
+        raise _fail(text, 5, ("','",))
+    if toks[6] != "boundary":
+        raise _fail(text, 6, ("'boundary='",), word=True)
+    if toks[7] != "=":
+        raise _fail(text, 7, ("'='",))
+    boundary = _natural(text, toks, 8)
+    if toks[9] != ",":
+        raise _fail(text, 9, ("','",))
+    if toks[10] != "ends":
+        raise _fail(text, 10, ("'ends='",), word=True)
+    if toks[11] != "=":
+        raise _fail(text, 11, ("'='",))
+    return genus, boundary
+
+
+def _parse(text: str, goal: int):
+    toks = _TOKEN.findall(text)
+    toks.append("")  # end of input; equal to no token the grammar expects
+    i = 0
+    if goal == _SURFACE:
+        genus, boundary = _surface_head(text, toks)
+        i = 12
+    # (tag, index of the head token, the union's children or the sum of the
+    # ordinal terms before a w^( exponent)
+    stack: list[tuple] = []
+    want_ordinal = goal == _ORDINAL
+    total = None  # sum of the terms read so far of the innermost ordinal
+    while True:
+        tok = toks[i]
+        if want_ordinal:
+            if tok[:1] in _DIGITS:
+                term = from_int(int(tok))
+                i += 1
+            elif tok == "w":
+                exp = ONE
+                if toks[i + 1] == "^":
+                    i += 2
+                    tok = toks[i]
+                    if tok == "(":
+                        if len(stack) == MAX_DEPTH:
+                            raise _too_deep(text, i)
+                        stack.append((_POWER, i, total))
+                        i += 1
+                        total = None
+                        continue
+                    if tok[:1] == "w":
+                        if tok != "w":
+                            raise _fail(text, i, ("'w'", "natural number"), "malformed exponent", word=True)
+                        exp = OMEGA
+                    elif tok[:1] in _DIGITS:
+                        exp = from_int(int(tok))
+                    else:
+                        raise _fail(text, i, ("'('", "'w'", "natural number"), "malformed exponent")
+                coeff, i = _coefficient(text, toks, i + 1)
+                term = omega_pow(exp, coeff)
             else:
-                raise sc.fail(("'('", "'w'", "natural number"), "malformed exponent")
-        coeff = 1
-        if sc.try_literal("*"):
-            coeff = sc.nat()
-        return omega_pow(exp, coeff)
-    if ch.isdigit():
-        return from_int(sc.nat())
-    raise sc.fail(("'w'", "natural number"))
-
-
-def parse_ordinal(text: str) -> Ordinal:
-    sc = _Scanner(text)
-    value = _ordinal(sc)
-    sc.expect_end()
+                raise _fail(text, i, ("'w'", "natural number"))
+            total = term if total is None else add(total, term)
+            if toks[i] == "+":
+                i += 1
+                continue
+            value = total
+        else:
+            leaf = _LEAVES.get(tok)
+            if leaf is not None:
+                i += 1
+                mark = _LEAF_MARKS.get(toks[i])
+                if mark is None:
+                    value = leaf[PLANAR]
+                else:
+                    value = leaf[mark]
+                    i += 1
+            else:
+                tag = _OPENERS.get(tok)
+                if tag is None:
+                    raise _fail(text, i, _HEADS)
+                if toks[i + 1] != "(":
+                    raise _fail(text, i + 1, ("'('",))
+                if len(stack) == MAX_DEPTH:
+                    raise _too_deep(text, i + 1)
+                stack.append((tag, i, [] if tag == _UNION else None))
+                i += 2
+                want_ordinal = tag == _INTERVAL or tag == _LIMIT
+                total = None
+                continue
+        # ``value`` is complete: close the constructs it finishes, up to the
+        # first one that reads more input; an empty stack ends the parse
+        while stack:
+            tag, head, data = stack[-1]
+            tok = toks[i]
+            if tag == _UNION:
+                data.append(value)
+                if tok == ",":
+                    i += 1
+                    want_ordinal = False
+                    break
+                if tok != ")":
+                    raise _fail(text, i, ("')'",))
+                i += 1
+                value = union(*data)
+            elif tag == _POWER:
+                if tok != ")":
+                    raise _fail(text, i, ("')'",))
+                coeff, i = _coefficient(text, toks, i + 1)
+                term = omega_pow(value, coeff)
+                total = term if data is None else add(data, term)
+                if toks[i] == "+":
+                    stack.pop()
+                    i += 1
+                    want_ordinal = True
+                    break
+                value = total
+            elif tag == _INTERVAL:
+                if tok != ")":
+                    raise _fail(text, i, ("')'",))
+                i += 1
+                mark = _LEAF_MARKS.get(toks[i])
+                if mark is None:
+                    mark = PLANAR
+                else:
+                    i += 1
+                value = Interval(value, mark)
+            else:
+                # seq1pc / lim1pc: an optional "; p" or "; np", then ")"
+                mark = PLANAR
+                if tok == ";":
+                    mark = _POINT_MARKS.get(toks[i + 1])
+                    if mark is None:
+                        raise _fail(text, i + 1, ("'p'", "'np'"), "bad point mark", word=True)
+                    i += 2
+                if toks[i] != ")":
+                    raise _fail(text, i, ("')'",))
+                i += 1
+                if tag == _SEQ:
+                    # a parsed child is never empty, so this cannot fail
+                    value = SeqCompactification(value, mark)
+                else:
+                    try:
+                        value = LimitCompactification(value, mark)
+                    except ValueError as err:
+                        raise ParseError(_offset(text, head), ("limit ordinal",), str(err)) from err
+            stack.pop()
+        else:
+            break
+    if goal == _SURFACE:
+        if toks[i] != ")":
+            raise _fail(text, i, ("')'",))
+        i += 1
+    if toks[i]:
+        raise _fail(text, i, ("end of input",), "trailing input")
+    if goal == _SURFACE:
+        return SurfaceDescriptor(genus, boundary, value)
     return value
 
 
-# -- end spaces --------------------------------------------------------------
-
-
-def _leaf_mark(sc: _Scanner) -> Mark:
-    if sc.try_literal("!np"):
-        return NONPLANAR
-    if sc.try_literal("!p"):
-        return PLANAR
-    return PLANAR
-
-
-def _point_mark(sc: _Scanner) -> Mark:
-    # optional "; p" / "; np" before the closing parenthesis
-    if sc.try_literal(";"):
-        w = sc.word()
-        if w == "np":
-            return NONPLANAR
-        if w == "p":
-            return PLANAR
-        raise sc.fail(("'p'", "'np'"), "bad point mark")
-    return PLANAR
-
-
-def _endspace(sc: _Scanner) -> EndSpaceExpr:
-    sc.skip_ws()
-    start = sc.pos
-    head = sc.word()
-    if head == "pt":
-        return Pt(_leaf_mark(sc))
-    if head == "cantor":
-        return Cantor(_leaf_mark(sc))
-    if head == "I":
-        sc.expect("(")
-        bound = _ordinal(sc)
-        sc.expect(")")
-        return Interval(bound, _leaf_mark(sc))
-    if head == "U":
-        sc.expect("(")
-        children = [_endspace(sc)]
-        while sc.try_literal(","):
-            children.append(_endspace(sc))
-        sc.expect(")")
-        return union(*children)
-    if head == "seq1pc":
-        sc.expect("(")
-        child = _endspace(sc)
-        mark = _point_mark(sc)
-        sc.expect(")")
-        try:
-            return SeqCompactification(child, mark)
-        except ValueError as err:
-            raise ParseError(start, ("nonempty child",), str(err)) from err
-    if head == "lim1pc":
-        sc.expect("(")
-        sup = _ordinal(sc)
-        mark = _point_mark(sc)
-        sc.expect(")")
-        try:
-            return LimitCompactification(sup, mark)
-        except ValueError as err:
-            raise ParseError(start, ("limit ordinal",), str(err)) from err
-    sc.pos = start
-    raise sc.fail(("'pt'", "'cantor'", "'I'", "'U'", "'seq1pc'", "'lim1pc'"))
+def parse_ordinal(text: str) -> Ordinal:
+    return _parse(text, _ORDINAL)
 
 
 def parse_endspace(text: str) -> EndSpaceExpr:
-    sc = _Scanner(text)
-    expr = _endspace(sc)
-    sc.expect_end()
-    return expr
-
-
-# -- surfaces ----------------------------------------------------------------
+    return _parse(text, _ENDSPACE)
 
 
 def parse_surface(text: str) -> SurfaceDescriptor:
-    sc = _Scanner(text)
-    if sc.word() != "surface":
-        raise sc.fail(("'surface'",))
-    sc.expect("(")
-    if sc.word() != "genus":
-        raise sc.fail(("'genus='",))
-    sc.expect("=")
-    if sc.try_literal("inf"):
-        genus: int | float = INFINITE
-    else:
-        genus = sc.nat()
-    sc.expect(",")
-    if sc.word() != "boundary":
-        raise sc.fail(("'boundary='",))
-    sc.expect("=")
-    boundary = sc.nat()
-    sc.expect(",")
-    if sc.word() != "ends":
-        raise sc.fail(("'ends='",))
-    sc.expect("=")
-    ends = _endspace(sc)
-    sc.expect(")")
-    sc.expect_end()
-    return SurfaceDescriptor(genus, boundary, ends)
+    return _parse(text, _SURFACE)

@@ -307,7 +307,14 @@ def _merge_scattered(a: ScatteredPart, b: ScatteredPart) -> ScatteredPart:
 
 
 def _merge(a: CanonicalEndSpace, b: CanonicalEndSpace) -> CanonicalEndSpace:
-    return CanonicalEndSpace(a.has_kernel or b.has_kernel, _merge_scattered(a.scattered, b.scattered))
+    kernel = a.has_kernel or b.has_kernel
+    s = _merge_scattered(a.scattered, b.scattered)
+    # about half the merges give back one operand; reuse it instead of a copy
+    if s is a.scattered and kernel == a.has_kernel:
+        return a
+    if s is b.scattered and kernel == b.has_kernel:
+        return b
+    return CanonicalEndSpace(kernel, s)
 
 
 # ---------------------------------------------------------------------------

@@ -154,11 +154,27 @@ def smith_normal_form(a: IntegerMatrix) -> SNFResult:
     (1979) do, keeps their entries near the size of the matrix's minors
     instead of letting them compound from pass to pass.
     """
+    diag, left, right_t = _diagonalize(a, transforms=True)
+    return SNFResult(
+        tuple(diag),
+        IntegerMatrix(tuple(map(tuple, left))),
+        IntegerMatrix(tuple(map(tuple, zip(*right_t)))),
+    )
+
+
+def _diagonalize(a: IntegerMatrix, transforms: bool) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """The Smith diagonal of ``a``, the left transform and the right
+    transform transposed.  Without ``transforms`` no identity is carried
+    along and both transforms come back as empty rows."""
     m, n = a.rows, a.cols
+
+    def identity(k: int) -> list[list[int]]:
+        return [[int(i == j) for j in range(k)] if transforms else [] for i in range(k)]
+
     # [matrix row | transform row]; ``other`` is the transform of the other
     # side, transposed, and ``flipped`` says the matrix is held transposed
-    rows = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(a.entries)]
-    other = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [list(r) + t for r, t in zip(a.entries, identity(m))]
+    other = identity(n)
     width, flipped = n, False
     while True:
         rows = _hermite_pass(rows, width)
@@ -188,11 +204,7 @@ def smith_normal_form(a: IntegerMatrix) -> SNFResult:
             right_t[i] = [u + v for u, v in zip(ri, rj)]
             right_t[j] = [s * x * v - t * y * u for u, v in zip(ri, rj)]
             diag[i], diag[j] = g, g * x * y
-    return SNFResult(
-        tuple(diag),
-        IntegerMatrix(tuple(map(tuple, left))),
-        IntegerMatrix(tuple(map(tuple, zip(*right_t)))),
-    )
+    return diag, left, right_t
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +233,7 @@ class FinitePresentation:
             for letter in w:
                 row[abs(letter) - 1] += 1 if letter > 0 else -1
             rows.append(row)
-        return IntegerMatrix.from_rows(rows)
+        return IntegerMatrix(tuple(map(tuple, rows)))
 
     def __str__(self) -> str:
         parts = [f"gens={self.ngens}"]
@@ -260,15 +272,15 @@ class AbelianGroup:
 
 
 def abelianize(p: FinitePresentation) -> AbelianGroup:
-    """Cokernel of the exponent-sum matrix, via Smith normal form.
+    """Cokernel of the exponent-sum matrix, via the Smith diagonal.
 
     Zero rows (commutator relators, for instance) are dropped first: they
-    do not change the cokernel, and each would add a row and a column to
-    the left transform.
+    do not change the cokernel.  Only the diagonal is read, so the Hermite
+    passes carry no transforms.
     """
     rows = tuple(r for r in p.exponent_matrix().entries if any(r))
-    snf = smith_normal_form(IntegerMatrix(rows))
-    nonzero = [x for x in snf.diagonal if x]
+    diag, _, _ = _diagonalize(IntegerMatrix(rows), transforms=False)
+    nonzero = [x for x in diag if x]
     return AbelianGroup(rank=p.ngens - len(nonzero), torsion=tuple(x for x in nonzero if x > 1))
 
 

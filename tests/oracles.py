@@ -6,7 +6,8 @@ expression structure directly, and partition counts are enumerated by
 brute force.  Integer matrices get their determinants by fraction-free
 elimination and their minor gcds by enumerating minors.  The end-space
 facts that `endspace.summarize` gathers in one pass are recomputed here by
-one recursion per fact.
+one recursion per fact, and descriptors are parsed by the character
+scanner the engine's tokenizer replaced.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ from infsurf.endspace import (
     strip_marks,
     union,
 )
+from infsurf.dsl import ParseError
 from infsurf.homology import IntegerMatrix
 from infsurf.ordinal import ONE, ZERO, Kind, Ordinal, add, compare, from_int, kind, omega_pow
+from infsurf.surface import SurfaceDescriptor
 
 # -- dense-vector ordinal oracle (ordinals below w^k) -------------------------
 
@@ -393,6 +396,206 @@ def torus_power_series(p: int, max_degree: int) -> tuple[int, ...]:
     return tuple(coeff)
 
 
+# -- reference parser ------------------------------------------------------------
+#
+# The recursive character scanner the engine parsed with before its
+# tokenizer and explicit-stack loop; kept unchanged apart from the entry
+# point names as the oracle for values and error positions.  It reads
+# naturals with str.isdigit, so it is a reference on ASCII input only, and
+# it recurses once per nesting level.
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def fail(self, expected: tuple[str, ...], message: str = "unexpected input") -> "ParseError":
+        return ParseError(self.pos, expected, message)
+
+    def try_literal(self, lit: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(lit, self.pos):
+            self.pos += len(lit)
+            return True
+        return False
+
+    def expect(self, lit: str) -> None:
+        if not self.try_literal(lit):
+            raise self.fail((repr(lit),))
+
+    def word(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def nat(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            raise self.fail(("natural number",))
+        return int(self.text[start:self.pos])
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def expect_end(self) -> None:
+        if not self.at_end():
+            raise self.fail(("end of input",), "trailing input")
+
+
+def _ordinal(sc: _Scanner) -> Ordinal:
+    total = _term(sc)
+    while sc.try_literal("+"):
+        total = add(total, _term(sc))
+    return total
+
+
+def _term(sc: _Scanner) -> Ordinal:
+    ch = sc.peek()
+    if ch == "w":
+        mark = sc.pos
+        if sc.word() != "w":
+            sc.pos = mark
+            raise sc.fail(("'w'", "natural number"))
+        exp = from_int(1)
+        if sc.try_literal("^"):
+            if sc.try_literal("("):
+                exp = _ordinal(sc)
+                sc.expect(")")
+            elif sc.peek() == "w":
+                if sc.word() != "w":
+                    raise sc.fail(("'w'", "natural number"), "malformed exponent")
+                exp = omega_pow(from_int(1))
+            elif sc.peek().isdigit():
+                exp = from_int(sc.nat())
+            else:
+                raise sc.fail(("'('", "'w'", "natural number"), "malformed exponent")
+        coeff = 1
+        if sc.try_literal("*"):
+            coeff = sc.nat()
+        return omega_pow(exp, coeff)
+    if ch.isdigit():
+        return from_int(sc.nat())
+    raise sc.fail(("'w'", "natural number"))
+
+
+def scan_ordinal(text: str) -> Ordinal:
+    sc = _Scanner(text)
+    value = _ordinal(sc)
+    sc.expect_end()
+    return value
+
+
+def _leaf_mark(sc: _Scanner) -> Mark:
+    if sc.try_literal("!np"):
+        return NONPLANAR
+    if sc.try_literal("!p"):
+        return PLANAR
+    return PLANAR
+
+
+def _point_mark(sc: _Scanner) -> Mark:
+    # optional "; p" / "; np" before the closing parenthesis
+    if sc.try_literal(";"):
+        w = sc.word()
+        if w == "np":
+            return NONPLANAR
+        if w == "p":
+            return PLANAR
+        raise sc.fail(("'p'", "'np'"), "bad point mark")
+    return PLANAR
+
+
+def _endspace(sc: _Scanner) -> EndSpaceExpr:
+    sc.skip_ws()
+    start = sc.pos
+    head = sc.word()
+    if head == "pt":
+        return Pt(_leaf_mark(sc))
+    if head == "cantor":
+        return Cantor(_leaf_mark(sc))
+    if head == "I":
+        sc.expect("(")
+        bound = _ordinal(sc)
+        sc.expect(")")
+        return Interval(bound, _leaf_mark(sc))
+    if head == "U":
+        sc.expect("(")
+        children = [_endspace(sc)]
+        while sc.try_literal(","):
+            children.append(_endspace(sc))
+        sc.expect(")")
+        return union(*children)
+    if head == "seq1pc":
+        sc.expect("(")
+        child = _endspace(sc)
+        mark = _point_mark(sc)
+        sc.expect(")")
+        try:
+            return SeqCompactification(child, mark)
+        except ValueError as err:
+            raise ParseError(start, ("nonempty child",), str(err)) from err
+    if head == "lim1pc":
+        sc.expect("(")
+        sup = _ordinal(sc)
+        mark = _point_mark(sc)
+        sc.expect(")")
+        try:
+            return LimitCompactification(sup, mark)
+        except ValueError as err:
+            raise ParseError(start, ("limit ordinal",), str(err)) from err
+    sc.pos = start
+    raise sc.fail(("'pt'", "'cantor'", "'I'", "'U'", "'seq1pc'", "'lim1pc'"))
+
+
+def scan_endspace(text: str) -> EndSpaceExpr:
+    sc = _Scanner(text)
+    expr = _endspace(sc)
+    sc.expect_end()
+    return expr
+
+
+def scan_surface(text: str) -> SurfaceDescriptor:
+    sc = _Scanner(text)
+    if sc.word() != "surface":
+        raise sc.fail(("'surface'",))
+    sc.expect("(")
+    if sc.word() != "genus":
+        raise sc.fail(("'genus='",))
+    sc.expect("=")
+    if sc.try_literal("inf"):
+        genus: int | float = INFINITE
+    else:
+        genus = sc.nat()
+    sc.expect(",")
+    if sc.word() != "boundary":
+        raise sc.fail(("'boundary='",))
+    sc.expect("=")
+    boundary = sc.nat()
+    sc.expect(",")
+    if sc.word() != "ends":
+        raise sc.fail(("'ends='",))
+    sc.expect("=")
+    ends = _endspace(sc)
+    sc.expect(")")
+    sc.expect_end()
+    return SurfaceDescriptor(genus, boundary, ends)
+
+
 # -- random generators -----------------------------------------------------------
 
 
@@ -468,3 +671,62 @@ def random_marked_expr(rng: random.Random, depth: int = 4) -> EndSpaceExpr:
     if roll < 0.88:
         return SeqCompactification(random_marked_expr(rng, depth - 1), mark())
     return LimitCompactification(random_limit_ordinal(rng), mark())
+
+
+# -- descriptor texts, spelled freely ----------------------------------------------
+
+
+def random_ordinal_text(rng: random.Random, depth: int = 2) -> str:
+    """An ordinal as a user might type it: terms in any order (so not in
+    normal form), zero coefficients, explicit exponents and nested w^(...)."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.3:
+            terms.append(str(rng.randint(0, 12)))
+            continue
+        roll, term = rng.random(), "w"
+        if roll < 0.3:
+            term += f"^{rng.randint(0, 4)}"
+        elif roll < 0.45:
+            term += "^w"
+        elif roll < 0.6 and depth > 0:
+            term += f"^({random_ordinal_text(rng, depth - 1)})"
+        if rng.random() < 0.4:
+            term += f"*{rng.randint(0, 5)}"
+        terms.append(term)
+    return rng.choice(["+", " + ", "+ "]).join(terms)
+
+
+def random_endspace_text(rng: random.Random, depth: int = 3) -> str:
+    """An end space with optional spelled-out marks and uneven whitespace."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        leaf = rng.choice(["pt", "cantor", f"I({random_ordinal_text(rng)})"])
+        return leaf + rng.choice(["", "", "!p", "!np", " !np"])
+    if roll < 0.55:
+        children = (random_endspace_text(rng, depth - 1) for _ in range(rng.randint(1, 3)))
+        return "U(" + rng.choice([",", ", "]).join(children) + ")"
+    point = rng.choice(["", "", "; np", ";p", " ; p"])
+    if roll < 0.8:
+        return f"seq1pc({random_endspace_text(rng, depth - 1)}{point})"
+    return f"lim1pc({random_ordinal_text(rng)}{point})"
+
+
+def random_surface_text(rng: random.Random) -> str:
+    genus = rng.choice(["inf", "0", "1", "3", "12"])
+    return f"surface(genus={genus}, boundary={rng.randint(0, 2)}, ends={random_endspace_text(rng)})"
+
+
+MUTATION_ALPHABET = "()!,;=^*+ wpnI0123456789xU\t"
+
+
+def mutate_text(rng: random.Random, text: str) -> str:
+    """One truncation, single-character insertion or deletion."""
+    roll = rng.random()
+    if roll < 0.33:
+        return text[: rng.randint(0, len(text))]
+    if roll < 0.66 or not text:
+        k = rng.randint(0, len(text))
+        return text[:k] + rng.choice(MUTATION_ALPHABET) + text[k:]
+    k = rng.randrange(len(text))
+    return text[:k] + text[k + 1 :]

@@ -11,6 +11,7 @@ import pytest
 
 import infsurf
 from infsurf.cli import main
+from infsurf.dsl import MAX_DEPTH
 from infsurf.homology import WREATH_QUOTIENT, IntegerMatrix, poincare_series
 
 
@@ -194,6 +195,57 @@ def test_batch_mode(tmp_path, capsys):
     assert rows[1]["error"]["kind"] == "HasBoundary"
     assert rows[2]["error"]["kind"] == "parse"
     assert rows[3]["qI"]["answer"] == "yes"
+
+
+
+def test_batch_mode_non_ascii_digit_is_a_parse_error_line(tmp_path, capsys):
+    # str.isdigit accepts the superscript two but int() does not; this line
+    # used to end the whole batch with exit 3
+    f = tmp_path / "batch.jsonl"
+    f.write_text(
+        "surface(genus=\u00b2, boundary=0, ends=cantor)\nsurface(genus=1, boundary=0, ends=I(w))\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, "decide", "--jsonl", str(f))
+    assert code == 0 and err == ""
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 2
+    assert rows[0] == {"error": {"kind": "parse", "offset": 14, "message": "unexpected input"}}
+    assert rows[1]["qI"]["answer"] == "yes"
+    code, _, err = run(capsys, "decide", "surface(genus=1, boundary=0, ends=I(\u0663))")
+    assert code == 2 and err.startswith("error (parse)")
+
+
+def test_batch_mode_too_deep_line_is_a_parse_error_line(tmp_path, capsys):
+    deep = "seq1pc(" * 1300 + "pt" + ")" * 1300
+    f = tmp_path / "batch.jsonl"
+    f.write_text(f"surface(genus=0, boundary=0, ends={deep})\nsurface(genus=1, boundary=0, ends=I(w))\n", encoding="utf-8")
+    code, out, err = run(capsys, "decide", "--jsonl", str(f))
+    assert code == 0 and err == ""
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 2
+    assert rows[0]["error"]["kind"] == "parse" and rows[0]["error"]["message"] == "nesting too deep"
+    assert rows[1]["qI"]["answer"] == "yes"
+
+
+@pytest.mark.parametrize(
+    "ends",
+    [
+        "seq1pc(" * MAX_DEPTH + "pt" + ")" * MAX_DEPTH,
+        "U(pt, " * MAX_DEPTH + "cantor" + ")" * MAX_DEPTH,
+        "I(" + "w^(" * (MAX_DEPTH - 1) + "1" + ")" * MAX_DEPTH,
+    ],
+    ids=["seq1pc", "U", "w^("],
+)
+def test_commands_answer_at_the_nesting_budget(capsys, ends):
+    descriptor = f"surface(genus=0, boundary=0, ends={ends})"
+    for argv in (
+        ("decide", descriptor),
+        ("ends", "normalize", ends),
+        ("ends", "invariants", ends),
+        ("surface", "invariants", descriptor),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and err == "", argv
 
 
 def test_batch_mode_unreadable_file(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from infsurf.dsl import ParseError, parse_endspace, parse_ordinal, parse_surface
+from infsurf.catalog import CATALOG
+from infsurf.dsl import MAX_DEPTH, ParseError, parse_endspace, parse_ordinal, parse_surface
 from infsurf.endspace import (
     Cantor,
     DisjointUnion,
@@ -16,7 +18,17 @@ from infsurf.endspace import (
     union,
 )
 from infsurf.ordinal import OMEGA, ZERO, from_int, omega_pow
-from oracles import random_expr, random_ordinal
+from oracles import (
+    mutate_text,
+    random_endspace_text,
+    random_expr,
+    random_ordinal,
+    random_ordinal_text,
+    random_surface_text,
+    scan_endspace,
+    scan_ordinal,
+    scan_surface,
+)
 
 
 def test_parse_ordinal_terms():
@@ -114,3 +126,183 @@ def test_marked_round_trips():
     for t in texts:
         e = parse_endspace(t)
         assert parse_endspace(str(e)) == e
+
+
+# -- the scanner oracle, non-ASCII digits and the nesting budget ---------------
+
+
+def _outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except ParseError as err:
+        return "error", err.offset, err.expected, err.message
+
+
+PARSERS = {
+    "surface": (parse_surface, scan_surface),
+    "endspace": (parse_endspace, scan_endspace),
+    "ordinal": (parse_ordinal, scan_ordinal),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        # "inf" is read as a prefix: the error is at the "x"
+        ("surface", "surface(genus=infx, boundary=0, ends=pt)"),
+        ("surface", "surface(genus=in f, boundary=0, ends=pt)"),
+        # keyword mismatches are placed after the whole word
+        ("surface", "surfaces(genus=1, boundary=0, ends=pt)"),
+        ("surface", "3surface(genus=1, boundary=0, ends=pt)"),
+        ("surface", "surface(genus3=1, boundary=0, ends=pt)"),
+        ("surface", "surface(genus=1, boundaryx=0, ends=pt)"),
+        ("surface", "surface(genus=1, boundary=0, ends3abc=pt)"),
+        ("endspace", "seq1pc(pt; npx)"),
+        ("endspace", "seq1pc(pt; 3np)"),
+        ("endspace", "seq1pc(pt;)"),
+        ("ordinal", "w^wx"),
+        # a bad head, or "wx" in a term, is placed at the start of the word
+        ("endspace", "ptx"),
+        ("endspace", "3pt"),
+        ("ordinal", "wx"),
+        ("ordinal", "w + w3"),
+        # "3abc" is a natural and a word in number position
+        ("surface", "surface(genus=3abc, boundary=0, ends=pt)"),
+        ("endspace", "I(3abc)"),
+        ("ordinal", "w*3abc"),
+        # marks are read as literals
+        ("endspace", "pt!npx"),
+        ("endspace", "pt!pnp"),
+        ("endspace", "pt!n"),
+        ("endspace", "lim1pc(w+1; np)"),
+        ("endspace", "lim1pc(w+1; np"),
+        ("surface", ""),
+        ("surface", "\x1csurface\x1d(genus\x1e=\x1f1,boundary=0,ends=pt)\x0b"),
+    ],
+)
+def test_error_positions_match_the_scanner(kind, text):
+    parse, scan = PARSERS[kind]
+    assert _outcome(parse, text) == _outcome(scan, text)
+
+
+def test_parser_agrees_with_the_scanner_on_mutated_descriptors():
+    rng = random.Random(4711)
+    generators = {"surface": random_surface_text, "endspace": random_endspace_text, "ordinal": random_ordinal_text}
+    bases = [("surface", entry.descriptor) for entry in CATALOG]
+    bases += [(kind, generators[kind](rng)) for kind in rng.choices(list(generators), k=2500)]
+    mutated = errors = 0
+    for kind, base in bases:
+        parse, scan = PARSERS[kind]
+        assert _outcome(parse, base) == _outcome(scan, base), base
+        for _ in range(8):
+            text = base
+            for _ in range(rng.randint(1, 3)):
+                text = mutate_text(rng, text)
+            got = _outcome(parse, text)
+            assert got == _outcome(scan, text), text
+            mutated += 1
+            errors += got[0] == "error"
+    assert mutated >= 20_000
+    # most mutations break the text, but not all of them
+    assert 0.5 * mutated < errors < 0.97 * mutated
+
+
+_NAT = st.integers(0, 30).map(str)
+_WS = st.sampled_from(["", " ", "  ", "\t"])
+
+
+def _ordinal_texts(ordinal):
+    exponent = st.one_of(ordinal.map("({})".format), st.just("w"), _NAT)
+    power = st.builds(
+        lambda e, c: "w" + ("" if e is None else "^" + e) + ("" if c is None else "*" + c),
+        st.none() | exponent,
+        st.none() | _NAT,
+    )
+    return st.builds(lambda terms, ws: (ws + "+" + ws).join(terms), st.lists(power | _NAT, min_size=1, max_size=3), _WS)
+
+
+ORDINAL_TEXTS = st.recursive(_NAT | st.just("w"), _ordinal_texts, max_leaves=6)
+_LEAF_TEXTS = st.builds(
+    "{}{}".format,
+    st.one_of(st.just("pt"), st.just("cantor"), ORDINAL_TEXTS.map("I({})".format)),
+    st.sampled_from(["", "!p", "!np"]),
+)
+_POINT = st.sampled_from(["", "; p", ";np"])
+_LIMIT_TEXTS = st.builds("lim1pc({}{})".format, ORDINAL_TEXTS, _POINT)
+ENDSPACE_TEXTS = st.recursive(
+    _LEAF_TEXTS | _LIMIT_TEXTS,
+    lambda inner: st.one_of(
+        st.builds(lambda cs, ws: "U(" + ("," + ws).join(cs) + ")", st.lists(inner, min_size=1, max_size=3), _WS),
+        st.builds("seq1pc({}{})".format, inner, _POINT),
+    ),
+    max_leaves=8,
+)
+SURFACE_TEXTS = st.builds(
+    "surface(genus={}, boundary={},{}ends={})".format, st.just("inf") | _NAT, _NAT, _WS, ENDSPACE_TEXTS
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ORDINAL_TEXTS)
+def test_grammar_ordinals_round_trip_and_agree_with_the_scanner(text):
+    got = _outcome(parse_ordinal, text)
+    assert got == _outcome(scan_ordinal, text)
+    assert got[0] == "value"
+    assert parse_ordinal(str(got[1])) == got[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(SURFACE_TEXTS)
+def test_grammar_surfaces_round_trip_and_agree_with_the_scanner(text):
+    got = _outcome(parse_surface, text)
+    assert got == _outcome(scan_surface, text)
+    if got[0] == "value":
+        d = got[1]
+        assert parse_surface(str(d)) == d
+        assert parse_endspace(str(d.ends)) == d.ends
+    else:
+        # the grammar admits successor ordinals under lim1pc; nothing else fails
+        assert got[2] == ("limit ordinal",)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_surface, "surface(genus=\u00b2, boundary=0, ends=cantor)"),
+        (parse_surface, "surface(genus=1, boundary=3\u0663, ends=cantor)"),
+        (parse_endspace, "I(\u0663)"),
+        (parse_ordinal, "w^\u00b2"),
+        (parse_ordinal, "w*\u0663"),
+    ],
+)
+def test_naturals_are_ascii_digits(parse, text):
+    # str.isdigit accepts these, and int() read "\u0663" as 3 or failed
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+def _nested(kind: str, depth: int) -> str:
+    """An end space with ``depth`` parentheses of ``kind`` open at once."""
+    if kind == "seq1pc":
+        return "seq1pc(" * depth + "pt" + ")" * depth
+    if kind == "U":
+        return "U(pt, " * depth + "cantor" + ")" * depth
+    # I( holds the ordinal, so one level fewer of w^(
+    return "I(" + "w^(" * (depth - 1) + "1" + ")" * depth
+
+
+@pytest.mark.parametrize("kind", ["seq1pc", "U", "w^("])
+def test_nesting_budget(kind):
+    assert parse_endspace(_nested(kind, MAX_DEPTH))
+    text = _nested(kind, MAX_DEPTH + 1)
+    with pytest.raises(ParseError) as exc:
+        parse_endspace(text)
+    assert exc.value.message == "nesting too deep"
+    # at the parenthesis that opens one level too many
+    assert exc.value.offset == [i for i, c in enumerate(text) if c == "("][MAX_DEPTH]
+    deep = "w^(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH
+    assert parse_ordinal(deep) == parse_ordinal(str(parse_ordinal(deep)))
+    with pytest.raises(ParseError):
+        parse_ordinal("w^(" + deep + ")")
+    with pytest.raises(ParseError):
+        parse_surface(f"surface(genus=0, boundary=0, ends={_nested(kind, 1300)})")

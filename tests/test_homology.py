@@ -171,6 +171,23 @@ def test_abelianize_drops_zero_rows_without_changing_the_group(name):
         assert abelianize(pres) == group
 
 
+
+def test_abelianize_matches_the_snf_diagonal_on_random_presentations():
+    # abelianize reads the diagonal without building transforms; each
+    # random row becomes a relator with those exponent sums
+    rng = random.Random(97)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 7), rng.randint(1, 7)
+        a = _random_matrix(rng, rows, cols, lo=-6, hi=6)
+        relators = tuple(
+            tuple(letter for j, e in enumerate(row) for letter in [(j + 1) if e > 0 else -(j + 1)] * abs(e))
+            for row in a.entries
+        )
+        pres = FinitePresentation(cols, relators)
+        assert pres.exponent_matrix() == a
+        nonzero = [d for d in smith_normal_form(a).diagonal if d]
+        assert abelianize(pres) == AbelianGroup(cols - len(nonzero), tuple(d for d in nonzero if d > 1))
+
 def test_spherical_braid_family():
     for n in range(2, 11):
         group = abelianize(preset("spherical_braid", n))
