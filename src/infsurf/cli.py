@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Any, Optional
 
 from . import constructions, homology
@@ -21,9 +22,11 @@ from .decide import (
     WitnessRef,
     CITATIONS,
     decide,
+    validated,
+    verdict,
 )
 from .dsl import ParseError, parse_endspace, parse_ordinal, parse_surface
-from .endspace import Canonical, INFINITE, SpaceInvariants, is_homeomorphic, normalize, summarize
+from .endspace import Canonical, INFINITE, SpaceInvariants, Summary, is_homeomorphic, normalize, summarize
 from .ordinal import compare, kind
 from .surface import ValidationError, surface_invariants, surfaces_homeomorphic, validate
 
@@ -195,23 +198,44 @@ def _cmd_decide(args) -> int:
 
 def _run_batch(args) -> int:
     try:
-        with open(args.jsonl, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        fh = open(args.jsonl, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as err:
         _report_error(args, type(err).__name__, f"cannot read batch file: {err}")
         return VALIDATION_ERROR
-    for line in lines:
-        line = line.strip()
-        if not line:
-            print(json.dumps({"error": {"kind": "empty_line"}}))
-            continue
-        try:
-            print(json.dumps(verdict_json(decide(parse_surface(line))), sort_keys=True))
-        except ParseError as err:
-            print(json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}}))
-        except (ValidationError, DecisionError) as err:
-            print(json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}}))
-    return OK
+    with fh:
+        while True:
+            try:
+                chunk = fh.readline()
+            except OSError as err:
+                _report_error(args, type(err).__name__, f"cannot read batch file: {err}")
+                return VALIDATION_ERROR
+            if not chunk:
+                return OK
+            # universal newlines end every chunk but the last with "\n", so
+            # splitting chunk by chunk gives the lines of str.splitlines()
+            # on the whole text
+            for line in chunk.splitlines():
+                print(_batch_line(line))
+
+
+def _batch_line(line: str) -> str:
+    line = line.strip()
+    if not line:
+        return json.dumps({"error": {"kind": "empty_line"}})
+    try:
+        d = parse_surface(line)
+        return _verdict_line(d.genus, d.boundary, validated(d))
+    except ParseError as err:
+        return json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}})
+    except (ValidationError, DecisionError) as err:
+        return json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}})
+
+
+@lru_cache(maxsize=1024)
+def _verdict_line(genus: int | float, boundary: int, s: Summary) -> str:
+    """The JSON line of the verdict on one surface type; batch lines of the
+    same type share it.  Errors are raised, not kept."""
+    return json.dumps(verdict_json(verdict(genus, boundary, s)), sort_keys=True)
 
 
 def _cmd_hom_snf(args) -> int:

@@ -179,8 +179,12 @@ def _check_chain(v: Verdict) -> Verdict:
 
 # -- executed witnesses -----------------------------------------------------
 
+WITNESS_CACHE_SIZE = 128
+"""Witnesses kept per family; a batch names only a few distinct sizes, and
+a long one of many sizes cannot grow the caches without limit."""
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=1)
 def _torus_witness() -> WitnessRef:
     group = homology.abelianize(homology.preset("sl2z"))
     if str(group) != "Z/12":
@@ -192,7 +196,7 @@ def _torus_witness() -> WitnessRef:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _closed_surface_witness(g: int) -> WitnessRef:
     group = homology.h_lookup(homology.H2_MAP_CLOSED, g)
     if group.rank == 0 and not group.torsion:
@@ -204,7 +208,7 @@ def _closed_surface_witness(g: int) -> WitnessRef:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _braid_sign_witness(p: int) -> WitnessRef:
     braid = homology.abelianize(homology.preset("braid", p))
     sym = homology.abelianize(homology.preset("symmetric", p))
@@ -217,7 +221,7 @@ def _braid_sign_witness(p: int) -> WitnessRef:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _distinguished_witness(n: int) -> WitnessRef:
     report = homology.prop74_square(n)
     if not (report.element_nonzero and report.square_commutes):
@@ -242,7 +246,7 @@ def _distinguished_witness(n: int) -> WitnessRef:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _even_degree_witness(p: int) -> WitnessRef:
     degree = 20
     coeffs = homology.poincare_series(homology.WREATH_QUOTIENT, p, degree)
@@ -266,35 +270,49 @@ def _even_degree_witness(p: int) -> WitnessRef:
 # -- the decision table -----------------------------------------------------
 
 
-def decide(d: SurfaceDescriptor) -> Verdict:
-    """Map a valid, boundaryless, infinite-type descriptor to its verdict."""
+def validated(d: SurfaceDescriptor) -> Summary:
+    """The summary of the ends of a valid descriptor, as ``validate`` gives
+    it; an invalid descriptor raises InvalidDescriptor."""
     try:
-        s = validate(d)
+        return validate(d)
     except ValidationError as err:
         raise InvalidDescriptor(str(err)) from err
-    if d.boundary != 0:
-        raise HasBoundary(f"the decision table covers boundaryless surfaces, got boundary={d.boundary}")
-    if d.genus != INFINITE and not s.is_infinite():
+
+
+def decide(d: SurfaceDescriptor) -> Verdict:
+    """Map a valid, boundaryless, infinite-type descriptor to its verdict."""
+    return verdict(d.genus, d.boundary, validated(d))
+
+
+def verdict(genus: int | float, boundary: int, s: Summary) -> Verdict:
+    """The verdict on the surface type given by a genus, a boundary count and
+    the validated summary of the ends.
+
+    A pure function of its arguments: equal arguments give equal verdicts,
+    so a caller may keep the result per type.
+    """
+    if boundary != 0:
+        raise HasBoundary(f"the decision table covers boundaryless surfaces, got boundary={boundary}")
+    if genus != INFINITE and not s.is_infinite():
         raise NotInfiniteType("the decision table covers infinite-type surfaces")
 
-    g = d.genus
     p = s.planar_isolated
     mixed = s.mixed
     nf = s.normal_form()
     end_text = str(nf.form if isinstance(nf, Canonical) else nf.expr)
     end_desc = nf.form.describe() if isinstance(nf, Canonical) else f"irreducible: {nf.expr}"
 
-    if g == INFINITE:
-        verdict = _decide_infinite_genus(p, mixed)
-    elif g > 0:
-        verdict = _decide_finite_genus(int(g))
+    if genus == INFINITE:
+        row = _decide_infinite_genus(p, mixed)
+    elif genus > 0:
+        row = _decide_finite_genus(int(genus))
     else:
-        verdict = _decide_genus_zero(p, nf, s)
+        row = _decide_genus_zero(p, nf, s)
 
-    qI, qII, qIII, td, witness_set, notes = verdict
+    qI, qII, qIII, td, witness_set, notes = row
     derived = DerivedFacts(
-        genus=g,
-        genus_class="infinite" if g == INFINITE else ("zero" if g == 0 else "finite_positive"),
+        genus=genus,
+        genus_class="infinite" if genus == INFINITE else ("zero" if genus == 0 else "finite_positive"),
         punctures=p,
         mixed_end=mixed,
         end_space=f"{end_text} ({end_desc})",

@@ -14,7 +14,8 @@ canonical form, and print/parse round-trips are exact.
 One regular expression splits the text into tokens and one loop reads
 them, keeping the open ``U(``, ``seq1pc(``, ``I(``, ``lim1pc(`` and ``w^(``
 constructs on an explicit stack.  At most ``MAX_DEPTH`` of them may be
-open at once; deeper input is a parse error.
+open at once, and a natural has at most ``MAX_DIGITS`` digits; deeper or
+longer input is a parse error.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ this keeps every descriptor that parses well inside Python's recursion
 limit.
 """
 
+MAX_DIGITS = 1000
+"""Most digits in one natural.
+
+Python refuses to convert a decimal string of more than 4 300 digits to an
+int (its default limit), and to print an int of more digits; naturals this
+short, and the sums the engine forms from them, stay well inside it.
+"""
+
 
 class ParseError(ValueError):
     def __init__(self, offset: int, expected: tuple[str, ...], message: str):
@@ -60,6 +69,10 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"[0-9]+|[^\W0-9]\w*|!np|!p|\S")
 _WORD_RUN = re.compile(r"\w*")
 _DIGITS = frozenset("0123456789")
+
+# ordinals are immutable, so the small naturals are built once and shared:
+# parsing skips building them, and the summaries a batch keeps share them
+_SMALL = {str(n): from_int(n) for n in range(100)}
 
 _PT = {m: Pt(m) for m in Mark}
 _CANTOR = {m: Cantor(m) for m in Mark}
@@ -97,11 +110,24 @@ def _too_deep(text: str, i: int) -> ParseError:
     return ParseError(_offset(text, i), (f"at most {MAX_DEPTH} nested parentheses",), "nesting too deep")
 
 
+def _int(text: str, toks: list[str], i: int) -> int:
+    """The value of the digit token ``i``."""
+    if len(toks[i]) > MAX_DIGITS:
+        raise ParseError(_offset(text, i), (f"at most {MAX_DIGITS} digits",), "natural too long")
+    return int(toks[i])
+
+
+def _finite(text: str, toks: list[str], i: int) -> Ordinal:
+    """The ordinal of the digit token ``i``."""
+    o = _SMALL.get(toks[i])
+    return from_int(_int(text, toks, i)) if o is None else o
+
+
 def _natural(text: str, toks: list[str], i: int) -> int:
     tok = toks[i]
     if tok[:1] not in _DIGITS:
         raise _fail(text, i, ("natural number",))
-    return int(tok)
+    return _int(text, toks, i)
 
 
 def _coefficient(text: str, toks: list[str], i: int) -> tuple[int, int]:
@@ -161,7 +187,7 @@ def _parse(text: str, goal: int):
         tok = toks[i]
         if want_ordinal:
             if tok[:1] in _DIGITS:
-                term = from_int(int(tok))
+                term = _finite(text, toks, i)
                 i += 1
             elif tok == "w":
                 exp = ONE
@@ -180,7 +206,7 @@ def _parse(text: str, goal: int):
                             raise _fail(text, i, ("'w'", "natural number"), "malformed exponent", word=True)
                         exp = OMEGA
                     elif tok[:1] in _DIGITS:
-                        exp = from_int(int(tok))
+                        exp = _finite(text, toks, i)
                     else:
                         raise _fail(text, i, ("'('", "'w'", "natural number"), "malformed exponent")
                 coeff, i = _coefficient(text, toks, i + 1)

@@ -1,0 +1,194 @@
+"""Batch mode: the verdict-line cache against the uncached path, and the
+streamed batch file against ``str.splitlines()``."""
+
+import io
+import json
+import random
+
+from infsurf import cli
+from infsurf.catalog import CATALOG
+from infsurf.cli import main, verdict_json
+from infsurf.decide import DecisionError, decide
+from infsurf.dsl import ParseError, parse_surface
+from infsurf.endspace import (
+    INFINITE,
+    NONPLANAR,
+    Cantor,
+    DisjointUnion,
+    Interval,
+    LimitCompactification,
+    Pt,
+    SeqCompactification,
+)
+from infsurf.surface import ValidationError
+from oracles import mutate_text, random_surface_text
+
+VERDICT = "surface(genus=1, boundary=0, ends=I(w))"
+ERROR_LINES = [
+    "surface(genus=0, boundary=1, ends=cantor)",  # HasBoundary
+    "surface(genus=2, boundary=0, ends=U(pt, pt))",  # NotInfiniteType
+    "surface(genus=0, boundary=0, ends=pt!np)",  # InvalidDescriptor
+    "surface(genus=inf, boundary=0, ends=seq1pc(pt!np))",  # InvalidDescriptor
+    "surface(genus=0, boundary=0, ends=U(pt,))",  # parse
+    "",
+]
+
+
+def uncached(line: str) -> str:
+    """The output line for one input line, computed without the cache."""
+    line = line.strip()
+    if not line:
+        return json.dumps({"error": {"kind": "empty_line"}})
+    try:
+        return json.dumps(verdict_json(decide(parse_surface(line))), sort_keys=True)
+    except ParseError as err:
+        return json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}})
+    except (ValidationError, DecisionError) as err:
+        return json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}})
+
+
+def run_batch(capsys, path):
+    code = main(["decide", "--jsonl", str(path)])
+    out = capsys.readouterr()
+    assert out.err == ""
+    return code, out.out.split("\n")[:-1]
+
+
+def respell(e, rng: random.Random) -> str:
+    """The same end space with its unions permuted and regrouped, default
+    marks spelled out and extra whitespace."""
+
+    def sp() -> str:
+        return rng.choice(["", " ", "  "])
+
+    def mark(m) -> str:
+        return "!np" if m is NONPLANAR else rng.choice(["", "!p", " !p"])
+
+    def point(m) -> str:
+        if m is NONPLANAR:
+            return f"{sp()};{sp()}np"
+        return rng.choice(["", f"{sp()};{sp()}p"])
+
+    if isinstance(e, Pt):
+        return "pt" + mark(e.mark)
+    if isinstance(e, Cantor):
+        return "cantor" + mark(e.mark)
+    if isinstance(e, Interval):
+        return f"I({sp()}{e.bound}{sp()})" + mark(e.mark)
+    if isinstance(e, SeqCompactification):
+        return f"seq1pc({sp()}{respell(e.child, rng)}{point(e.point_mark)})"
+    if isinstance(e, LimitCompactification):
+        return f"lim1pc({e.sup}{point(e.point_mark)})"
+    assert isinstance(e, DisjointUnion)
+    parts = [respell(c, rng) for c in e.children]
+    rng.shuffle(parts)
+    if len(parts) > 2 and rng.random() < 0.5:
+        k = rng.randint(2, len(parts) - 1)
+        parts = [f"U({', '.join(parts[:k])})", *parts[k:]]
+    return f"U({sp()}{f',{sp()}'.join(parts)})"
+
+
+def rewrite(text: str, rng: random.Random) -> str:
+    """The same descriptor, respelled."""
+    d = parse_surface(text)
+    genus = "inf" if d.genus == INFINITE else str(d.genus)
+    return f"surface( genus={genus},boundary = {d.boundary} , ends={rng.choice(['', ' '])}{respell(d.ends, rng)} )"
+
+
+def test_cached_batch_equals_the_uncached_path(tmp_path, capsys):
+    rng = random.Random(5)
+    lines = [c.descriptor for c in CATALOG]
+    lines += [rewrite(c.descriptor, rng) for c in CATALOG for _ in range(4)]
+    for _ in range(300):
+        text = random_surface_text(rng)
+        lines.append(mutate_text(rng, text) if rng.random() < 0.2 else text)
+    lines += ERROR_LINES * 3
+    lines += rng.sample(lines, 100)
+    rng.shuffle(lines)
+    expected = [uncached(line) for line in lines]
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    cli._verdict_line.cache_clear()
+    assert run_batch(capsys, f) == (0, expected)
+    cold = cli._verdict_line.cache_info()
+    # more hits than repeated verdict lines: distinct lines of one type share an entry
+    verdict_lines = [line for line, out in zip(lines, expected) if '"error"' not in out]
+    assert cold.hits > len(verdict_lines) - len(set(verdict_lines))
+    assert 0 < cold.currsize <= cold.maxsize
+    assert run_batch(capsys, f) == (0, expected)
+    warm = cli._verdict_line.cache_info()
+    assert warm.hits > cold.hits and warm.currsize <= warm.maxsize
+    for error in ERROR_LINES:
+        rows = [json.loads(out) for line, out in zip(lines, expected) if line == error]
+        assert len(rows) >= 3 and all("error" in row for row in rows)
+
+
+def test_cache_stays_bounded_past_its_size(tmp_path, capsys):
+    maxsize = cli._verdict_line.cache_info().maxsize
+    # one surface type per line: k copies of [0, w] next to a non-planar Cantor set
+    lines = [f"surface(genus=inf, boundary=0, ends=U(cantor!np, I(w*{k})))" for k in range(1, maxsize + 50)]
+    lines += lines[:10]
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(lines), encoding="utf-8")
+    assert run_batch(capsys, f) == (0, [uncached(line) for line in lines])
+    info = cli._verdict_line.cache_info()
+    assert info.currsize == maxsize
+    # the first lines were evicted before they came round again
+    assert info.hits == 0
+
+
+def test_every_functools_cache_is_bounded(functools_caches):
+    assert cli._verdict_line in functools_caches
+    assert len(functools_caches) >= 6  # the line cache and five witnesses
+    for f in functools_caches:
+        maxsize = f.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0, f
+
+
+def test_stream_splits_lines_like_splitlines(tmp_path, capsys):
+    text = (
+        f"{VERDICT}\r\n"
+        "surface(genus=inf, boundary=0, ends=pt!np)\x0c"
+        f"{VERDICT}\x85 \n\n   \n"
+        "surface(genus=0, boundary=1, ends=cantor)\r"
+        "surface(genus=0, boundary=0, ends=I(w^2*4))\x1e\x0b"
+        "not a descriptor "
+        f"{VERDICT}"
+    )
+    f = tmp_path / "batch.txt"
+    f.write_text(text, encoding="utf-8", newline="")
+    code, out = run_batch(capsys, f)
+    assert code == 0
+    assert len(out) == len(text.splitlines()) == 12
+    assert out == [uncached(line) for line in text.splitlines()]
+
+
+def test_read_failure_midway_keeps_the_lines_written(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "batch.txt"
+    f.write_text(f"{VERDICT}\n{VERDICT}\n", encoding="utf-8")
+
+    class Failing(io.StringIO):
+        def readline(self, *args):
+            line = super().readline(*args)
+            if not line:
+                raise OSError(5, "Input/output error")
+            return line
+
+    monkeypatch.setattr(cli, "open", lambda *a, **kw: Failing(f.read_text()), raising=False)
+    code = main(["decide", "--jsonl", str(f)])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out.splitlines() == [uncached(VERDICT)] * 2
+    assert out.err.startswith("error (OSError): cannot read batch file")
+
+
+def test_undecodable_line_is_a_parse_error_line(tmp_path, capsys):
+    f = tmp_path / "batch.txt"
+    f.write_bytes(f"{VERDICT}\n".encode() + b"\xff\n" + f"{VERDICT}".encode())
+    code, out = run_batch(capsys, f)
+    assert code == 0
+    rows = [json.loads(line) for line in out]
+    assert len(rows) == 3
+    assert rows[0]["qI"]["answer"] == rows[2]["qI"]["answer"] == "yes"
+    assert rows[1]["error"]["kind"] == "parse"

@@ -227,6 +227,22 @@ def test_batch_mode_too_deep_line_is_a_parse_error_line(tmp_path, capsys):
     assert rows[1]["qI"]["answer"] == "yes"
 
 
+def test_batch_mode_too_long_natural_is_a_parse_error_line(tmp_path, capsys):
+    # past Python's 4 300-digit int() limit this line used to end the batch
+    # with exit 3 and no output at all
+    long_line = f"surface(genus={'1' * 5000}, boundary=0, ends=cantor)"
+    f = tmp_path / "batch.jsonl"
+    f.write_text(f"{long_line}\nsurface(genus=1, boundary=0, ends=I(w))\n", encoding="utf-8")
+    code, out, err = run(capsys, "decide", "--jsonl", str(f))
+    assert code == 0 and err == ""
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 2
+    assert rows[0] == {"error": {"kind": "parse", "offset": 14, "message": "natural too long"}}
+    assert rows[1]["qI"]["answer"] == "yes"
+    code, out, err = run(capsys, "decide", long_line)
+    assert code == 2 and out == "" and err.startswith("error (parse): natural too long")
+
+
 @pytest.mark.parametrize(
     "ends",
     [

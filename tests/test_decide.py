@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -17,9 +18,12 @@ from infsurf.decide import (
     UNKNOWN,
     YES,
     decide,
+    validated,
+    verdict,
     witness_for,
 )
-from infsurf.dsl import parse_surface
+from infsurf.dsl import ParseError, parse_surface
+from oracles import random_surface_text
 
 
 def D(text):
@@ -214,3 +218,24 @@ def test_decide_summarizes_the_ends_once(monkeypatch):
         seen.clear()
         decide(d)
         assert sum(e is d.ends for e in seen) == 1, entry.name
+
+
+def test_decide_is_validate_then_a_table_of_the_surface_type():
+    rng = random.Random(11)
+    texts = [c.descriptor for c in CATALOG] + [random_surface_text(rng) for _ in range(300)]
+    kinds = set()
+    for text in texts:
+        try:
+            d = parse_surface(text)
+        except ParseError:
+            continue
+        try:
+            want = decide(d)
+        except (HasBoundary, NotInfiniteType, InvalidDescriptor) as err:
+            kinds.add(type(err))
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                verdict(d.genus, d.boundary, validated(d))
+            continue
+        kinds.add(None)
+        assert verdict(d.genus, d.boundary, validated(d)) == want
+    assert kinds == {None, HasBoundary, NotInfiniteType, InvalidDescriptor}

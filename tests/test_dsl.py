@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infsurf.catalog import CATALOG
-from infsurf.dsl import MAX_DEPTH, ParseError, parse_endspace, parse_ordinal, parse_surface
+from infsurf.dsl import MAX_DEPTH, MAX_DIGITS, ParseError, parse_endspace, parse_ordinal, parse_surface
 from infsurf.endspace import (
     Cantor,
     DisjointUnion,
@@ -306,3 +306,25 @@ def test_nesting_budget(kind):
         parse_ordinal("w^(" + deep + ")")
     with pytest.raises(ParseError):
         parse_surface(f"surface(genus=0, boundary=0, ends={_nested(kind, 1300)})")
+
+
+@pytest.mark.parametrize(
+    "parse, before, after",
+    [
+        (parse_surface, "surface(genus=", ", boundary=0, ends=cantor)"),
+        (parse_surface, "surface(genus=0, boundary=", ", ends=cantor)"),
+        (parse_endspace, "I(", ")"),
+        (parse_ordinal, "w^", ""),
+        (parse_ordinal, "w*", ""),
+    ],
+    ids=["genus", "boundary", "term", "exponent", "coefficient"],
+)
+def test_natural_length_budget(parse, before, after):
+    assert parse(before + "7" * MAX_DIGITS + after)
+    # Python's own int() limit (4 300 digits) would raise a plain ValueError
+    with pytest.raises(ParseError) as exc:
+        parse(before + "1" * 5000 + after)
+    assert exc.value.message == "natural too long"
+    assert exc.value.offset == len(before)
+    with pytest.raises(ParseError):
+        parse(before + "0" * (MAX_DIGITS + 1) + after)
