@@ -22,15 +22,18 @@ from .decide import (
     WitnessRef,
     CITATIONS,
     decide,
-    validated,
+    validated_type,
     verdict,
 )
-from .dsl import ParseError, parse_endspace, parse_ordinal, parse_surface
+from .dsl import ParseError, parse_endspace, parse_ordinal, parse_surface, parse_surface_type
 from .endspace import Canonical, INFINITE, SpaceInvariants, Summary, is_homeomorphic, normalize, summarize
 from .ordinal import compare, kind
 from .surface import ValidationError, surface_invariants, surfaces_homeomorphic, validate
 
 OK, PARSE_ERROR, VALIDATION_ERROR, INTERNAL_ERROR = 0, 2, 3, 4
+
+# a broken invariant of the engine itself, reported as kind "internal"
+_INTERNAL = (InternalInvariantViolation, AssertionError)
 
 
 def _count_json(n: int | float) -> Any:
@@ -223,12 +226,14 @@ def _batch_line(line: str) -> str:
     if not line:
         return json.dumps({"error": {"kind": "empty_line"}})
     try:
-        d = parse_surface(line)
-        return _verdict_line(d.genus, d.boundary, validated(d))
+        genus, boundary, s = parse_surface_type(line)
+        return _verdict_line(genus, boundary, validated_type(genus, s))
     except ParseError as err:
         return json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}})
     except (ValidationError, DecisionError) as err:
         return json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}})
+    except _INTERNAL as err:
+        return json.dumps({"error": {"kind": "internal", "message": str(err)}})
 
 
 @lru_cache(maxsize=1024)
@@ -416,7 +421,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValidationError, DecisionError, homology.BadParameter, homology.UnknownPreset, homology.OutOfTable) as err:
         _report_error(args, type(err).__name__, str(err))
         return VALIDATION_ERROR
-    except (InternalInvariantViolation, AssertionError) as err:
+    except _INTERNAL as err:
         _report_error(args, "internal", str(err))
         return INTERNAL_ERROR
     except ValueError as err:

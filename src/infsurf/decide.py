@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import homology
 from .endspace import Canonical, INFINITE, NormalForm, Scattered, Summary, TdMax
-from .surface import SurfaceDescriptor, ValidationError, validate
+from .surface import SurfaceDescriptor, ValidationError, validate, validate_type
 
 YES = "yes"
 NO = "no"
@@ -275,6 +275,14 @@ def validated(d: SurfaceDescriptor) -> Summary:
     it; an invalid descriptor raises InvalidDescriptor."""
     try:
         return validate(d)
+    except ValidationError as err:
+        raise InvalidDescriptor(str(err)) from err
+
+
+def validated_type(genus: int | float, s: Summary) -> Summary:
+    """``validated`` on a descriptor of this genus whose ends summarize to `s`."""
+    try:
+        return validate_type(genus, s)
     except ValidationError as err:
         raise InvalidDescriptor(str(err)) from err
 

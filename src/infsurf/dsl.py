@@ -16,25 +16,22 @@ them, keeping the open ``U(``, ``seq1pc(``, ``I(``, ``lim1pc(`` and ``w^(``
 constructs on an explicit stack.  At most ``MAX_DEPTH`` of them may be
 open at once, and a natural has at most ``MAX_DIGITS`` digits; deeper or
 longer input is a parse error.
+
+The loop is one of the two walks that run the end-space fold
+(``endspace.Fold``); ``endspace.summarize`` over an expression tree is the
+other.  At each end-space construct it closes, the loop asks the fold for
+its value: ``parse_surface`` and ``parse_endspace`` build the expression
+(``endspace.TREES``), and ``parse_surface_type`` folds the text straight
+into the summary of the ends (``endspace.SUMMARIES``) without building a
+tree.  The loop flattens unions itself: a ``U(`` directly inside a ``U(``
+hands its summands to the outer one.
 """
 
 from __future__ import annotations
 
 import re
 
-from .endspace import (
-    Cantor,
-    EndSpaceExpr,
-    INFINITE,
-    Interval,
-    LimitCompactification,
-    Mark,
-    NONPLANAR,
-    PLANAR,
-    Pt,
-    SeqCompactification,
-    union,
-)
+from .endspace import EndSpaceExpr, Fold, INFINITE, NONPLANAR, PLANAR, SUMMARIES, Summary, TREES
 from .ordinal import ONE, OMEGA, Ordinal, add, from_int, omega_pow
 from .surface import SurfaceDescriptor
 
@@ -65,8 +62,9 @@ class ParseError(ValueError):
 
 # A natural is a run of ASCII digits and a word any other run of word
 # characters, so "3abc" is the natural 3 followed by the word "abc".
-# Whitespace separates tokens and is otherwise skipped.
-_TOKEN = re.compile(r"[0-9]+|[^\W0-9]\w*|!np|!p|\S")
+# Whitespace separates tokens and is otherwise skipped.  The grammar's
+# punctuation, half the tokens, is tried first; \S would match it the same.
+_TOKEN = re.compile(r"[(),=^+*;]|[0-9]+|[^\W0-9]\w*|!np|!p|\S")
 _WORD_RUN = re.compile(r"\w*")
 _DIGITS = frozenset("0123456789")
 
@@ -74,16 +72,14 @@ _DIGITS = frozenset("0123456789")
 # parsing skips building them, and the summaries a batch keeps share them
 _SMALL = {str(n): from_int(n) for n in range(100)}
 
-_PT = {m: Pt(m) for m in Mark}
-_CANTOR = {m: Cantor(m) for m in Mark}
-_LEAVES = {"pt": _PT, "cantor": _CANTOR}
 _LEAF_MARKS = {"!np": NONPLANAR, "!p": PLANAR}
 _POINT_MARKS = {"np": NONPLANAR, "p": PLANAR}
 _HEADS = ("'pt'", "'cantor'", "'I'", "'U'", "'seq1pc'", "'lim1pc'")
 
-# what is being parsed, and the constructs that wait on the stack for a value
+# what is being parsed, and the constructs that wait on the stack for a value;
+# a _SPLICE is a union directly inside a union, whose summands it shares
 _ORDINAL, _ENDSPACE, _SURFACE = range(3)
-_UNION, _SEQ, _INTERVAL, _LIMIT, _POWER = range(5)
+_UNION, _SPLICE, _SEQ, _INTERVAL, _LIMIT, _POWER = range(6)
 _OPENERS = {"U": _UNION, "seq1pc": _SEQ, "I": _INTERVAL, "lim1pc": _LIMIT}
 
 
@@ -171,15 +167,17 @@ def _surface_head(text: str, toks: list[str]) -> tuple[int | float, int]:
     return genus, boundary
 
 
-def _parse(text: str, goal: int):
+def _parse(text: str, goal: int, fold: Fold = TREES):
+    """Parse `text` as an ordinal, an end space or a surface; `fold` says
+    what an end space is built into."""
     toks = _TOKEN.findall(text)
     toks.append("")  # end of input; equal to no token the grammar expects
     i = 0
     if goal == _SURFACE:
         genus, boundary = _surface_head(text, toks)
         i = 12
-    # (tag, index of the head token, the union's children or the sum of the
-    # ordinal terms before a w^( exponent)
+    # (tag, index of the head token, the union's summands, which a splice
+    # shares, or the sum of the ordinal terms before a w^( exponent)
     stack: list[tuple] = []
     want_ordinal = goal == _ORDINAL
     total = None  # sum of the terms read so far of the innermost ordinal
@@ -219,7 +217,7 @@ def _parse(text: str, goal: int):
                 continue
             value = total
         else:
-            leaf = _LEAVES.get(tok)
+            leaf = fold.point if tok == "pt" else fold.cantor if tok == "cantor" else None
             if leaf is not None:
                 i += 1
                 mark = _LEAF_MARKS.get(toks[i])
@@ -236,7 +234,12 @@ def _parse(text: str, goal: int):
                     raise _fail(text, i + 1, ("'('",))
                 if len(stack) == MAX_DEPTH:
                     raise _too_deep(text, i + 1)
-                stack.append((tag, i, [] if tag == _UNION else None))
+                if tag != _UNION:
+                    stack.append((tag, i, None))
+                elif stack and stack[-1][0] <= _SPLICE:
+                    stack.append((_SPLICE, i, stack[-1][2]))
+                else:
+                    stack.append((_UNION, i, []))
                 i += 2
                 want_ordinal = tag == _INTERVAL or tag == _LIMIT
                 total = None
@@ -246,16 +249,19 @@ def _parse(text: str, goal: int):
         while stack:
             tag, head, data = stack[-1]
             tok = toks[i]
-            if tag == _UNION:
-                data.append(value)
+            if tag <= _SPLICE:
                 if tok == ",":
+                    data.append(value)
                     i += 1
                     want_ordinal = False
                     break
                 if tok != ")":
                     raise _fail(text, i, ("')'",))
                 i += 1
-                value = union(*data)
+                # a spliced union leaves its last summand to the enclosing one
+                if tag == _UNION:
+                    data.append(value)
+                    value = fold.union(*data)
             elif tag == _POWER:
                 if tok != ")":
                     raise _fail(text, i, ("')'",))
@@ -277,7 +283,7 @@ def _parse(text: str, goal: int):
                     mark = PLANAR
                 else:
                     i += 1
-                value = Interval(value, mark)
+                value = fold.interval(value, mark)
             else:
                 # seq1pc / lim1pc: an optional "; p" or "; np", then ")"
                 mark = PLANAR
@@ -291,10 +297,10 @@ def _parse(text: str, goal: int):
                 i += 1
                 if tag == _SEQ:
                     # a parsed child is never empty, so this cannot fail
-                    value = SeqCompactification(value, mark)
+                    value = fold.seq(value, mark)
                 else:
                     try:
-                        value = LimitCompactification(value, mark)
+                        value = fold.lim(value, mark)
                     except ValueError as err:
                         raise ParseError(_offset(text, head), ("limit ordinal",), str(err)) from err
             stack.pop()
@@ -307,7 +313,7 @@ def _parse(text: str, goal: int):
     if toks[i]:
         raise _fail(text, i, ("end of input",), "trailing input")
     if goal == _SURFACE:
-        return SurfaceDescriptor(genus, boundary, value)
+        return genus, boundary, value
     return value
 
 
@@ -320,4 +326,12 @@ def parse_endspace(text: str) -> EndSpaceExpr:
 
 
 def parse_surface(text: str) -> SurfaceDescriptor:
-    return _parse(text, _SURFACE)
+    return SurfaceDescriptor(*_parse(text, _SURFACE))
+
+
+def parse_surface_type(text: str) -> tuple[int | float, int, Summary]:
+    """Genus, boundary count and the summary of the ends of the descriptor
+    `text`, without building its expression: for ``d = parse_surface(text)``
+    this is ``(d.genus, d.boundary, summarize(d.ends))``, and on bad text
+    it raises the same ParseError."""
+    return _parse(text, _SURFACE, SUMMARIES)

@@ -16,10 +16,17 @@ decidable fragment and is reported as irreducible.
 
 Leaves and compactification points carry a planar/non-planar mark used by
 the surface layer.  Normal forms, ranks, invariants and the homeomorphism
-decision ignore marks.  ``summarize`` reads every fact the engine needs in
-one bottom-up pass; next to the mark-free reduced form its summary carries
-the mark facts of the surface layer: the marks present, the planar isolated
-points, mixed ends and the first closedness violation.
+decision ignore marks.  A ``Summary`` holds every fact the engine needs;
+next to the mark-free reduced form it carries the mark facts of the surface
+layer: the marks present, the planar isolated points, mixed ends and the
+first closedness violation.
+
+The summary rules (the point, Cantor, interval and ``lim1pc`` leaves,
+``join`` for unions and the compactification rule) are one bottom-up fold,
+``SUMMARIES``, and two walks run it: ``summarize`` walks an
+expression tree, and the parser in ``dsl`` folds descriptor text straight
+into a summary (``dsl.parse_surface_type``).  ``TREES`` is the same fold
+building expressions.
 """
 
 from __future__ import annotations
@@ -27,8 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from typing import NamedTuple, Optional, Sequence, Union as TUnion
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union as TUnion
 
 from .ordinal import Kind, ONE, ZERO, Ordinal, add, compare, div_omega, from_int, kind, omega_pow, power_str
 
@@ -131,8 +137,7 @@ class LimitCompactification:
     point_mark: Mark = PLANAR
 
     def __post_init__(self) -> None:
-        if kind(self.sup) is not Kind.LIMIT:
-            raise ValueError(f"limit compactification needs a limit ordinal, got {self.sup}")
+        _require_limit(self.sup)
 
     def __str__(self) -> str:
         if self.point_mark is NONPLANAR:
@@ -143,6 +148,11 @@ class LimitCompactification:
 EndSpaceExpr = TUnion[Empty, Pt, Interval, Cantor, DisjointUnion, SeqCompactification, LimitCompactification]
 
 EMPTY = Empty()
+
+
+def _require_limit(sup: Ordinal) -> None:
+    if kind(sup) is not Kind.LIMIT:
+        raise ValueError(f"limit compactification needs a limit ordinal, got {sup}")
 
 
 def _mark_suffix(mark: Mark) -> str:
@@ -287,34 +297,49 @@ def embed(c: CanonicalEndSpace) -> EndSpaceExpr:
     return union(*pieces)
 
 
-def _merge_scattered(a: ScatteredPart, b: ScatteredPart) -> ScatteredPart:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if isinstance(a, Discrete) and isinstance(b, Discrete):
-        return Discrete(a.count + b.count)
-    # finite discrete summands are absorbed by any interval copies
-    if isinstance(a, Discrete):
-        return b
-    if isinstance(b, Discrete):
-        return a
-    c = compare(a.exponent, b.exponent)
-    if c == 0:
-        return Scattered(a.copies + b.copies, a.exponent)
-    # only the summands of maximal rank survive
-    return a if c > 0 else b
+# the finite discrete spaces of up to 100 points, built once and shared
+_DISCRETE = (EMPTY_CANON, *(CanonicalEndSpace(False, Discrete(n)) for n in range(1, 101)))
 
 
-def _merge(a: CanonicalEndSpace, b: CanonicalEndSpace) -> CanonicalEndSpace:
-    kernel = a.has_kernel or b.has_kernel
-    s = _merge_scattered(a.scattered, b.scattered)
-    # about half the merges give back one operand; reuse it instead of a copy
-    if s is a.scattered and kernel == a.has_kernel:
-        return a
-    if s is b.scattered and kernel == b.has_kernel:
-        return b
-    return CanonicalEndSpace(kernel, s)
+def _discrete(n: int) -> CanonicalEndSpace:
+    return _DISCRETE[n] if n < len(_DISCRETE) else CanonicalEndSpace(False, Discrete(n))
+
+
+def _union_canon(canons: Sequence[CanonicalEndSpace]) -> CanonicalEndSpace:
+    """Normal form of the disjoint union of canonical spaces."""
+    kernel = False
+    points = 0
+    top: Optional[Scattered] = None
+    copies = 0
+    for c in canons:
+        if c.has_kernel:
+            kernel = True
+        s = c.scattered
+        if s is None:
+            continue
+        if isinstance(s, Discrete):
+            points += s.count
+            continue
+        # only the interval copies of maximal rank survive; they absorb the
+        # finite discrete summands
+        k = 1 if top is None else compare(s.exponent, top.exponent)
+        if k > 0:
+            top, copies = s, s.copies
+        elif k == 0:
+            copies += s.copies
+    if top is not None:
+        scattered: ScatteredPart = top if copies == top.copies else Scattered(copies, top.exponent)
+    elif points and not kernel:
+        return _discrete(points)
+    elif points:
+        scattered = Discrete(points)
+    else:
+        return CANTOR_CANON if kernel else EMPTY_CANON
+    # a union often has the form of one summand; reuse it instead of a copy
+    for c in canons:
+        if c.scattered is scattered and c.has_kernel == kernel:
+            return c
+    return CanonicalEndSpace(kernel, scattered)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +417,14 @@ class Summary(NamedTuple):
         return Homeo.UNKNOWN
 
 
+# every summary's marks are one of these four sets, so summaries share them
 _NO_MARKS: frozenset[Mark] = frozenset()
 _MARKS = {m: frozenset((m,)) for m in Mark}
+_BOTH_MARKS = frozenset(Mark)
 # a limit compactification's interval pieces are planar
-_LIMIT_MARKS = {m: frozenset((m, PLANAR)) for m in Mark}
-_ONE_POINT = CanonicalEndSpace(False, Discrete(1))
+_LIMIT_MARKS = {PLANAR: _MARKS[PLANAR], NONPLANAR: _BOTH_MARKS}
+_ONE_POINT = _DISCRETE[1]
+_CONVERGENT = CanonicalEndSpace(False, Scattered(1, ONE))
 
 _EMPTY_SUMMARY = Summary(EMPTY_CANON, (), 0, 0, _NO_MARKS, False, None, ZERO, False)
 _PT_SUMMARY = {m: Summary(_ONE_POINT, (), 1, int(m is PLANAR), _MARKS[m], False, None, ZERO, False) for m in Mark}
@@ -404,60 +432,90 @@ _CANTOR_SUMMARY = {m: Summary(CANTOR_CANON, (), 0, 0, _MARKS[m], False, None, ZE
 
 
 def summarize(e: EndSpaceExpr) -> Summary:
-    """The summary of `e`, folded bottom-up in one traversal."""
+    """The summary of `e`: the ``SUMMARIES`` fold, run over the tree."""
     if isinstance(e, Pt):
         return _PT_SUMMARY[e.mark]
     if isinstance(e, DisjointUnion):
         return join([summarize(c) for c in e.children])
     if isinstance(e, Interval):
-        b = e.bound
-        if b.is_finite():
-            n: int | float = b.as_int() + 1
-            canon = CanonicalEndSpace(False, Discrete(n))
-        else:
-            exp, coeff = b.leading()
-            n = INFINITE
-            # [0, w^g*n + rest] splits off n copies of [0, w^g]; the tail has
-            # strictly smaller rank and is absorbed by them
-            canon = CanonicalEndSpace(False, Scattered(coeff, exp))
-        return Summary(canon, (), n, n if e.mark is PLANAR else 0, _MARKS[e.mark], False, None, ZERO, False)
+        return _interval_summary(e.bound, e.mark)
     if isinstance(e, SeqCompactification):
         return _compactify(summarize(e.child), e.point_mark)
     if isinstance(e, Cantor):
         return _CANTOR_SUMMARY[e.mark]
     if isinstance(e, LimitCompactification):
-        return Summary(
-            CanonicalEndSpace(False, Scattered(1, e.sup)), (), INFINITE, INFINITE,
-            _LIMIT_MARKS[e.point_mark], e.point_mark is NONPLANAR, None, ZERO, False,
-        )
+        return _limit_summary(e.sup, e.point_mark)
     if isinstance(e, Empty):
         return _EMPTY_SUMMARY
     raise TypeError(f"not an end-space expression: {e!r}")
+
+
+def _marks_union(a: frozenset[Mark], b: frozenset[Mark]) -> frozenset[Mark]:
+    """``a | b`` for two of the shared mark sets, itself a shared one."""
+    if b <= a:
+        return a
+    return b if a <= b else _BOTH_MARKS
+
+
+def _scattered_leaf(canon: CanonicalEndSpace, n: int | float, mark: Mark) -> Summary:
+    """Summary of a leaf with `n` isolated points, all marked `mark`."""
+    return Summary(canon, (), n, n if mark is PLANAR else 0, _MARKS[mark], False, None, ZERO, False)
+
+
+# [0, n] for n < 100 is summarized once and shared, as dsl shares the small naturals
+_SMALL_INTERVALS = {m: tuple(_scattered_leaf(_DISCRETE[n + 1], n + 1, m) for n in range(100)) for m in Mark}
+
+
+def _interval_summary(bound: Ordinal, mark: Mark) -> Summary:
+    """Summary of the closed interval [0, bound]."""
+    if bound.is_finite():
+        n = bound.as_int()
+        if n < 100:
+            return _SMALL_INTERVALS[mark][n]
+        return _scattered_leaf(_discrete(n + 1), n + 1, mark)
+    exp, coeff = bound.leading()
+    # [0, w^g*n + rest] splits off n copies of [0, w^g]; the tail has
+    # strictly smaller rank and is absorbed by them
+    return _scattered_leaf(CanonicalEndSpace(False, Scattered(coeff, exp)), INFINITE, mark)
+
+
+def _limit_summary(sup: Ordinal, point: Mark) -> Summary:
+    """Summary of ``LimitCompactification(sup, point)``; raises ValueError
+    unless `sup` is a limit ordinal."""
+    _require_limit(sup)
+    return Summary(
+        CanonicalEndSpace(False, Scattered(1, sup)), (), INFINITE, INFINITE,
+        _LIMIT_MARKS[point], point is NONPLANAR, None, ZERO, False,
+    )
 
 
 def join(parts: Sequence[Summary]) -> Summary:
     """Summary of the disjoint union of the summarized spaces, in order."""
     if not parts:
         return _EMPTY_SUMMARY
-    canons, atom_groups, isolated, planar, marks, mixed, violations, ranks, nested = zip(*parts)
-    canon = reduce(_merge, canons)
-    atoms = sum(atom_groups, ())
-    violation = next((f".children[{i}]{v}" for i, v in enumerate(violations) if v is not None), None)
-    return Summary(
-        canon,
-        atoms,
-        sum(isolated),
-        sum(planar),
-        _NO_MARKS.union(*marks),
-        any(mixed),
-        violation,
-        max(ranks) if atoms else ZERO,
-        any(nested),
-    )
+    _, atoms, isolated, planar, marks, mixed, violation, rank, nested = parts[0]
+    if violation is not None:
+        violation = ".children[0]" + violation
+    for i in range(1, len(parts)):
+        p = parts[i]
+        if p.atoms:
+            atoms += p.atoms
+            if compare(p.atom_rank, rank) > 0:
+                rank = p.atom_rank
+        isolated += p.isolated
+        planar += p.planar_isolated
+        marks = _marks_union(marks, p.marks)
+        mixed = mixed or p.mixed
+        if violation is None and p.violation is not None:
+            violation = f".children[{i}]{p.violation}"
+        nested = nested or p.nested
+    canon = _union_canon([p.canon for p in parts])
+    return Summary(canon, atoms, isolated, planar, marks, mixed, violation, rank, nested)
 
 
 def _compactify(r: Summary, point: Mark) -> Summary:
-    """Summary of the one-point compactification of countably many copies."""
+    """Summary of the one-point compactification of countably many copies
+    of the space `r` summarizes, the added point marked `point`."""
     # a planar limit of non-planar ends would leave the non-planar set open
     if point is PLANAR and NONPLANAR in r.marks:
         violation: Optional[str] = ""
@@ -483,7 +541,7 @@ def _compactify(r: Summary, point: Mark) -> Summary:
         atoms = (SeqCompactification(embed(c)),)
         atom_rank = _canonical_rank(c)
     elif isinstance(c.scattered, Discrete):
-        canon = CanonicalEndSpace(False, Scattered(1, ONE))
+        canon = _CONVERGENT
     else:
         canon = CanonicalEndSpace(False, Scattered(1, add(c.scattered.exponent, ONE)))
     return Summary(
@@ -491,7 +549,7 @@ def _compactify(r: Summary, point: Mark) -> Summary:
         atoms,
         INFINITE if r.isolated > 0 else 0,
         INFINITE if r.planar_isolated > 0 else 0,
-        r.marks | _MARKS[point],
+        _marks_union(r.marks, _MARKS[point]),
         (point is NONPLANAR and r.planar_isolated > 0) or r.mixed,
         violation,
         atom_rank,
@@ -505,6 +563,40 @@ def _assemble(r: Summary) -> EndSpaceExpr:
         parts.append(embed(r.canon))
     parts.extend(sorted(r.atoms, key=str))
     return union(*parts)
+
+
+class Fold(NamedTuple):
+    """What to build for each end-space construct, children first.
+
+    ``dsl`` runs a fold over the text as it parses it; ``summarize``
+    runs ``SUMMARIES`` over an expression tree.  ``union`` receives the
+    flattened summands, at least one; a single summand is the union.
+    """
+
+    point: Mapping[Mark, Any]
+    cantor: Mapping[Mark, Any]
+    interval: Callable[[Ordinal, Mark], Any]
+    union: Callable[..., Any]
+    seq: Callable[[Any, Mark], Any]
+    lim: Callable[[Ordinal, Mark], Any]
+
+
+def _summary_union(*parts: Summary) -> Summary:
+    return parts[0] if len(parts) == 1 else join(parts)
+
+
+TREES = Fold(
+    {m: Pt(m) for m in Mark},
+    {m: Cantor(m) for m in Mark},
+    Interval,
+    union,
+    SeqCompactification,
+    LimitCompactification,
+)
+"""Builds the expression; its point and Cantor leaves are shared, one per mark."""
+
+SUMMARIES = Fold(_PT_SUMMARY, _CANTOR_SUMMARY, _interval_summary, _summary_union, _compactify, _limit_summary)
+"""Builds the summary of the expression, as ``summarize`` does."""
 
 
 def normalize(e: EndSpaceExpr) -> NormalForm:

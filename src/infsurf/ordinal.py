@@ -119,25 +119,38 @@ def power_str(exp: Ordinal) -> str:
     return _format_term(exp, 1)
 
 
+_new = object.__new__
+
+
+def _cnf(terms: tuple) -> Ordinal:
+    """The ordinal with ``terms``, which the caller has built in Cantor
+    normal form; unlike ``Ordinal(terms)`` nothing is checked again."""
+    o = _new(Ordinal)
+    o.terms = terms
+    return o
+
+
 ZERO = Ordinal()
 
 
 def from_int(n: int) -> Ordinal:
     if n < 0:
         raise ValueError("ordinals are non-negative")
-    return Ordinal(((ZERO, n),)) if n else ZERO
-
-
-ONE = from_int(1)
+    return omega_pow(ZERO, n)
 
 
 def omega_pow(exp: Ordinal, coeff: int = 1) -> Ordinal:
     """The single-term ordinal w^exp * coeff (coeff = 0 gives 0)."""
     if coeff == 0:
         return ZERO
-    return Ordinal(((exp, coeff),))
+    if not isinstance(exp, Ordinal):
+        raise TypeError(f"exponent must be an Ordinal, got {type(exp).__name__}")
+    if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff < 1:
+        raise ValueError(f"coefficient must be a positive integer, got {coeff!r}")
+    return _cnf(((exp, coeff),))
 
 
+ONE = from_int(1)
 OMEGA = omega_pow(ONE)
 
 
@@ -170,7 +183,8 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
             break
         else:
             break
-    return Ordinal((*kept, (lead, merged), *b.terms[1:]))
+    # the kept terms lie above the lead and b's other terms below it
+    return _cnf((*kept, (lead, merged), *b.terms[1:]))
 
 
 def kind(a: Ordinal) -> Kind:
@@ -196,7 +210,8 @@ def div_omega(b: Ordinal) -> Ordinal:
             out.append((from_int(exp.as_int() - 1), coeff))
         else:
             out.append((exp, coeff))
-    return Ordinal(out)
+    # g -> g-1 keeps finite exponents >= 1 apart and below the infinite ones
+    return _cnf(tuple(out))
 
 
 def max_of(values: Sequence[Ordinal]) -> tuple[Ordinal, int]:

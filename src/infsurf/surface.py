@@ -76,22 +76,23 @@ def validate(d: SurfaceDescriptor) -> Summary:
     Raises ClosednessViolation or GenusMarkMismatch with the path of the
     first offending subexpression.
     """
-    s = summarize(d.ends)
+    return validate_type(d.genus, summarize(d.ends))
+
+
+def validate_type(genus: int | float, s: Summary) -> Summary:
+    """``validate`` on a descriptor of this genus whose ends summarize to `s`;
+    returns `s`."""
     if s.violation is not None:
         raise ClosednessViolation(
             "a compactification point over non-planar ends is a limit of them and must be marked non-planar",
             "ends" + s.violation,
         )
     np_present = NONPLANAR in s.marks
-    if (d.genus == INFINITE) != np_present:
+    if (genus == INFINITE) != np_present:
         if np_present:
             raise GenusMarkMismatch("non-planar ends force infinite genus")
         raise GenusMarkMismatch("infinite genus requires a non-planar end")
     return s
-
-
-def is_infinite_type(d: SurfaceDescriptor) -> bool:
-    return d.genus == INFINITE or summarize(d.ends).is_infinite()
 
 
 def punctures_of(d: SurfaceDescriptor) -> int | float:

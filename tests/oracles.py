@@ -241,6 +241,14 @@ def isolated_count(e: EndSpaceExpr, planar_only: bool = False) -> int | float:
     raise TypeError(f"not an end-space expression: {e!r}")
 
 
+def is_infinite_type(d: SurfaceDescriptor) -> bool:
+    """Infinite genus or infinitely many ends: a space of ends is infinite
+    exactly when it has infinitely many isolated points or a Cantor set."""
+    if d.genus == INFINITE or isolated_count(d.ends) == INFINITE:
+        return True
+    return any(isinstance(x, Cantor) for x in walk(d.ends))
+
+
 def mixed(e: EndSpaceExpr) -> bool:
     """A non-planar compactification point accumulated by planar isolated points."""
     if isinstance(e, DisjointUnion):
@@ -730,3 +738,27 @@ def mutate_text(rng: random.Random, text: str) -> str:
         return text[:k] + rng.choice(MUTATION_ALPHABET) + text[k:]
     k = rng.randrange(len(text))
     return text[:k] + text[k + 1 :]
+
+
+def nested_endspace_text(kind: str, depth: int) -> str:
+    """An end space with ``depth`` parentheses of ``kind`` open at once."""
+    if kind == "seq1pc":
+        return "seq1pc(" * depth + "pt" + ")" * depth
+    if kind == "U":
+        return "U(pt, " * depth + "cantor" + ")" * depth
+    # I( holds the ordinal, so one level fewer of w^(
+    return "I(" + "w^(" * (depth - 1) + "1" + ")" * depth
+
+
+def differential_texts(rng: random.Random, bases: int, max_depth: int) -> list[str]:
+    """Generated descriptors, each followed by two mutations of it, and
+    descriptors nested ``max_depth`` deep and one level deeper."""
+    texts = []
+    for _ in range(bases):
+        text = random_surface_text(rng)
+        texts += [text, mutate_text(rng, text), mutate_text(rng, mutate_text(rng, text))]
+    for kind in ("seq1pc", "U", "w^("):
+        for depth in (max_depth, max_depth + 1):
+            for genus in ("0", "inf"):
+                texts.append(f"surface(genus={genus}, boundary=0, ends={nested_endspace_text(kind, depth)})")
+    return texts

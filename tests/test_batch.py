@@ -6,10 +6,11 @@ import json
 import random
 
 from infsurf import cli
+from infsurf import decide as decide_module
 from infsurf.catalog import CATALOG
 from infsurf.cli import main, verdict_json
-from infsurf.decide import DecisionError, decide
-from infsurf.dsl import ParseError, parse_surface
+from infsurf.decide import DecisionError, InternalInvariantViolation, decide
+from infsurf.dsl import MAX_DEPTH, ParseError, parse_surface
 from infsurf.endspace import (
     INFINITE,
     NONPLANAR,
@@ -21,7 +22,7 @@ from infsurf.endspace import (
     SeqCompactification,
 )
 from infsurf.surface import ValidationError
-from oracles import mutate_text, random_surface_text
+from oracles import differential_texts, mutate_text, random_surface_text
 
 VERDICT = "surface(genus=1, boundary=0, ends=I(w))"
 ERROR_LINES = [
@@ -192,3 +193,37 @@ def test_undecodable_line_is_a_parse_error_line(tmp_path, capsys):
     assert len(rows) == 3
     assert rows[0]["qI"]["answer"] == rows[2]["qI"]["answer"] == "yes"
     assert rows[1]["error"]["kind"] == "parse"
+
+
+def test_batch_equals_the_tree_path_on_generated_and_nested_lines(tmp_path, capsys):
+    # batch lines are summarized straight from the text; each output line
+    # must still be what the expression tree gives
+    rng = random.Random(907)
+    lines = [c.descriptor for c in CATALOG] + differential_texts(rng, 2000, MAX_DEPTH)
+    expected = [uncached(line) for line in lines]
+    assert sum('"kind": "parse"' in out for out in expected) > 1000
+    assert sum('"error"' not in out for out in expected) > 200
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cli._verdict_line.cache_clear()
+    assert run_batch(capsys, f) == (0, expected)
+    assert run_batch(capsys, f) == (0, expected)
+
+
+def test_internal_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def broken():
+        raise InternalInvariantViolation("witness self-check failed")
+
+    monkeypatch.setattr(decide_module, "_torus_witness", broken)
+    torus = "surface(genus=1, boundary=0, ends=cantor)"
+    f = tmp_path / "batch.txt"
+    f.write_text(f"{VERDICT.replace('genus=1', 'genus=2')}\n{torus}\n{ERROR_LINES[0]}\n", encoding="utf-8")
+    code, out = run_batch(capsys, f)
+    assert code == 0
+    assert len(out) == 3
+    assert json.loads(out[0])["qI"]["answer"] == "yes"
+    assert json.loads(out[1]) == {"error": {"kind": "internal", "message": "witness self-check failed"}}
+    assert json.loads(out[2])["error"]["kind"] == "HasBoundary"
+    # a single call still exits 4
+    assert main(["decide", torus]) == 4
+    assert "witness self-check failed" in capsys.readouterr().err

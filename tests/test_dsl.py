@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infsurf.catalog import CATALOG
-from infsurf.dsl import MAX_DEPTH, MAX_DIGITS, ParseError, parse_endspace, parse_ordinal, parse_surface
+from infsurf.decide import InvalidDescriptor, validated, validated_type
+from infsurf.dsl import (
+    MAX_DEPTH,
+    MAX_DIGITS,
+    ParseError,
+    parse_endspace,
+    parse_ordinal,
+    parse_surface,
+    parse_surface_type,
+)
 from infsurf.endspace import (
     Cantor,
     DisjointUnion,
@@ -15,11 +24,14 @@ from infsurf.endspace import (
     Pt,
     SeqCompactification,
     strip_marks,
+    summarize,
     union,
 )
 from infsurf.ordinal import OMEGA, ZERO, from_int, omega_pow
 from oracles import (
+    differential_texts,
     mutate_text,
+    nested_endspace_text,
     random_endspace_text,
     random_expr,
     random_ordinal,
@@ -281,20 +293,10 @@ def test_naturals_are_ascii_digits(parse, text):
         parse(text)
 
 
-def _nested(kind: str, depth: int) -> str:
-    """An end space with ``depth`` parentheses of ``kind`` open at once."""
-    if kind == "seq1pc":
-        return "seq1pc(" * depth + "pt" + ")" * depth
-    if kind == "U":
-        return "U(pt, " * depth + "cantor" + ")" * depth
-    # I( holds the ordinal, so one level fewer of w^(
-    return "I(" + "w^(" * (depth - 1) + "1" + ")" * depth
-
-
 @pytest.mark.parametrize("kind", ["seq1pc", "U", "w^("])
 def test_nesting_budget(kind):
-    assert parse_endspace(_nested(kind, MAX_DEPTH))
-    text = _nested(kind, MAX_DEPTH + 1)
+    assert parse_endspace(nested_endspace_text(kind, MAX_DEPTH))
+    text = nested_endspace_text(kind, MAX_DEPTH + 1)
     with pytest.raises(ParseError) as exc:
         parse_endspace(text)
     assert exc.value.message == "nesting too deep"
@@ -305,7 +307,7 @@ def test_nesting_budget(kind):
     with pytest.raises(ParseError):
         parse_ordinal("w^(" + deep + ")")
     with pytest.raises(ParseError):
-        parse_surface(f"surface(genus=0, boundary=0, ends={_nested(kind, 1300)})")
+        parse_surface(f"surface(genus=0, boundary=0, ends={nested_endspace_text(kind, 1300)})")
 
 
 @pytest.mark.parametrize(
@@ -328,3 +330,70 @@ def test_natural_length_budget(parse, before, after):
     assert exc.value.offset == len(before)
     with pytest.raises(ParseError):
         parse(before + "0" * (MAX_DIGITS + 1) + after)
+
+
+# -- the summary fold run by the parser ---------------------------------------
+
+
+def _tree_result(text: str) -> tuple:
+    """(genus, boundary, summary of the ends, validation message or None)
+    from the expression tree, or the parse error."""
+    try:
+        d = parse_surface(text)
+    except ParseError as err:
+        return ("parse", err.offset, err.expected, err.message)
+    s = summarize(d.ends)
+    try:
+        validated(d)
+    except InvalidDescriptor as err:
+        return (d.genus, d.boundary, s, str(err))
+    return (d.genus, d.boundary, s, None)
+
+
+def _fused_result(text: str) -> tuple:
+    """The same, read off the text by the summary fold."""
+    try:
+        genus, boundary, s = parse_surface_type(text)
+    except ParseError as err:
+        return ("parse", err.offset, err.expected, err.message)
+    try:
+        assert validated_type(genus, s) is s
+    except InvalidDescriptor as err:
+        return (genus, boundary, s, str(err))
+    return (genus, boundary, s, None)
+
+
+FUSED_CORNERS = [
+    # flattened unions: violation paths index the flattened summands
+    "surface(genus=inf, boundary=0, ends=U(pt!np, U(U(cantor, seq1pc(pt!np)), seq1pc(U(pt, pt!np)))))",
+    "surface(genus=inf, boundary=0, ends=U(U(pt!np), U(pt, U(seq1pc(U(pt!np))))))",
+    # a union of one summand is that summand, and its path is not wrapped
+    "surface(genus=inf, boundary=0, ends=U(seq1pc(U(pt!np))))",
+    "surface(genus=inf, boundary=0, ends=seq1pc(U(U(pt, U(seq1pc(pt!np)))); np))",
+    "surface(genus=inf, boundary=0, ends=U(U(pt, seq1pc(U(U(pt!np, pt))))))",
+    "surface(genus=inf, boundary=0, ends=U(U(U(U(pt!np)))))",
+    # genus and marks disagree
+    "surface(genus=0, boundary=0, ends=U(pt, U(lim1pc(w; np))))",
+    "surface(genus=inf, boundary=0, ends=U(pt, U(I(w^w*3))))",
+    # lim1pc of a non-limit ordinal, inside unions and compactifications
+    "surface(genus=0, boundary=0, ends=U(pt, U(seq1pc(lim1pc(w+1)))))",
+    "surface(genus=0, boundary=0, ends=lim1pc(w^(w+2)+3; np))",
+    "surface(genus=0, boundary=0, ends=lim1pc(0))",
+    # intervals on both sides of the shared small table
+    "surface(genus=0, boundary=0, ends=U(I(98), I(99)!np, I(100), I(0), I(w^2*5+w+7)))",
+    "surface(genus=inf, boundary=0, ends=U(I(98)!np, I(99), I(100)!np, seq1pc(I(w)!np; np)))",
+]
+
+
+def test_summary_fold_agrees_with_the_tree():
+    rng = random.Random(6151)
+    texts = [c.descriptor for c in CATALOG] + FUSED_CORNERS
+    texts += differential_texts(rng, 2000, MAX_DEPTH)
+    outcomes = {"parse": 0, "invalid": 0, "valid": 0}
+    for text in texts:
+        want = _tree_result(text)
+        got = _fused_result(text)
+        # repr also tells an int count from a float one
+        assert got == want and repr(got) == repr(want), text
+        outcomes["parse" if want[0] == "parse" else "valid" if want[3] is None else "invalid"] += 1
+    assert min(outcomes.values()) >= 500, outcomes

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from infsurf import endspace
+from infsurf.dsl import parse_surface_type
 from infsurf.endspace import (
     CANTOR_CANON,
     Canonical,
@@ -451,3 +453,23 @@ def test_summary_matches_the_per_fact_oracles():
         nested += s.nested
     # the generator must exercise the rare branches
     assert violations >= 300 and irreducible >= 200 and nested >= 50
+
+
+def test_summaries_share_their_mark_sets():
+    # a batch keeps many summaries; each holds one of four shared mark sets
+    # instead of a set of its own
+    shared = {id(endspace._NO_MARKS), id(endspace._BOTH_MARKS), *map(id, endspace._MARKS.values())}
+    assert len(shared) == 4
+    rng = random.Random(137)
+    seen = set()
+    for _ in range(800):
+        e = random_marked_expr(rng, rng.randint(0, 4))
+        for node in oracles.walk(e):
+            s = summarize(node)
+            assert id(s.marks) in shared
+            assert s.marks == set(oracles.marks(node))
+            seen.add(s.marks)
+        s = parse_surface_type(f"surface(genus=inf, boundary=0, ends={e})")[2]
+        assert id(s.marks) in shared
+    assert len(seen) == 3
+    assert summarize(EMPTY).marks is endspace._NO_MARKS

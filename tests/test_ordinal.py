@@ -16,7 +16,8 @@ from infsurf.ordinal import (
     max_of,
     omega_pow,
 )
-from oracles import div_omega_vector, from_vector, fundamental_sequence, random_ordinal, to_vector
+from infsurf.dsl import parse_ordinal
+from oracles import div_omega_vector, from_vector, fundamental_sequence, random_ordinal, random_ordinal_text, to_vector
 
 W2 = omega_pow(from_int(2))
 W_OMEGA = omega_pow(OMEGA)
@@ -167,3 +168,46 @@ def test_fundamental_sequence_approaches_its_limit():
             prev = step
         # the sequence eventually passes any fixed earlier entry
         assert compare(fundamental_sequence(lam, 40), fundamental_sequence(lam, 2)) > 0
+
+
+def test_arithmetic_results_pass_the_checked_constructor():
+    # add, omega_pow and div_omega build Cantor normal form without the
+    # checks of Ordinal(...); rebuilding through them must accept each
+    # result and give an equal, equally hashing value
+    rng = random.Random(23)
+    pool = [parse_ordinal(random_ordinal_text(rng)) for _ in range(150)]
+    pool += [random_ordinal(rng) for _ in range(50)] + [ZERO, ONE, OMEGA, W2, W_OMEGA]
+    results = []
+    for _ in range(1500):
+        a, b = rng.choice(pool), rng.choice(pool)
+        results += [add(a, b), omega_pow(a, rng.randint(0, 5)), div_omega(a), from_int(rng.randint(0, 200))]
+    assert sum(not r.is_finite() for r in results) > 1000
+    for r in results:
+        checked = Ordinal(r.terms)
+        assert checked == r and hash(checked) == hash(r)
+        assert str(r) == str(checked)
+
+
+@pytest.mark.parametrize(
+    "terms, error",
+    [
+        ([(ZERO, 0)], ValueError),
+        ([(ZERO, -2)], ValueError),
+        ([(ZERO, True)], ValueError),
+        ([(ZERO, 1.5)], ValueError),
+        ([(1, 1)], TypeError),
+        ([(ONE, 1), (OMEGA, 1)], ValueError),
+        ([(ONE, 1), (ONE, 2)], ValueError),
+    ],
+)
+def test_checked_constructor_still_rejects_bad_terms(terms, error):
+    with pytest.raises(error):
+        Ordinal(terms)
+
+
+@pytest.mark.parametrize("coeff", [-1, True, 1.5, "2"])
+def test_omega_pow_rejects_a_bad_coefficient(coeff):
+    with pytest.raises(ValueError):
+        omega_pow(ONE, coeff)
+    with pytest.raises(TypeError):
+        omega_pow(2, 1)

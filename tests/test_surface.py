@@ -20,13 +20,12 @@ from infsurf.surface import (
     GenusMarkMismatch,
     SurfaceDescriptor,
     has_mixed_end,
-    is_infinite_type,
     punctures_of,
     surface_invariants,
     surfaces_homeomorphic,
     validate,
 )
-from oracles import has_nonplanar
+from oracles import has_nonplanar, is_infinite_type
 
 NP_PT = Pt(NONPLANAR)
 LOCH_NESS = SurfaceDescriptor(INFINITE, 0, NP_PT)
