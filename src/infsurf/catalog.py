@@ -7,15 +7,17 @@ where an expected answer is one of "yes" (integral coefficients),
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    cell: str
-    descriptor: str
-    expected: tuple[str, str, str]
+class CatalogEntry(Value):
+    __slots__ = ("name", "cell", "descriptor", "expected")
+
+    def __init__(self, name: str, cell: str, descriptor: str, expected: tuple[str, str, str]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "expected", expected)
 
 
 CATALOG: tuple[CatalogEntry, ...] = (

@@ -312,10 +312,9 @@ def _cmd_hom_poincare(args) -> int:
 def _cmd_construct_snake(args) -> int:
     path = constructions.snake_bijection(args.count)
     if getattr(args, "json", False):
-        print(json.dumps([list(p) for p in path.points]))
+        print(json.dumps(path.points))
         return OK
-    for x, y in path.points:
-        print(f"{x} {y}")
+    print("\n".join(f"{x} {y}" for x, y in path.points))
     return OK
 
 

@@ -10,23 +10,32 @@ of the first (2r+1)(r+1) indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._value import Value
+from .homology import ResourceLimit
+
+MAX_SNAKE_CELLS = 500_000
+"""Most cells ``snake_bijection`` enumerates.
+
+A path holds a tuple per cell and is checked cell by cell, so the bound
+keeps a CLI call, printing included, within about a second and a few
+hundred MB.
+"""
 
 
-@dataclass(frozen=True)
-class GridPath:
-    points: tuple[tuple[int, int], ...]
+class GridPath(Value):
+    __slots__ = ("points",)
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: tuple[tuple[int, int], ...]) -> None:
+        if not points:
             raise ValueError("a grid path has at least one cell")
-        if self.points[0] != (0, 0):
+        if points[0] != (0, 0):
             raise ValueError("a grid path starts at the origin")
-        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
+        for (x0, y0), (x1, y1) in zip(points, points[1:]):
             if abs(x1 - x0) + abs(y1 - y0) != 1:
                 raise ValueError(f"non-adjacent step {(x0, y0)} -> {(x1, y1)}")
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise ValueError("grid path revisits a cell")
+        object.__setattr__(self, "points", points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -55,6 +64,8 @@ def snake_bijection(count: int) -> GridPath:
     """First `count` cells of the shell-filling enumeration of Z x N."""
     if count < 1:
         raise ValueError("count must be positive")
+    if count > MAX_SNAKE_CELLS:
+        raise ResourceLimit(f"a snake path has at most {MAX_SNAKE_CELLS} cells, got {count}")
     cells: list[tuple[int, int]] = [(0, 0)]
     radius = 1
     while len(cells) < count:

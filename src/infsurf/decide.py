@@ -12,11 +12,11 @@ are reported as unknown, which is a successful outcome, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from . import homology
+from ._value import Value
 from .endspace import Canonical, INFINITE, NormalForm, Scattered, Summary, TdMax
 from .surface import SurfaceDescriptor, ValidationError, validate, validate_type
 
@@ -118,50 +118,78 @@ CITATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class WitnessRef:
-    degree: int | str  # a positive degree, or EVERY_EVEN_DEGREE
-    description: str
-    computation: dict
+class WitnessRef(Value):
+    __slots__ = ("degree", "description", "computation")
+
+    def __init__(
+        self,
+        degree: int | str,  # a positive degree, or EVERY_EVEN_DEGREE
+        description: str,
+        computation: dict,
+    ) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "computation", computation)
 
 
-@dataclass(frozen=True)
-class Answer:
-    result: str  # YES / NO / UNKNOWN
-    citation: str
-    coefficients: Optional[str] = None
-    witness: Optional[WitnessRef] = None
-    note: Optional[str] = None
+class Answer(Value):
+    __slots__ = ("result", "citation", "coefficients", "witness", "note")
 
-    def __post_init__(self) -> None:
-        if self.citation not in CITATIONS:
-            raise InternalInvariantViolation(f"unknown citation {self.citation!r}")
-        if self.result == YES and (self.coefficients != INTEGRAL or self.witness is None):
+    def __init__(
+        self,
+        result: str,  # YES / NO / UNKNOWN
+        citation: str,
+        coefficients: Optional[str] = None,
+        witness: Optional[WitnessRef] = None,
+        note: Optional[str] = None,
+    ) -> None:
+        if citation not in CITATIONS:
+            raise InternalInvariantViolation(f"unknown citation {citation!r}")
+        if result == YES and (coefficients != INTEGRAL or witness is None):
             raise InternalInvariantViolation("a positive answer needs integral coefficients and a witness")
-        if self.result == NO and self.coefficients not in (ANY_FIELD, ANY_COEFFICIENTS):
+        if result == NO and coefficients not in (ANY_FIELD, ANY_COEFFICIENTS):
             raise InternalInvariantViolation("a negative answer needs its coefficient scope")
-        if self.result == UNKNOWN and (self.coefficients or self.witness):
+        if result == UNKNOWN and (coefficients or witness):
             raise InternalInvariantViolation("an unknown answer carries no scope or witness")
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "note", note)
 
 
-@dataclass(frozen=True)
-class DerivedFacts:
-    genus: int | float
-    genus_class: str  # "zero" | "finite_positive" | "infinite"
-    punctures: int | float
-    mixed_end: bool
-    end_space: str
-    td: Optional[TdMax] = None
-    witness_set: Optional[str] = None
-    notes: tuple[str, ...] = ()
+class DerivedFacts(Value):
+    __slots__ = ("genus", "genus_class", "punctures", "mixed_end", "end_space", "td", "witness_set", "notes")
+
+    def __init__(
+        self,
+        genus: int | float,
+        genus_class: str,  # "zero" | "finite_positive" | "infinite"
+        punctures: int | float,
+        mixed_end: bool,
+        end_space: str,
+        td: Optional[TdMax] = None,
+        witness_set: Optional[str] = None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "genus_class", genus_class)
+        object.__setattr__(self, "punctures", punctures)
+        object.__setattr__(self, "mixed_end", mixed_end)
+        object.__setattr__(self, "end_space", end_space)
+        object.__setattr__(self, "td", td)
+        object.__setattr__(self, "witness_set", witness_set)
+        object.__setattr__(self, "notes", notes)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    qI: Answer
-    qII: Answer
-    qIII: Answer
-    derived: DerivedFacts
+class Verdict(Value):
+    __slots__ = ("qI", "qII", "qIII", "derived")
+
+    def __init__(self, qI: Answer, qII: Answer, qIII: Answer, derived: DerivedFacts) -> None:
+        object.__setattr__(self, "qI", qI)
+        object.__setattr__(self, "qII", qII)
+        object.__setattr__(self, "qIII", qIII)
+        object.__setattr__(self, "derived", derived)
 
     def answers(self) -> tuple[Answer, Answer, Answer]:
         return (self.qI, self.qII, self.qIII)

@@ -32,10 +32,10 @@ building expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union as TUnion
 
+from ._value import Value
 from .ordinal import Kind, ONE, ZERO, Ordinal, add, compare, div_omega, from_int, kind, omega_pow, power_str
 
 INFINITE = math.inf
@@ -58,64 +58,113 @@ NONPLANAR = Mark.NONPLANAR
 # expression trees
 
 
-@dataclass(frozen=True)
-class Empty:
+class Empty(Value):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "empty"
 
 
-@dataclass(frozen=True)
-class Pt:
-    mark: Mark = PLANAR
+class Pt(Value):
+    __slots__ = ("mark",)
+
+    def __init__(self, mark: Mark = PLANAR) -> None:
+        object.__setattr__(self, "mark", mark)
+
+    # the irreducible atoms of a summary are part of the batch cache key, so
+    # the nodes they are built from write equality and hashing out
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Pt:
+            return self.mark == other.mark
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mark,))
 
     def __str__(self) -> str:
         return "pt" + _mark_suffix(self.mark)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     """The closed ordinal interval [0, bound] with the order topology."""
 
-    bound: Ordinal
-    mark: Mark = PLANAR
+    __slots__ = ("bound", "mark")
+
+    def __init__(self, bound: Ordinal, mark: Mark = PLANAR) -> None:
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "mark", mark)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Interval:
+            return self.bound == other.bound and self.mark == other.mark
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.bound, self.mark))
 
     def __str__(self) -> str:
         return f"I({self.bound})" + _mark_suffix(self.mark)
 
 
-@dataclass(frozen=True)
-class Cantor:
-    mark: Mark = PLANAR
+class Cantor(Value):
+    __slots__ = ("mark",)
+
+    def __init__(self, mark: Mark = PLANAR) -> None:
+        object.__setattr__(self, "mark", mark)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Cantor:
+            return self.mark == other.mark
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mark,))
 
     def __str__(self) -> str:
         return "cantor" + _mark_suffix(self.mark)
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
-    children: tuple["EndSpaceExpr", ...]
+class DisjointUnion(Value):
+    __slots__ = ("children",)
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
+    def __init__(self, children: tuple["EndSpaceExpr", ...]) -> None:
+        if len(children) < 2:
             raise ValueError("a union needs at least two summands; use union()")
-        for c in self.children:
+        for c in children:
             if isinstance(c, (Empty, DisjointUnion)):
                 raise ValueError("union children must be flattened and nonempty; use union()")
+        object.__setattr__(self, "children", children)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is DisjointUnion:
+            return self.children == other.children
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.children,))
 
     def __str__(self) -> str:
         return "U(" + ", ".join(str(c) for c in self.children) + ")"
 
 
-@dataclass(frozen=True)
-class SeqCompactification:
+class SeqCompactification(Value):
     """One-point compactification of countably many disjoint copies of `child`."""
 
-    child: "EndSpaceExpr"
-    point_mark: Mark = PLANAR
+    __slots__ = ("child", "point_mark")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.child, Empty):
+    def __init__(self, child: "EndSpaceExpr", point_mark: Mark = PLANAR) -> None:
+        if isinstance(child, Empty):
             raise ValueError("cannot compactify copies of the empty space")
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "point_mark", point_mark)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is SeqCompactification:
+            return self.child == other.child and self.point_mark == other.point_mark
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.child, self.point_mark))
 
     def __str__(self) -> str:
         inner = str(self.child)
@@ -124,8 +173,7 @@ class SeqCompactification:
         return f"seq1pc({inner})"
 
 
-@dataclass(frozen=True)
-class LimitCompactification:
+class LimitCompactification(Value):
     """One-point compactification of the intervals [0, w^a_i] with a_i -> sup.
 
     The a_i are the canonical fundamental sequence of the limit ordinal
@@ -133,11 +181,12 @@ class LimitCompactification:
     interval pieces are planar; only the added point carries a mark.
     """
 
-    sup: Ordinal
-    point_mark: Mark = PLANAR
+    __slots__ = ("sup", "point_mark")
 
-    def __post_init__(self) -> None:
-        _require_limit(self.sup)
+    def __init__(self, sup: Ordinal, point_mark: Mark = PLANAR) -> None:
+        _require_limit(sup)
+        object.__setattr__(self, "sup", sup)
+        object.__setattr__(self, "point_mark", point_mark)
 
     def __str__(self) -> str:
         if self.point_mark is NONPLANAR:
@@ -202,32 +251,49 @@ def strip_marks(e: EndSpaceExpr) -> EndSpaceExpr:
 # canonical forms
 
 
-@dataclass(frozen=True)
-class Discrete:
+class Discrete(Value):
     """A finite discrete space."""
 
-    count: int
+    __slots__ = ("count",)
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
+    def __init__(self, count: int) -> None:
+        if count < 1:
             raise ValueError("discrete part needs at least one point")
+        object.__setattr__(self, "count", count)
+
+    # summaries are batch cache keys, so equality and hashing are written out
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Discrete:
+            return self.count == other.count
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.count,))
 
     def describe(self) -> str:
         return "1 isolated point" if self.count == 1 else f"{self.count} isolated points"
 
 
-@dataclass(frozen=True)
-class Scattered:
+class Scattered(Value):
     """`copies` disjoint copies of the ordinal interval [0, w^exponent]."""
 
-    copies: int
-    exponent: Ordinal
+    __slots__ = ("copies", "exponent")
 
-    def __post_init__(self) -> None:
-        if self.copies < 1:
+    def __init__(self, copies: int, exponent: Ordinal) -> None:
+        if copies < 1:
             raise ValueError("need at least one copy")
-        if self.exponent.is_zero():
+        if exponent.is_zero():
             raise ValueError("exponent 0 would be a finite space; use Discrete")
+        object.__setattr__(self, "copies", copies)
+        object.__setattr__(self, "exponent", exponent)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Scattered:
+            return self.copies == other.copies and self.exponent == other.exponent
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.copies, self.exponent))
 
     def describe(self) -> str:
         noun = "copy" if self.copies == 1 else "copies"
@@ -237,12 +303,22 @@ class Scattered:
 ScatteredPart = TUnion[Discrete, Scattered, None]
 
 
-@dataclass(frozen=True)
-class CanonicalEndSpace:
+class CanonicalEndSpace(Value):
     """Normal form: an optional Cantor kernel next to an optional scattered part."""
 
-    has_kernel: bool
-    scattered: ScatteredPart
+    __slots__ = ("has_kernel", "scattered")
+
+    def __init__(self, has_kernel: bool, scattered: ScatteredPart) -> None:
+        object.__setattr__(self, "has_kernel", has_kernel)
+        object.__setattr__(self, "scattered", scattered)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is CanonicalEndSpace:
+            return self.has_kernel == other.has_kernel and self.scattered == other.scattered
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.has_kernel, self.scattered))
 
     def is_empty(self) -> bool:
         return not self.has_kernel and self.scattered is None
@@ -265,16 +341,20 @@ EMPTY_CANON = CanonicalEndSpace(False, None)
 CANTOR_CANON = CanonicalEndSpace(True, None)
 
 
-@dataclass(frozen=True)
-class Canonical:
-    form: CanonicalEndSpace
+class Canonical(Value):
+    __slots__ = ("form",)
+
+    def __init__(self, form: CanonicalEndSpace) -> None:
+        object.__setattr__(self, "form", form)
 
 
-@dataclass(frozen=True)
-class Irreducible:
+class Irreducible(Value):
     """Fully simplified expression outside the decidable fragment."""
 
-    expr: EndSpaceExpr
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: EndSpaceExpr) -> None:
+        object.__setattr__(self, "expr", expr)
 
 
 NormalForm = TUnion[Canonical, Irreducible]
@@ -665,16 +745,18 @@ def isolated_count(e: EndSpaceExpr) -> int | float:
 # topologically distinguished subsets
 
 
-@dataclass(frozen=True)
-class TdMax:
+class TdMax(Value):
     """Size of the largest finite topologically distinguished subset.
 
     ``exact`` is False when only a certified lower bound is known (this
     happens exactly on irreducible forms).
     """
 
-    value: int
-    exact: bool = True
+    __slots__ = ("value", "exact")
+
+    def __init__(self, value: int, exact: bool = True) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "exact", exact)
 
     def at_least(self, n: int) -> bool:
         return self.value >= n
@@ -708,13 +790,22 @@ def td_max(e: EndSpaceExpr) -> TdMax:
 # invariants and the homeomorphism decision
 
 
-@dataclass(frozen=True)
-class SpaceInvariants:
-    countable: bool
-    isolated_count: int | float
-    scattered_rank: Optional[Ordinal]
-    has_kernel: bool
-    td_max: TdMax
+class SpaceInvariants(Value):
+    __slots__ = ("countable", "isolated_count", "scattered_rank", "has_kernel", "td_max")
+
+    def __init__(
+        self,
+        countable: bool,
+        isolated_count: int | float,
+        scattered_rank: Optional[Ordinal],
+        has_kernel: bool,
+        td_max: TdMax,
+    ) -> None:
+        object.__setattr__(self, "countable", countable)
+        object.__setattr__(self, "isolated_count", isolated_count)
+        object.__setattr__(self, "scattered_rank", scattered_rank)
+        object.__setattr__(self, "has_kernel", has_kernel)
+        object.__setattr__(self, "td_max", td_max)
 
 
 def invariants(e: EndSpaceExpr) -> SpaceInvariants:

@@ -9,9 +9,10 @@ the decision engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable
+
+from ._value import Value
 
 
 class UnknownPreset(ValueError):
@@ -26,26 +27,26 @@ class OutOfTable(LookupError):
     pass
 
 
+class ResourceLimit(ValueError):
+    """A parameter asks for more than a declared budget allows."""
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    entries: tuple[tuple[int, ...], ...]
+class IntegerMatrix(Value):
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        widths = {len(r) for r in self.entries}
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        widths = {len(r) for r in entries}
         if len(widths) > 1:
             raise ValueError("ragged rows")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntegerMatrix":
         return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @property
     def rows(self) -> int:
@@ -55,20 +56,14 @@ class IntegerMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.entries)) if other.entries else []
-        return IntegerMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries)
-        )
 
+class SNFResult(Value):
+    __slots__ = ("diagonal", "left", "right")
 
-@dataclass(frozen=True)
-class SNFResult:
-    diagonal: tuple[int, ...]
-    left: IntegerMatrix
-    right: IntegerMatrix
+    def __init__(self, diagonal: tuple[int, ...], left: IntegerMatrix, right: IntegerMatrix) -> None:
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -211,20 +206,20 @@ def _diagonalize(a: IntegerMatrix, transforms: bool) -> tuple[list[int], list[li
 # presentations and abelianization
 
 
-@dataclass(frozen=True)
-class FinitePresentation:
+class FinitePresentation(Value):
     """Generators 1..ngens; a relator is a word of signed generator indices."""
 
-    ngens: int
-    relators: tuple[tuple[int, ...], ...]
+    __slots__ = ("ngens", "relators")
 
-    def __post_init__(self) -> None:
-        if self.ngens < 0:
+    def __init__(self, ngens: int, relators: tuple[tuple[int, ...], ...]) -> None:
+        if ngens < 0:
             raise ValueError("negative generator count")
-        for w in self.relators:
+        for w in relators:
             for letter in w:
-                if letter == 0 or abs(letter) > self.ngens:
-                    raise ValueError(f"letter {letter} out of range for {self.ngens} generators")
+                if letter == 0 or abs(letter) > ngens:
+                    raise ValueError(f"letter {letter} out of range for {ngens} generators")
+        object.__setattr__(self, "ngens", ngens)
+        object.__setattr__(self, "relators", relators)
 
     def exponent_matrix(self) -> IntegerMatrix:
         rows = []
@@ -241,22 +236,22 @@ class FinitePresentation:
         return "; ".join(parts)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Value):
     """Z^rank plus cyclic torsion with invariant factors t1 | t2 | ..."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()) -> None:
+        if rank < 0:
             raise ValueError("negative rank")
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise ValueError("torsion factors must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion factors must form a divisibility chain")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
 
     def order(self) -> int | None:
         if self.rank:
@@ -333,17 +328,28 @@ def k_of(n: int) -> int:
     return n - 1 if n % 2 == 0 else (n - 1) // 2
 
 
-@dataclass(frozen=True)
-class SquareReport:
+class SquareReport(Value):
     """The checked multiplication-by-2 square from Z/k into Z/2k."""
 
-    n: int
-    k: int
-    modulus: int  # 2k
-    element: int  # the class of 2 in Z/2k
-    element_nonzero: bool
-    square_commutes: bool
-    full_twist_residue: int  # image of the full twist in Z/2k
+    __slots__ = ("n", "k", "modulus", "element", "element_nonzero", "square_commutes", "full_twist_residue")
+
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        modulus: int,  # 2k
+        element: int,  # the class of 2 in Z/2k
+        element_nonzero: bool,
+        square_commutes: bool,
+        full_twist_residue: int,  # image of the full twist in Z/2k
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "element_nonzero", element_nonzero)
+        object.__setattr__(self, "square_commutes", square_commutes)
+        object.__setattr__(self, "full_twist_residue", full_twist_residue)
 
 
 def prop74_square(n: int) -> SquareReport:
@@ -396,6 +402,14 @@ def h_lookup(kind: str, g: int) -> AbelianGroup:
 TORUS_POWER = "TorusPower"
 WREATH_QUOTIENT = "WreathQuotient"
 
+MAX_SERIES_DEGREE = 2000
+"""Highest degree ``poincare_series`` computes to.
+
+The wreath recurrence makes up to (max_degree/2)^2 additions and the
+result holds max_degree + 1 integers; at this bound a call takes well
+under a second.
+"""
+
 
 def poincare_series(kind: str, p: int, max_degree: int) -> tuple[int, ...]:
     """Exact coefficients, degrees 0..max_degree, of the rational series for
@@ -410,6 +424,8 @@ def poincare_series(kind: str, p: int, max_degree: int) -> tuple[int, ...]:
         raise BadParameter("need p >= 1")
     if max_degree < 0 or max_degree % 2:
         raise BadParameter("max_degree must be a non-negative even integer")
+    if max_degree > MAX_SERIES_DEGREE:
+        raise ResourceLimit(f"max_degree is at most {MAX_SERIES_DEGREE}, got {max_degree}")
     if kind == TORUS_POWER:
         return tuple(0 if deg % 2 else comb(deg // 2 + p - 1, p - 1) for deg in range(max_degree + 1))
     if kind != WREATH_QUOTIENT:

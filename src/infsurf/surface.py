@@ -9,9 +9,9 @@ infinite exactly when a non-planar mark is present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._value import Value
 from .endspace import (
     DisjointUnion,
     Empty,
@@ -43,30 +43,44 @@ class GenusMarkMismatch(ValidationError):
     """Genus and the presence of non-planar marks disagree."""
 
 
-@dataclass(frozen=True)
-class SurfaceDescriptor:
-    genus: int | float  # a non-negative integer or INFINITE
-    boundary: int
-    ends: EndSpaceExpr
+class SurfaceDescriptor(Value):
+    __slots__ = ("genus", "boundary", "ends")
 
-    def __post_init__(self) -> None:
-        if self.genus != INFINITE and (not isinstance(self.genus, int) or self.genus < 0):
-            raise ValueError(f"genus must be a non-negative integer or INFINITE, got {self.genus!r}")
-        if not isinstance(self.boundary, int) or self.boundary < 0:
-            raise ValueError(f"boundary must be a non-negative integer, got {self.boundary!r}")
+    def __init__(
+        self,
+        genus: int | float,  # a non-negative integer or INFINITE
+        boundary: int,
+        ends: EndSpaceExpr,
+    ) -> None:
+        if genus != INFINITE and (not isinstance(genus, int) or genus < 0):
+            raise ValueError(f"genus must be a non-negative integer or INFINITE, got {genus!r}")
+        if not isinstance(boundary, int) or boundary < 0:
+            raise ValueError(f"boundary must be a non-negative integer, got {boundary!r}")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "ends", ends)
 
     def __str__(self) -> str:
         g = "inf" if self.genus == INFINITE else str(self.genus)
         return f"surface(genus={g}, boundary={self.boundary}, ends={self.ends})"
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    genus: int | float
-    boundary: int
-    punctures: int | float
-    mixed_end: bool
-    ends_invariants: SpaceInvariants
+class SurfaceInvariants(Value):
+    __slots__ = ("genus", "boundary", "punctures", "mixed_end", "ends_invariants")
+
+    def __init__(
+        self,
+        genus: int | float,
+        boundary: int,
+        punctures: int | float,
+        mixed_end: bool,
+        ends_invariants: SpaceInvariants,
+    ) -> None:
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "punctures", punctures)
+        object.__setattr__(self, "mixed_end", mixed_end)
+        object.__setattr__(self, "ends_invariants", ends_invariants)
 
 
 def validate(d: SurfaceDescriptor) -> Summary:

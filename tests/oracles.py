@@ -118,6 +118,18 @@ def zero_matrix(rows: int, cols: int) -> IntegerMatrix:
     return IntegerMatrix(tuple((0,) * cols for _ in range(rows)))
 
 
+def identity_matrix(n: int) -> IntegerMatrix:
+    return IntegerMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    """The product a @ b, by the schoolbook rule."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    cols = list(zip(*b.entries)) if b.entries else []
+    return IntegerMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.entries))
+
+
 def determinant(a: IntegerMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:

@@ -39,7 +39,7 @@ from infsurf.homology import (
     smith_normal_form,
 )
 from infsurf.ordinal import ONE, Ordinal, add, from_int, omega_pow
-from oracles import determinant, gcd_of_minors, partitions_with_max_part, top_rank_profile
+from oracles import determinant, gcd_of_minors, matmul, partitions_with_max_part, top_rank_profile
 
 EXPECTED_CODES = {
     "yes": (YES, INTEGRAL),
@@ -219,7 +219,7 @@ def test_criterion_07_smith_normal_form_properties():
             prev = d
         assert abs(determinant(res.left)) == 1
         assert abs(determinant(res.right)) == 1
-        product = res.left @ a @ res.right
+        product = matmul(matmul(res.left, a), res.right)
         for i in range(4):
             for j in range(4):
                 assert product.entries[i][j] == (res.diagonal[i] if i == j else 0)

@@ -12,7 +12,9 @@ import pytest
 import infsurf
 from infsurf.cli import main
 from infsurf.dsl import MAX_DEPTH
-from infsurf.homology import WREATH_QUOTIENT, IntegerMatrix, poincare_series
+from infsurf.constructions import MAX_SNAKE_CELLS
+from infsurf.homology import MAX_SERIES_DEGREE, WREATH_QUOTIENT, IntegerMatrix, poincare_series
+from oracles import matmul
 
 
 def run(capsys, *argv):
@@ -116,9 +118,8 @@ def test_hom_snf_64x64_json(capsys):
     assert code == 0
     payload = json.loads(out)
     diag = payload["diagonal"]
-    product = IntegerMatrix.from_rows(payload["left"]) @ IntegerMatrix.from_rows(rows) @ IntegerMatrix.from_rows(
-        payload["right"]
-    )
+    left, right = IntegerMatrix.from_rows(payload["left"]), IntegerMatrix.from_rows(payload["right"])
+    product = matmul(matmul(left, IntegerMatrix.from_rows(rows)), right)
     assert product == IntegerMatrix.from_rows([[diag[i] if i == j else 0 for j in range(64)] for i in range(64)])
 
 
@@ -307,6 +308,39 @@ def test_torus_poincare_huge_p_answers_at_once():
     assert coeffs[:5] == [1, 0, p, 0, p * (p + 1) // 2]
     assert coeffs[20] == math.comb(10 + p - 1, p - 1)
     assert all(c == 0 for c in coeffs[1::2])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hom", "poincare", "torus", "5", "10000000000"),
+        ("hom", "poincare", "wreath", "5", "10000000000"),
+        ("construct", "snake", "100000000000"),
+    ],
+)
+def test_oversized_parameters_are_resource_limits(argv):
+    proc = _run_capped(*argv)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error (ResourceLimit): ")
+    proc = _run_capped(*argv, "--json")
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["error"]["kind"] == "ResourceLimit"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hom", "poincare", "wreath", str(MAX_SERIES_DEGREE), str(MAX_SERIES_DEGREE)),
+        ("hom", "poincare", "torus", "5", str(MAX_SERIES_DEGREE)),
+        ("construct", "snake", str(MAX_SNAKE_CELLS), "--json"),
+        ("construct", "snake", str(MAX_SNAKE_CELLS)),
+    ],
+)
+def test_largest_allowed_parameters_answer(argv):
+    proc = _run_capped(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
