@@ -21,14 +21,12 @@ from .decide import (
     Verdict,
     WitnessRef,
     CITATIONS,
-    decide,
-    validated_type,
     verdict,
 )
 from .dsl import ParseError, parse_endspace, parse_ordinal, parse_surface, parse_surface_type
 from .endspace import Canonical, INFINITE, SpaceInvariants, Summary, is_homeomorphic, normalize, summarize
 from .ordinal import compare, kind
-from .surface import ValidationError, surface_invariants, surfaces_homeomorphic, validate
+from .surface import surface_invariants, surfaces_homeomorphic, validate
 
 OK, PARSE_ERROR, VALIDATION_ERROR, INTERNAL_ERROR = 0, 2, 3, 4
 
@@ -195,7 +193,7 @@ def _cmd_surface_homeo(args) -> int:
 def _cmd_decide(args) -> int:
     if args.jsonl:
         return _run_batch(args)
-    v = decide(parse_surface(args.surface))
+    v = verdict(*parse_surface_type(args.surface))
     return _emit(args, verdict_json(v), _verdict_text(v))
 
 
@@ -226,11 +224,10 @@ def _batch_line(line: str) -> str:
     if not line:
         return json.dumps({"error": {"kind": "empty_line"}})
     try:
-        genus, boundary, s = parse_surface_type(line)
-        return _verdict_line(genus, boundary, validated_type(genus, s))
+        return _verdict_line(*parse_surface_type(line))
     except ParseError as err:
         return json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}})
-    except (ValidationError, DecisionError) as err:
+    except DecisionError as err:
         return json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}})
     except _INTERNAL as err:
         return json.dumps({"error": {"kind": "internal", "message": str(err)}})
@@ -239,7 +236,8 @@ def _batch_line(line: str) -> str:
 @lru_cache(maxsize=1024)
 def _verdict_line(genus: int | float, boundary: int, s: Summary) -> str:
     """The JSON line of the verdict on one surface type; batch lines of the
-    same type share it.  Errors are raised, not kept."""
+    same type share it.  Errors are raised, not kept.  Validity depends on
+    the key alone, so a hit skips the validation as well."""
     return json.dumps(verdict_json(verdict(genus, boundary, s)), sort_keys=True)
 
 
@@ -417,13 +415,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as err:
         _report_error(args, "parse", str(err), {"offset": err.offset, "expected": list(err.expected)})
         return PARSE_ERROR
-    except (ValidationError, DecisionError, homology.BadParameter, homology.UnknownPreset, homology.OutOfTable) as err:
-        _report_error(args, type(err).__name__, str(err))
-        return VALIDATION_ERROR
     except _INTERNAL as err:
         _report_error(args, "internal", str(err))
         return INTERNAL_ERROR
-    except ValueError as err:
+    except (ValueError, homology.OutOfTable) as err:
         _report_error(args, type(err).__name__, str(err))
         return VALIDATION_ERROR
 

@@ -41,11 +41,6 @@ class GridPath(Value):
         return len(self.points)
 
 
-def ball_size(radius: int) -> int:
-    """Number of half-plane cells (x, y), y >= 0, with max(|x|, y) <= radius."""
-    return (2 * radius + 1) * (radius + 1)
-
-
 def _shell(radius: int) -> list[tuple[int, int]]:
     """Cells at sup-norm distance exactly `radius`, ordered along the walk.
 

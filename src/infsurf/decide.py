@@ -17,8 +17,8 @@ from typing import Optional
 
 from . import homology
 from ._value import Value
-from .endspace import Canonical, INFINITE, NormalForm, Scattered, Summary, TdMax
-from .surface import SurfaceDescriptor, ValidationError, validate, validate_type
+from .endspace import Canonical, INFINITE, NormalForm, Scattered, Summary, TdMax, summarize
+from .surface import SurfaceDescriptor, ValidationError, validate_type
 
 YES = "yes"
 NO = "no"
@@ -298,35 +298,24 @@ def _even_degree_witness(p: int) -> WitnessRef:
 # -- the decision table -----------------------------------------------------
 
 
-def validated(d: SurfaceDescriptor) -> Summary:
-    """The summary of the ends of a valid descriptor, as ``validate`` gives
-    it; an invalid descriptor raises InvalidDescriptor."""
-    try:
-        return validate(d)
-    except ValidationError as err:
-        raise InvalidDescriptor(str(err)) from err
-
-
-def validated_type(genus: int | float, s: Summary) -> Summary:
-    """``validated`` on a descriptor of this genus whose ends summarize to `s`."""
-    try:
-        return validate_type(genus, s)
-    except ValidationError as err:
-        raise InvalidDescriptor(str(err)) from err
-
-
 def decide(d: SurfaceDescriptor) -> Verdict:
     """Map a valid, boundaryless, infinite-type descriptor to its verdict."""
-    return verdict(d.genus, d.boundary, validated(d))
+    return verdict(d.genus, d.boundary, summarize(d.ends))
 
 
 def verdict(genus: int | float, boundary: int, s: Summary) -> Verdict:
     """The verdict on the surface type given by a genus, a boundary count and
-    the validated summary of the ends.
+    the summary of the ends.
 
-    A pure function of its arguments: equal arguments give equal verdicts,
-    so a caller may keep the result per type.
+    The one place a surface type is validated and decided: an invalid type
+    raises InvalidDescriptor, then a boundary HasBoundary, then a finite type
+    NotInfiniteType.  A pure function of its arguments: equal arguments give
+    equal verdicts, so a caller may keep the result per type.
     """
+    try:
+        validate_type(genus, s)
+    except ValidationError as err:
+        raise InvalidDescriptor(str(err)) from err
     if boundary != 0:
         raise HasBoundary(f"the decision table covers boundaryless surfaces, got boundary={boundary}")
     if genus != INFINITE and not s.is_infinite():
@@ -362,15 +351,28 @@ def verdict(genus: int | float, boundary: int, s: Summary) -> Verdict:
 _Row = tuple[Answer, Answer, Answer, Optional[TdMax], Optional[str], tuple[str, ...]]
 
 
+def _yes_from_I(
+    citation: str,
+    witness: WitnessRef,
+    td: Optional[TdMax] = None,
+    witness_set: Optional[str] = None,
+    note: Optional[str] = None,
+) -> _Row:
+    """Question I answered yes with its witness; II and III follow from I."""
+    qI = Answer(YES, citation, coefficients=INTEGRAL, witness=witness, note=note)
+    propagated = Answer(
+        YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note="propagated from question I"
+    )
+    return (qI, propagated, propagated, td, witness_set, ())
+
+
 def _decide_infinite_genus(p: int | float, mixed: bool) -> _Row:
     no_compact = Answer(NO, "infinite-genus-compact-vanishing", coefficients=ANY_FIELD)
     if p == 0:
-        cite = "infinite-genus-no-punctures-vanishing"
         note = "questions I, II and III coincide without punctures"
         qI = Answer(NO, "infinite-genus-compact-vanishing", coefficients=ANY_FIELD, note=note)
-        return (qI, Answer(NO, cite, coefficients=ANY_FIELD, note=note),
-                Answer(NO, cite, coefficients=ANY_FIELD, note=note), None, None,
-                (note,))
+        a = Answer(NO, "infinite-genus-no-punctures-vanishing", coefficients=ANY_FIELD, note=note)
+        return (qI, a, a, None, None, (note,))
     if p != INFINITE:
         witness = _even_degree_witness(int(p))
         qII = Answer(YES, "infinite-genus-finite-punctures-nonvanishing", coefficients=INTEGRAL, witness=witness)
@@ -383,69 +385,51 @@ def _decide_infinite_genus(p: int | float, mixed: bool) -> _Row:
         )
         return (no_compact, qII, qIII, None, "punctures", ())
     if mixed:
-        cite = "mixed-end-vanishing"
-        return (no_compact, Answer(NO, cite, coefficients=ANY_FIELD),
-                Answer(NO, cite, coefficients=ANY_FIELD), None, None, ())
-    cite = "infinite-genus-unmixed-open"
-    return (no_compact, Answer(UNKNOWN, cite), Answer(UNKNOWN, cite), None, None, ())
+        a = Answer(NO, "mixed-end-vanishing", coefficients=ANY_FIELD)
+    else:
+        a = Answer(UNKNOWN, "infinite-genus-unmixed-open")
+    return (no_compact, a, a, None, None, ())
 
 
 def _decide_finite_genus(g: int) -> _Row:
     witness = _torus_witness() if g == 1 else _closed_surface_witness(g)
-    cite = "finite-genus-nonvanishing"
-    qI = Answer(YES, cite, coefficients=INTEGRAL, witness=witness)
-    prop = "propagated from question I"
-    return (
-        qI,
-        Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop),
-        Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop),
-        None,
-        None,
-        (),
-    )
+    return _yes_from_I("finite-genus-nonvanishing", witness)
 
 
 def _decide_genus_zero(p: int | float, nf: NormalForm, s: Summary) -> _Row:
     if p != INFINITE:
         p = int(p)
         if p <= 1:
-            cite = "cantor-tree-vanishing"
-            a = Answer(NO, cite, coefficients=ANY_COEFFICIENTS)
+            a = Answer(NO, "cantor-tree-vanishing", coefficients=ANY_COEFFICIENTS)
             return (a, a, a, None, None, ())
         if p <= 3:
-            open_cite = "two-or-three-punctures-open"
+            a = Answer(UNKNOWN, "two-or-three-punctures-open")
             qIII = Answer(
                 YES,
                 "two-or-three-punctures-braid-sign",
                 coefficients=INTEGRAL,
                 witness=_braid_sign_witness(p),
             )
-            return (Answer(UNKNOWN, open_cite), Answer(UNKNOWN, open_cite), qIII, None, "punctures", ())
-        witness = _distinguished_witness(p)
-        qI = Answer(YES, "distinguished-ends-nonvanishing", coefficients=INTEGRAL, witness=witness)
-        prop = "propagated from question I"
-        qII = Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop)
-        qIII = Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop)
-        return (qI, qII, qIII, None, "punctures", ())
+            return (a, a, qIII, None, "punctures", ())
+        return _yes_from_I("distinguished-ends-nonvanishing", _distinguished_witness(p), witness_set="punctures")
 
     td = s.td_max()
     if td.at_least(4):
-        witness = _distinguished_witness(td.value)
         note = None if td.exact else "distinguished set certified by a lower bound"
-        qI = Answer(YES, "distinguished-ends-nonvanishing", coefficients=INTEGRAL, witness=witness, note=note)
-        prop = "propagated from question I"
-        qII = Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop)
-        qIII = Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=prop)
-        return (qI, qII, qIII, td, "distinguished end set", ())
+        return _yes_from_I(
+            "distinguished-ends-nonvanishing",
+            _distinguished_witness(td.value),
+            td=td,
+            witness_set="distinguished end set",
+            note=note,
+        )
     if isinstance(nf, Canonical):
         part = nf.form.scattered
         if not nf.form.has_kernel and isinstance(part, Scattered) and part.copies == 1:
-            cite = "single-interval-vanishing"
-            a = Answer(NO, cite, coefficients=ANY_FIELD)
+            a = Answer(NO, "single-interval-vanishing", coefficients=ANY_FIELD)
             return (a, a, a, td, None, ())
-    cite = "genus-zero-infinite-punctures-open"
     notes = () if td.exact else ("indeterminate invariant: only a lower bound for the distinguished set is certified",)
-    a = Answer(UNKNOWN, cite)
+    a = Answer(UNKNOWN, "genus-zero-infinite-punctures-open")
     return (a, a, a, td, None, notes)
 
 

@@ -9,7 +9,7 @@ the decision engine.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, fsum, log10
 from typing import Iterable
 
 from ._value import Value
@@ -312,15 +312,6 @@ def preset(name: str, n: int | None = None) -> FinitePresentation:
 # witness arithmetic
 
 
-def full_twist_image(n: int) -> int:
-    """Image n(n-1) of the full twist in Z/(2n-2): 0 for even n, n-1 for odd n."""
-    if n < 2:
-        raise BadParameter("need n >= 2")
-    r = (n * (n - 1)) % (2 * n - 2)
-    assert r == (0 if n % 2 == 0 else n - 1)
-    return r
-
-
 def k_of(n: int) -> int:
     """k = n-1 for even n and (n-1)/2 for odd n."""
     if n < 2:
@@ -410,6 +401,20 @@ result holds max_degree + 1 integers; at this bound a call takes well
 under a second.
 """
 
+MAX_SERIES_DIGITS = 4300
+"""Most decimal digits in a coefficient of ``poincare_series``.
+
+Python prints no longer int by default (its int-to-string limit).  The
+torus series grows with p without bound, and past this size its comb()
+calls alone can run for minutes.
+"""
+
+
+def _log10_comb(n: int, m: int) -> float:
+    """log10 C(n, m) from min(m, n-m) logarithms, without computing C(n, m)."""
+    m = min(m, n - m)
+    return fsum(log10(n - m + i) - log10(i) for i in range(1, m + 1))
+
 
 def poincare_series(kind: str, p: int, max_degree: int) -> tuple[int, ...]:
     """Exact coefficients, degrees 0..max_degree, of the rational series for
@@ -427,6 +432,12 @@ def poincare_series(kind: str, p: int, max_degree: int) -> tuple[int, ...]:
     if max_degree > MAX_SERIES_DEGREE:
         raise ResourceLimit(f"max_degree is at most {MAX_SERIES_DEGREE}, got {max_degree}")
     if kind == TORUS_POWER:
+        # the coefficients grow with the degree, so the last one is the largest
+        if _log10_comb(max_degree // 2 + p - 1, max_degree // 2) >= MAX_SERIES_DIGITS:
+            raise ResourceLimit(
+                f"the torus series to degree {max_degree} has a coefficient of more than "
+                f"{MAX_SERIES_DIGITS} digits"
+            )
         return tuple(0 if deg % 2 else comb(deg // 2 + p - 1, p - 1) for deg in range(max_degree + 1))
     if kind != WREATH_QUOTIENT:
         raise BadParameter(f"unknown series kind {kind!r}")

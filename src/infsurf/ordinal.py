@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import total_ordering
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Kind(Enum):
@@ -212,18 +212,3 @@ def div_omega(b: Ordinal) -> Ordinal:
             out.append((exp, coeff))
     # g -> g-1 keeps finite exponents >= 1 apart and below the infinite ones
     return _cnf(tuple(out))
-
-
-def max_of(values: Sequence[Ordinal]) -> tuple[Ordinal, int]:
-    """Maximum of a nonempty sequence together with its multiplicity."""
-    if not values:
-        raise ValueError("max_of needs a nonempty sequence")
-    best = values[0]
-    mult = 1
-    for v in values[1:]:
-        c = compare(v, best)
-        if c > 0:
-            best, mult = v, 1
-        elif c == 0:
-            mult += 1
-    return best, mult

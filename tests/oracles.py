@@ -7,7 +7,8 @@ brute force.  Integer matrices get their determinants by fraction-free
 elimination and their minor gcds by enumerating minors.  The end-space
 facts that `endspace.summarize` gathers in one pass are recomputed here by
 one recursion per fact, and descriptors are parsed by the character
-scanner the engine's tokenizer replaced.
+scanner the engine's tokenizer replaced.  The few helpers only the tests
+need (`max_of`, `full_twist_image`, `ball_size`) live here too.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from infsurf.endspace import (
     union,
 )
 from infsurf.dsl import ParseError
-from infsurf.homology import IntegerMatrix
+from infsurf.homology import BadParameter, IntegerMatrix
 from infsurf.ordinal import ONE, ZERO, Kind, Ordinal, add, compare, from_int, kind, omega_pow
 from infsurf.surface import SurfaceDescriptor
 
@@ -109,6 +110,21 @@ def top_rank_profile(e: EndSpaceExpr) -> tuple[Ordinal, int]:
     if isinstance(e, LimitCompactification):
         return add(e.sup, ONE), 1
     raise AssertionError(f"profile oracle only covers countable expressions, got {e!r}")
+
+
+def max_of(values: list[Ordinal]) -> tuple[Ordinal, int]:
+    """Maximum of a nonempty sequence together with its multiplicity."""
+    if not values:
+        raise ValueError("max_of needs a nonempty sequence")
+    best = values[0]
+    mult = 1
+    for v in values[1:]:
+        c = compare(v, best)
+        if c > 0:
+            best, mult = v, 1
+        elif c == 0:
+            mult += 1
+    return best, mult
 
 
 # -- integer matrices -------------------------------------------------------------
@@ -414,6 +430,23 @@ def torus_power_series(p: int, max_degree: int) -> tuple[int, ...]:
         for deg in range(2, max_degree + 1):
             coeff[deg] += coeff[deg - 2]
     return tuple(coeff)
+
+
+def full_twist_image(n: int) -> int:
+    """Image n(n-1) of the full twist in Z/(2n-2): 0 for even n, n-1 for odd n."""
+    if n < 2:
+        raise BadParameter("need n >= 2")
+    r = (n * (n - 1)) % (2 * n - 2)
+    assert r == (0 if n % 2 == 0 else n - 1)
+    return r
+
+
+# -- grid paths ------------------------------------------------------------------
+
+
+def ball_size(radius: int) -> int:
+    """Number of half-plane cells (x, y), y >= 0, with max(|x|, y) <= radius."""
+    return (2 * radius + 1) * (radius + 1)
 
 
 # -- reference parser ------------------------------------------------------------

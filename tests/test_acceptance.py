@@ -8,7 +8,7 @@ import random
 import time
 
 from infsurf.catalog import CATALOG
-from infsurf.constructions import ball_size, snake_bijection
+from infsurf.constructions import snake_bijection
 from infsurf.decide import ANY_COEFFICIENTS, ANY_FIELD, INTEGRAL, NO, UNKNOWN, YES, decide
 from infsurf.dsl import parse_surface
 from infsurf.endspace import (
@@ -31,7 +31,6 @@ from infsurf.homology import (
     IntegerMatrix,
     WREATH_QUOTIENT,
     abelianize,
-    full_twist_image,
     k_of,
     poincare_series,
     preset,
@@ -39,7 +38,15 @@ from infsurf.homology import (
     smith_normal_form,
 )
 from infsurf.ordinal import ONE, Ordinal, add, from_int, omega_pow
-from oracles import determinant, gcd_of_minors, matmul, partitions_with_max_part, top_rank_profile
+from oracles import (
+    ball_size,
+    determinant,
+    full_twist_image,
+    gcd_of_minors,
+    matmul,
+    partitions_with_max_part,
+    top_rank_profile,
+)
 
 EXPECTED_CODES = {
     "yes": (YES, INTEGRAL),

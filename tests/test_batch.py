@@ -210,6 +210,37 @@ def test_batch_equals_the_tree_path_on_generated_and_nested_lines(tmp_path, caps
     assert run_batch(capsys, f) == (0, expected)
 
 
+def test_single_call_prints_the_batch_line(tmp_path, capsys):
+    # one decide path: a single `decide --json` and a batch line of the same
+    # text agree, on verdicts byte for byte and on errors by kind
+    rng = random.Random(4409)
+    texts = [c.descriptor for c in CATALOG] + differential_texts(rng, 150, MAX_DEPTH)
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(texts) + "\n", encoding="utf-8")
+    code, lines = run_batch(capsys, f)
+    assert code == 0 and len(lines) == len(texts)
+    kinds = set()
+    for text, line in zip(texts, lines):
+        row = json.loads(line)
+        if "error" not in row:
+            answers = [row[q]["answer"] for q in ("qI", "qII", "qIII")]
+            for premise, conclusion in zip(answers, answers[1:]):
+                assert premise != "yes" or conclusion == "yes", text
+        if not text.strip():
+            continue  # a single call needs a descriptor; the batch line is empty_line
+        rc = main(["decide", "--json", text])
+        out = capsys.readouterr()
+        assert rc in (0, 2, 3, 4) and "Traceback" not in out.err, text
+        kind = row["error"]["kind"] if "error" in row else "verdict"
+        kinds.add(kind)
+        if kind == "verdict":
+            assert (rc, out.out) == (0, line + "\n"), text
+        else:
+            assert json.loads(out.out)["error"]["kind"] == kind, text
+            assert rc == {"parse": 2, "internal": 4}.get(kind, 3), text
+    assert kinds == {"verdict", "parse", "HasBoundary", "NotInfiniteType", "InvalidDescriptor"}
+
+
 def test_internal_error_is_one_error_line(tmp_path, capsys, monkeypatch):
     def broken():
         raise InternalInvariantViolation("witness self-check failed")

@@ -316,6 +316,9 @@ def test_torus_poincare_huge_p_answers_at_once():
         ("hom", "poincare", "torus", "5", "10000000000"),
         ("hom", "poincare", "wreath", "5", "10000000000"),
         ("construct", "snake", "100000000000"),
+        # the torus coefficients would pass Python's 4 300-digit print limit
+        ("hom", "poincare", "torus", "100000000000", "2000"),
+        ("hom", "poincare", "torus", "1" + "0" * 300, "2000"),
     ],
 )
 def test_oversized_parameters_are_resource_limits(argv):
@@ -347,10 +350,10 @@ def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
     import infsurf.cli as cli
     from infsurf.decide import InternalInvariantViolation
 
-    def boom(_):
+    def boom(*_):
         raise InternalInvariantViolation("chain broken")
 
-    monkeypatch.setattr(cli, "decide", boom)
+    monkeypatch.setattr(cli, "verdict", boom)
     code, _, err = run(capsys, "decide", "surface(genus=0, boundary=0, ends=cantor)")
     assert code == 4
     assert "chain broken" in err

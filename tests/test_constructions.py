@@ -1,6 +1,7 @@
 import pytest
 
-from infsurf.constructions import GridPath, ball_size, snake_bijection
+from infsurf.constructions import GridPath, snake_bijection
+from oracles import ball_size
 
 
 def test_starts_at_the_origin():

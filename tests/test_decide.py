@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from infsurf import endspace, surface
+from infsurf import decide as decide_module, endspace, surface
 from infsurf.catalog import CATALOG
 from infsurf.decide import (
     ANY_COEFFICIENTS,
@@ -18,7 +18,6 @@ from infsurf.decide import (
     UNKNOWN,
     YES,
     decide,
-    validated,
     verdict,
     witness_for,
 )
@@ -127,6 +126,11 @@ def test_preconditions():
         D("surface(genus=2, boundary=0, ends=U(pt, pt))")
     with pytest.raises(InvalidDescriptor):
         D("surface(genus=0, boundary=0, ends=pt!np)")
+    # a type failing several checks reports the first: invalid, boundary, finite type
+    with pytest.raises(InvalidDescriptor):
+        D("surface(genus=0, boundary=1, ends=U(pt, pt!np))")
+    with pytest.raises(HasBoundary):
+        D("surface(genus=2, boundary=1, ends=U(pt, pt))")
 
 
 def test_witness_for_accessor():
@@ -213,6 +217,7 @@ def test_decide_summarizes_the_ends_once(monkeypatch):
 
     monkeypatch.setattr(endspace, "summarize", counting)
     monkeypatch.setattr(surface, "summarize", counting)
+    monkeypatch.setattr(decide_module, "summarize", counting)
     for entry in CATALOG:
         d = parse_surface(entry.descriptor)
         seen.clear()
@@ -234,8 +239,8 @@ def test_decide_is_validate_then_a_table_of_the_surface_type():
         except (HasBoundary, NotInfiniteType, InvalidDescriptor) as err:
             kinds.add(type(err))
             with pytest.raises(type(err), match=re.escape(str(err))):
-                verdict(d.genus, d.boundary, validated(d))
+                verdict(d.genus, d.boundary, endspace.summarize(d.ends))
             continue
         kinds.add(None)
-        assert verdict(d.genus, d.boundary, validated(d)) == want
+        assert verdict(d.genus, d.boundary, endspace.summarize(d.ends)) == want
     assert kinds == {None, HasBoundary, NotInfiniteType, InvalidDescriptor}

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infsurf.catalog import CATALOG
-from infsurf.decide import InvalidDescriptor, validated, validated_type
 from infsurf.dsl import (
     MAX_DEPTH,
     MAX_DIGITS,
@@ -28,6 +27,7 @@ from infsurf.endspace import (
     union,
 )
 from infsurf.ordinal import OMEGA, ZERO, from_int, omega_pow
+from infsurf.surface import ValidationError, validate, validate_type
 from oracles import (
     differential_texts,
     mutate_text,
@@ -344,8 +344,8 @@ def _tree_result(text: str) -> tuple:
         return ("parse", err.offset, err.expected, err.message)
     s = summarize(d.ends)
     try:
-        validated(d)
-    except InvalidDescriptor as err:
+        validate(d)
+    except ValidationError as err:
         return (d.genus, d.boundary, s, str(err))
     return (d.genus, d.boundary, s, None)
 
@@ -357,8 +357,8 @@ def _fused_result(text: str) -> tuple:
     except ParseError as err:
         return ("parse", err.offset, err.expected, err.message)
     try:
-        assert validated_type(genus, s) is s
-    except InvalidDescriptor as err:
+        assert validate_type(genus, s) is s
+    except ValidationError as err:
         return (genus, boundary, s, str(err))
     return (genus, boundary, s, None)
 

@@ -1,4 +1,6 @@
 import random
+import time
+from math import comb
 
 import pytest
 
@@ -8,12 +10,13 @@ from infsurf.homology import (
     FinitePresentation,
     H2_MAP_CLOSED,
     IntegerMatrix,
+    MAX_SERIES_DIGITS,
     OutOfTable,
+    ResourceLimit,
     TORUS_POWER,
     UnknownPreset,
     WREATH_QUOTIENT,
     abelianize,
-    full_twist_image,
     h_lookup,
     k_of,
     poincare_series,
@@ -23,6 +26,7 @@ from infsurf.homology import (
 )
 from oracles import (
     determinant,
+    full_twist_image,
     gcd_of_minors,
     identity_matrix,
     matmul,
@@ -304,6 +308,23 @@ def test_torus_power_series():
         p = rng.randint(1, 5)
         deg = 2 * rng.randint(0, 12)
         assert poincare_series(TORUS_POWER, p, deg) == torus_power_series(p, deg)
+
+
+def test_torus_series_stops_at_the_digit_budget():
+    # C(p+9, 10) ~ p^10/10!: 4 294 digits at p = 10^430, 4 314 at 10^432
+    p = 10**430
+    top = poincare_series(TORUS_POWER, p, 20)[20]
+    assert top == comb(p + 9, 10) and len(str(top)) <= MAX_SERIES_DIGITS
+    p = 10**432
+    assert comb(p + 9, 10) >= 10**MAX_SERIES_DIGITS
+    with pytest.raises(ResourceLimit):
+        poincare_series(TORUS_POWER, p, 20)
+    # refused from an estimate, before any coefficient is computed
+    for p in (10**11, 10**300, 10**4000):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit):
+            poincare_series(TORUS_POWER, p, 2000)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_wreath_series_counts_bounded_partitions():

@@ -13,11 +13,18 @@ from infsurf.ordinal import (
     div_omega,
     from_int,
     kind,
-    max_of,
     omega_pow,
 )
 from infsurf.dsl import parse_ordinal
-from oracles import div_omega_vector, from_vector, fundamental_sequence, random_ordinal, random_ordinal_text, to_vector
+from oracles import (
+    div_omega_vector,
+    from_vector,
+    fundamental_sequence,
+    max_of,
+    random_ordinal,
+    random_ordinal_text,
+    to_vector,
+)
 
 W2 = omega_pow(from_int(2))
 W_OMEGA = omega_pow(OMEGA)
