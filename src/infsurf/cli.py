@@ -16,7 +16,6 @@ from typing import Any, Optional
 from . import constructions, homology
 from .decide import (
     Answer,
-    DecisionError,
     InternalInvariantViolation,
     Verdict,
     WitnessRef,
@@ -227,7 +226,8 @@ def _batch_line(line: str) -> str:
         return _verdict_line(*parse_surface_type(line))
     except ParseError as err:
         return json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}})
-    except DecisionError as err:
+    except ValueError as err:
+        # a DecisionError or a ResourceLimit, as the single call reports it
         return json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}})
     except _INTERNAL as err:
         return json.dumps({"error": {"kind": "internal", "message": str(err)}})
@@ -250,7 +250,7 @@ def _cmd_hom_snf(args) -> int:
         ):
             raise ValueError("every matrix entry must be an integer")
         matrix = homology.IntegerMatrix.from_rows(rows)
-    except (json.JSONDecodeError, TypeError, ValueError) as err:
+    except (json.JSONDecodeError, RecursionError, TypeError, ValueError) as err:
         raise ParseError(0, ("JSON matrix, e.g. [[2,4],[6,8]]",), str(err)) from err
     res = homology.smith_normal_form(matrix)
     payload = {
@@ -300,9 +300,8 @@ def _cmd_hom_abelianize(args) -> int:
 
 
 def _cmd_hom_poincare(args) -> int:
-    kind_name = {"torus": homology.TORUS_POWER, "wreath": homology.WREATH_QUOTIENT}.get(args.kind)
-    if kind_name is None:
-        raise homology.BadParameter(f"kind must be 'torus' or 'wreath', got {args.kind!r}")
+    # argparse has already refused any other kind
+    kind_name = {"torus": homology.TORUS_POWER, "wreath": homology.WREATH_QUOTIENT}[args.kind]
     coeffs = homology.poincare_series(kind_name, args.p, args.max_degree)
     return _emit(args, {"coefficients": list(coeffs)}, " ".join(str(c) for c in coeffs))
 

@@ -488,11 +488,8 @@ class Summary(NamedTuple):
             return Homeo.YES
         ka = isinstance(na, Irreducible) or na.form.has_kernel
         kb = isinstance(nb, Irreducible) or nb.form.has_kernel
+        # at least one side is irreducible, so no rank comparison can decide
         if ka != kb or self.isolated != other.isolated:
-            return Homeo.NO
-        ra = _canonical_rank(na.form) if isinstance(na, Canonical) else None
-        rb = _canonical_rank(nb.form) if isinstance(nb, Canonical) else None
-        if ra is not None and rb is not None and ra != rb:
             return Homeo.NO
         return Homeo.UNKNOWN
 
@@ -595,7 +592,7 @@ def join(parts: Sequence[Summary]) -> Summary:
 
 def _compactify(r: Summary, point: Mark) -> Summary:
     """Summary of the one-point compactification of countably many copies
-    of the space `r` summarizes, the added point marked `point`."""
+    of the non-empty space `r` summarizes, the added point marked `point`."""
     # a planar limit of non-planar ends would leave the non-planar set open
     if point is PLANAR and NONPLANAR in r.marks:
         violation: Optional[str] = ""
@@ -608,9 +605,6 @@ def _compactify(r: Summary, point: Mark) -> Summary:
         canon = EMPTY_CANON
         atoms = (SeqCompactification(_assemble(r)),)
         atom_rank, nested = max(_canonical_rank(c), add(r.atom_rank, ONE)), True
-    elif c.is_empty():
-        # compactifying nothing leaves just the added point
-        canon = _ONE_POINT
     elif c.has_kernel and c.scattered is None:
         # countably many Cantor sets plus a limit point: compact, perfect,
         # totally disconnected and metrizable, hence a Cantor set again

@@ -135,21 +135,22 @@ def surface_invariants(d: SurfaceDescriptor) -> SurfaceInvariants:
     )
 
 
-def _split_pair(e: EndSpaceExpr) -> Optional[tuple[Summary, Summary]]:
-    """Summaries of the (non-planar part, planar part) of the ends when the
-    non-planar set is a union of whole top-level summands (hence clopen);
-    None otherwise."""
-    summands = e.children if isinstance(e, DisjointUnion) else (e,)
-    np_parts: list[Summary] = []
-    p_parts: list[Summary] = []
-    for c in summands:
-        if isinstance(c, Empty):
-            continue
-        s = summarize(c)
-        if len(s.marks) != 1:
-            return None
-        (np_parts if NONPLANAR in s.marks else p_parts).append(s)
-    return join(np_parts), join(p_parts)
+def _summands(d: SurfaceDescriptor) -> tuple[Summary, list[Summary]]:
+    """``validate(d)`` and the summaries of the top-level summands of the ends
+    that it joins, each summarized once; the empty space has no summands."""
+    e = d.ends
+    summands = e.children if isinstance(e, DisjointUnion) else () if isinstance(e, Empty) else (e,)
+    parts = [summarize(c) for c in summands]
+    return validate_type(d.genus, parts[0] if len(parts) == 1 else join(parts)), parts
+
+
+def _split(parts: list[Summary]) -> Optional[tuple[Summary, Summary]]:
+    """Summaries of the (non-planar part, planar part) of the ends with these
+    summands when the non-planar set is a union of whole summands (hence
+    clopen); None otherwise."""
+    if any(len(s.marks) != 1 for s in parts):
+        return None
+    return join([s for s in parts if NONPLANAR in s.marks]), join([s for s in parts if NONPLANAR not in s.marks])
 
 
 def surfaces_homeomorphic(d1: SurfaceDescriptor, d2: SurfaceDescriptor) -> Homeo:
@@ -160,16 +161,15 @@ def surfaces_homeomorphic(d1: SurfaceDescriptor, d2: SurfaceDescriptor) -> Homeo
     pair to fall in the clopen fragment on both sides, with the non-planar
     parts and their complements each decidably homeomorphic.
     """
-    s1 = validate(d1)
-    s2 = validate(d2)
+    s1, parts1 = _summands(d1)
+    s2, parts2 = _summands(d2)
     if d1.genus != d2.genus or d1.boundary != d2.boundary:
         return Homeo.NO
     if s1.planar_isolated != s2.planar_isolated:
         return Homeo.NO
     if s1.homeomorphic_to(s2) is Homeo.NO:
         return Homeo.NO
-    split1 = _split_pair(d1.ends)
-    split2 = _split_pair(d2.ends)
+    split1, split2 = _split(parts1), _split(parts2)
     if split1 is None or split2 is None:
         return Homeo.UNKNOWN
     hx = split1[0].homeomorphic_to(split2[0])

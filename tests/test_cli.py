@@ -13,7 +13,7 @@ import infsurf
 from infsurf.cli import main
 from infsurf.dsl import MAX_DEPTH
 from infsurf.constructions import MAX_SNAKE_CELLS
-from infsurf.homology import MAX_SERIES_DEGREE, WREATH_QUOTIENT, IntegerMatrix, poincare_series
+from infsurf.homology import MAX_GENERATORS, MAX_SERIES_DEGREE, WREATH_QUOTIENT, IntegerMatrix, poincare_series
 from oracles import matmul
 
 
@@ -40,6 +40,18 @@ def test_ends_normalize(capsys):
     payload = json.loads(out)
     assert payload["status"] == "canonical"
     assert payload["expr"] == "I(w^2)"
+
+
+@pytest.mark.parametrize(
+    "flag, expected",
+    [
+        ((), "irreducible: seq1pc(U(cantor, pt))\n"),
+        (("--json",), '{"expr": "seq1pc(U(cantor, pt))", "status": "irreducible"}\n'),
+    ],
+)
+def test_ends_normalize_irreducible(capsys, flag, expected):
+    code, out, err = run(capsys, "ends", "normalize", "seq1pc(U(cantor,pt))", *flag)
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_ends_homeo(capsys):
@@ -128,9 +140,12 @@ def test_hom_snf_bad_json(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("matrix", ["[[1.5,2.7]]", "[[true,2]]", "[[1,2],[3,null]]", "[1,2]"])
+@pytest.mark.parametrize(
+    "matrix", ["[[1.5,2.7]]", "[[true,2]]", "[[1,2],[3,null]]", "[1,2]", pytest.param("[" * 20000, id="nested-20000")]
+)
 def test_hom_snf_rejects_non_integer_entries(capsys, matrix):
-    # int() would truncate 1.5 to 1 and read true as 1: a silently wrong answer
+    # int() would truncate 1.5 to 1 and read true as 1: a silently wrong
+    # answer; json.loads raises RecursionError on nesting 20 000 deep
     code, out, err = run(capsys, "hom", "snf", matrix)
     assert code == 2
     assert out == "" and "error (parse)" in err
@@ -152,6 +167,53 @@ def test_hom_abelianize_bad_integer_is_a_parse_error(capsys, text):
     code, _, err = run(capsys, "hom", "abelianize", text)
     assert code == 2
     assert "error (parse)" in err
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (
+            "gens=2; foo=1",
+            {
+                "expected": ["'gens='", "'rel='"],
+                "kind": "parse",
+                "message": "bad presentation chunk 'foo=1' at offset 8 (expected 'gens=', 'rel=')",
+                "offset": 8,
+            },
+        ),
+        (
+            "rel=1 2",
+            {
+                "expected": ["'gens='"],
+                "kind": "parse",
+                "message": "presentation needs a generator count at offset 0 (expected 'gens=')",
+                "offset": 0,
+            },
+        ),
+    ],
+)
+def test_hom_abelianize_malformed_presentation(capsys, text, error):
+    code, out, err = run(capsys, "hom", "abelianize", text)
+    assert (code, out) == (2, "")
+    assert err == f"error (parse): {error['message']}\n"
+    code, out, _ = run(capsys, "hom", "abelianize", text, "--json")
+    assert code == 2 and json.loads(out) == {"error": error}
+
+
+def test_hom_abelianize_needs_a_preset_or_a_presentation(capsys):
+    code, out, err = run(capsys, "hom", "abelianize")
+    assert (code, out, err) == (3, "", "error (BadParameter): give either --preset or a presentation\n")
+    code, out, _ = run(capsys, "hom", "abelianize", "--json")
+    assert code == 3
+    assert json.loads(out) == {"error": {"kind": "BadParameter", "message": "give either --preset or a presentation"}}
+
+
+def test_decide_needs_a_descriptor_or_a_batch_file(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["decide"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: infsurf") and err.endswith("error: decide needs a descriptor or --jsonl FILE\n")
 
 
 def test_hom_poincare(capsys):
@@ -244,6 +306,23 @@ def test_batch_mode_too_long_natural_is_a_parse_error_line(tmp_path, capsys):
     assert code == 2 and out == "" and err.startswith("error (parse): natural too long")
 
 
+def test_batch_mode_over_budget_line_is_a_resource_limit_line(tmp_path, capsys):
+    # its witness would abelianize a presentation on 1 999 generators; this
+    # line used to end the batch in a MemoryError before the second line
+    over = "surface(genus=0, boundary=0, ends=I(w^2*2000))"
+    f = tmp_path / "batch.jsonl"
+    f.write_text(f"{over}\nsurface(genus=1, boundary=0, ends=I(w))\n", encoding="utf-8")
+    code, out, err = run(capsys, "decide", "--jsonl", str(f))
+    assert code == 0 and err == ""
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 2
+    message = f"a presentation has at most {MAX_GENERATORS} generators, got 1999"
+    assert rows[0] == {"error": {"kind": "ResourceLimit", "message": message}}
+    assert rows[1]["qI"]["answer"] == "yes"
+    code, out, err = run(capsys, "decide", over)
+    assert (code, out, err) == (3, "", f"error (ResourceLimit): {message}\n")
+
+
 @pytest.mark.parametrize(
     "ends",
     [
@@ -319,6 +398,13 @@ def test_torus_poincare_huge_p_answers_at_once():
         # the torus coefficients would pass Python's 4 300-digit print limit
         ("hom", "poincare", "torus", "100000000000", "2000"),
         ("hom", "poincare", "torus", "1" + "0" * 300, "2000"),
+        # the witness for n distinguished ends abelianizes a presentation on
+        # n - 1 generators
+        ("decide", "surface(genus=0, boundary=0, ends=I(w^2*1000))"),
+        ("decide", "surface(genus=0, boundary=0, ends=U(cantor, I(1000000000)))"),
+        ("hom", "abelianize", "--preset", "spherical_braid", "-n", "2000"),
+        ("hom", "abelianize", "--preset", "braid", "-n", str(MAX_GENERATORS + 2)),
+        ("hom", "abelianize", "gens=1000000000; rel=1"),
     ],
 )
 def test_oversized_parameters_are_resource_limits(argv):
@@ -338,6 +424,8 @@ def test_oversized_parameters_are_resource_limits(argv):
         ("hom", "poincare", "torus", "5", str(MAX_SERIES_DEGREE)),
         ("construct", "snake", str(MAX_SNAKE_CELLS), "--json"),
         ("construct", "snake", str(MAX_SNAKE_CELLS)),
+        ("hom", "abelianize", "--preset", "spherical_braid", "-n", str(MAX_GENERATORS + 1)),
+        ("decide", f"surface(genus=0, boundary=0, ends=U(cantor, I({MAX_GENERATORS})))"),
     ],
 )
 def test_largest_allowed_parameters_answer(argv):

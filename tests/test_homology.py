@@ -4,12 +4,14 @@ from math import comb
 
 import pytest
 
+from infsurf import homology
 from infsurf.homology import (
     AbelianGroup,
     BadParameter,
     FinitePresentation,
     H2_MAP_CLOSED,
     IntegerMatrix,
+    MAX_GENERATORS,
     MAX_SERIES_DIGITS,
     OutOfTable,
     ResourceLimit,
@@ -215,6 +217,24 @@ def test_preset_errors():
         preset("sl2z", 4)
 
 
+def test_generator_budget(monkeypatch):
+    assert FinitePresentation(MAX_GENERATORS, ()).ngens == MAX_GENERATORS
+    with pytest.raises(ResourceLimit):
+        FinitePresentation(MAX_GENERATORS + 1, ())
+
+    def no_relators(n):
+        raise AssertionError("relators built past the budget")
+
+    # a preset on n strands has n - 1 generators and is refused before any
+    # of its ~n^2/2 relators is built
+    monkeypatch.setattr(homology, "_braid_relators", no_relators)
+    for name in ("braid", "symmetric", "spherical_braid"):
+        with pytest.raises(ResourceLimit):
+            preset(name, MAX_GENERATORS + 2)
+        with pytest.raises(ResourceLimit):
+            preset(name, 10**9)
+
+
 def test_abelianize_is_invariant_under_tietze_moves():
     rng = random.Random(103)
     bases = [preset("braid", 4), preset("spherical_braid", 5), preset("symmetric", 3), preset("sl2z")]
@@ -278,6 +298,18 @@ def test_square_reports(n, k, nonzero):
     assert report.element_nonzero is nonzero
     assert report.square_commutes
     assert report.full_twist_residue == 0
+
+
+def test_square_report_matches_the_residue_scan():
+    # the closed form against the scan over residues that it replaced
+    for n in range(2, 300):
+        k = k_of(n)
+        commutes = all((2 * (x % k)) % (2 * k) == (2 * x) % (2 * k) for x in range(4 * k))
+        injective = len({(2 * x) % (2 * k) for x in range(k)}) == k
+        assert prop74_square(n).square_commutes is (commutes and injective), n
+    # a huge n answers at once
+    report = prop74_square(10**30)
+    assert report.square_commutes and report.full_twist_residue == 0
 
 
 # -- lookup table -------------------------------------------------------------------

@@ -2,8 +2,14 @@ import random
 
 import pytest
 
+from infsurf import surface
+from infsurf.catalog import CATALOG
+from infsurf.dsl import parse_surface
 from infsurf.endspace import (
+    EMPTY,
     Cantor,
+    DisjointUnion,
+    Empty,
     Homeo,
     INFINITE,
     Interval,
@@ -175,6 +181,33 @@ def test_homeo_is_reflexive_and_symmetric():
                 ib.punctures,
                 ib.mixed_end,
             )
+
+
+def test_homeo_summarizes_each_summand_once(monkeypatch):
+    # the summaries of the top-level summands give both the validation (their
+    # join) and the clopen split, so each end tree is walked once and a
+    # union's root is never summarized on its own
+    seen = []
+    fold = surface.summarize
+
+    def counting(e):
+        seen.append(e)
+        return fold(e)
+
+    monkeypatch.setattr(surface, "summarize", counting)
+    texts = [c.descriptor for c in CATALOG] + [
+        "surface(genus=inf, boundary=0, ends=U(cantor!np, I(w), seq1pc(pt)))",
+        "surface(genus=inf, boundary=0, ends=seq1pc(U(cantor!np, pt); np))",
+    ]
+    pairs = [(parse_surface(t), parse_surface(t)) for t in texts]
+    pairs.append((SurfaceDescriptor(0, 0, EMPTY), SurfaceDescriptor(0, 0, EMPTY)))
+    for a, b in pairs:
+        seen.clear()
+        surfaces_homeomorphic(a, b)
+        summands = []
+        for e in (a.ends, b.ends):
+            summands += e.children if isinstance(e, DisjointUnion) else [] if isinstance(e, Empty) else [e]
+        assert len(seen) == len(summands) and all(x is y for x, y in zip(seen, summands)), str(a)
 
 
 # -- random valid descriptors --------------------------------------------------
