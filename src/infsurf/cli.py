@@ -2,13 +2,15 @@
 
 Exit codes: 0 success (an unknown verdict is a success), 2 parse error,
 3 validation error (invalid descriptor, boundary, finite type, bad
-parameters), 4 internal invariant violation.
+parameters), 4 internal invariant violation.  A reader that closes stdout
+early ends the command quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from typing import Any, Optional
@@ -16,10 +18,14 @@ from typing import Any, Optional
 from . import constructions, homology
 from .decide import (
     Answer,
+    DerivedFacts,
     InternalInvariantViolation,
+    ROW_CACHE_SIZE,
     Verdict,
     WitnessRef,
     CITATIONS,
+    row,
+    row_key,
     verdict,
 )
 from .dsl import ParseError, parse_endspace, parse_ordinal, parse_surface, parse_surface_type
@@ -31,6 +37,9 @@ OK, PARSE_ERROR, VALIDATION_ERROR, INTERNAL_ERROR = 0, 2, 3, 4
 
 # a broken invariant of the engine itself, reported as kind "internal"
 _INTERNAL = (InternalInvariantViolation, AssertionError)
+
+# json.dumps(obj, sort_keys=True) builds its encoder on every call; this one is kept
+_dumps_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 def _count_json(n: int | float) -> Any:
@@ -63,8 +72,7 @@ def _answer_json(a: Answer) -> dict:
     return out
 
 
-def verdict_json(v: Verdict) -> dict:
-    d = v.derived
+def _derived_json(d: DerivedFacts) -> dict:
     derived: dict[str, Any] = {
         "genus": _count_json(d.genus),
         "genus_class": d.genus_class,
@@ -78,11 +86,15 @@ def verdict_json(v: Verdict) -> dict:
         derived["witness_set"] = d.witness_set
     if d.notes:
         derived["notes"] = list(d.notes)
+    return derived
+
+
+def verdict_json(v: Verdict) -> dict:
     return {
         "qI": _answer_json(v.qI),
         "qII": _answer_json(v.qII),
         "qIII": _answer_json(v.qIII),
-        "derived": derived,
+        "derived": _derived_json(v.derived),
     }
 
 
@@ -109,7 +121,7 @@ def _verdict_text(v: Verdict) -> str:
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> int:
     if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
+        print(_dumps_sorted(payload))
     else:
         print(text)
     return OK
@@ -237,8 +249,22 @@ def _batch_line(line: str) -> str:
 def _verdict_line(genus: int | float, boundary: int, s: Summary) -> str:
     """The JSON line of the verdict on one surface type; batch lines of the
     same type share it.  Errors are raised, not kept.  Validity depends on
-    the key alone, so a hit skips the validation as well."""
-    return json.dumps(verdict_json(verdict(genus, boundary, s)), sort_keys=True)
+    the key alone, so a hit skips the validation as well.
+
+    The line is ``json.dumps(verdict_json(v), sort_keys=True)``: "derived"
+    sorts first, so the type's derived facts come before the answers, which
+    are serialized once per table row."""
+    derived = _dumps_sorted(_derived_json(verdict(genus, boundary, s).derived))
+    return f'{{"derived": {derived}, {_answers_text(row_key(genus, s))}}}'
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _answers_text(key: tuple) -> str:
+    """The "qI", "qII" and "qIII" members of a verdict line in the table row
+    `key`, without the braces around them."""
+    qI, qII, qIII = row(key)[:3]
+    answers = {"qI": _answer_json(qI), "qII": _answer_json(qII), "qIII": _answer_json(qIII)}
+    return _dumps_sorted(answers)[1:-1]
 
 
 def _cmd_hom_snf(args) -> int:
@@ -324,7 +350,9 @@ def _cmd_citations(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     top = argparse.ArgumentParser(prog="infsurf", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -399,12 +427,26 @@ def _build_parser() -> argparse.ArgumentParser:
 def _report_error(args, kind_name: str, message: str, extra: Optional[dict] = None) -> None:
     if getattr(args, "json", False):
         payload = {"error": {"kind": kind_name, "message": message, **(extra or {})}}
-        print(json.dumps(payload, sort_keys=True))
+        print(_dumps_sorted(payload))
     else:
         print(f"error ({kind_name}): {message}", file=sys.stderr)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout because it wants no more: stop quietly,
+        # with stdout on devnull so the interpreter's last flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return OK
+    return code
+
+
+def _main(argv: Optional[list[str]]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "decide" and not args.jsonl and not args.surface:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import homology
 from ._value import Value
-from .endspace import Canonical, INFINITE, NormalForm, Scattered, Summary, TdMax, summarize
+from .endspace import INFINITE, Scattered, Summary, TdMax, summarize
 from .surface import SurfaceDescriptor, ValidationError, validate_type
 
 YES = "yes"
@@ -207,12 +207,11 @@ def _check_chain(v: Verdict) -> Verdict:
 
 # -- executed witnesses -----------------------------------------------------
 
-WITNESS_CACHE_SIZE = 128
-"""Witnesses kept per family; a batch names only a few distinct sizes, and
-a long one of many sizes cannot grow the caches without limit."""
+MAX_WITNESS_ENDS = homology.MAX_GENERATORS + 1
+"""Most distinguished ends, or punctures, the genus-0 witness covers: it
+abelianizes the spherical braid group on n strands, n - 1 generators."""
 
 
-@lru_cache(maxsize=1)
 def _torus_witness() -> WitnessRef:
     group = homology.abelianize(homology.preset("sl2z"))
     if str(group) != "Z/12":
@@ -224,7 +223,6 @@ def _torus_witness() -> WitnessRef:
     )
 
 
-@lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _closed_surface_witness(g: int) -> WitnessRef:
     group = homology.h_lookup(homology.H2_MAP_CLOSED, g)
     if group.rank == 0 and not group.torsion:
@@ -236,7 +234,6 @@ def _closed_surface_witness(g: int) -> WitnessRef:
     )
 
 
-@lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _braid_sign_witness(p: int) -> WitnessRef:
     braid = homology.abelianize(homology.preset("braid", p))
     sym = homology.abelianize(homology.preset("symmetric", p))
@@ -249,8 +246,10 @@ def _braid_sign_witness(p: int) -> WitnessRef:
     )
 
 
-@lru_cache(maxsize=WITNESS_CACHE_SIZE)
-def _distinguished_witness(n: int) -> WitnessRef:
+def _distinguished_witness(n: int, counted: str) -> WitnessRef:
+    """The witness for `n` distinguished ends; `counted` names what n counts."""
+    if n > MAX_WITNESS_ENDS:
+        raise homology.ResourceLimit(f"the genus-0 witness covers at most {MAX_WITNESS_ENDS} {counted}, got {n}")
     report = homology.prop74_square(n)
     if not (report.element_nonzero and report.square_commutes):
         raise InternalInvariantViolation(f"distinguished-end witness failed for n={n}: {report}")
@@ -274,7 +273,6 @@ def _distinguished_witness(n: int) -> WitnessRef:
     )
 
 
-@lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _even_degree_witness(p: int) -> WitnessRef:
     degree = 20
     coeffs = homology.poincare_series(homology.WREATH_QUOTIENT, p, degree)
@@ -321,25 +319,14 @@ def verdict(genus: int | float, boundary: int, s: Summary) -> Verdict:
     if genus != INFINITE and not s.is_infinite():
         raise NotInfiniteType("the decision table covers infinite-type surfaces")
 
-    p = s.planar_isolated
-    mixed = s.mixed
-    nf = s.normal_form()
-    end_text = str(nf.form if isinstance(nf, Canonical) else nf.expr)
-    end_desc = nf.form.describe() if isinstance(nf, Canonical) else f"irreducible: {nf.expr}"
-
-    if genus == INFINITE:
-        row = _decide_infinite_genus(p, mixed)
-    elif genus > 0:
-        row = _decide_finite_genus(int(genus))
-    else:
-        row = _decide_genus_zero(p, nf, s)
-
-    qI, qII, qIII, td, witness_set, notes = row
+    qI, qII, qIII, td, witness_set, notes = row(row_key(genus, s))
+    end_text = s.normal_text()
+    end_desc = f"irreducible: {end_text}" if s.atoms else s.canon.describe()
     derived = DerivedFacts(
         genus=genus,
         genus_class="infinite" if genus == INFINITE else ("zero" if genus == 0 else "finite_positive"),
-        punctures=p,
-        mixed_end=mixed,
+        punctures=s.planar_isolated,
+        mixed_end=s.mixed,
         end_space=f"{end_text} ({end_desc})",
         td=td,
         witness_set=witness_set,
@@ -349,6 +336,39 @@ def verdict(genus: int | float, boundary: int, s: Summary) -> Verdict:
 
 
 _Row = tuple[Answer, Answer, Answer, Optional[TdMax], Optional[str], tuple[str, ...]]
+
+ROW_CACHE_SIZE = 256
+"""Rows kept by `row`.  A row reads only the few inputs of its key, so a
+batch of many surface types names few rows, and one of many sizes cannot
+grow the cache without limit."""
+
+
+def row_key(genus: int | float, s: Summary) -> tuple:
+    """The row of the table that a valid, boundaryless, infinite-type surface
+    type falls in, named by the rule and the only inputs that rule reads:
+    the genus g when it is finite and positive, the punctures and whether
+    an end is mixed at infinite genus, and at genus 0 the punctures when
+    finite, else the distinguished-set bound and whether the ends form a
+    single ordinal interval."""
+    p = s.planar_isolated
+    if genus == INFINITE:
+        return ("infinite_genus", p, s.mixed)
+    if genus > 0:
+        return ("finite_genus", int(genus))
+    if p != INFINITE:
+        return ("finite_punctures", int(p))
+    td = s.td_max()
+    part = s.canon.scattered
+    single = not s.atoms and not s.canon.has_kernel and isinstance(part, Scattered) and part.copies == 1
+    return ("infinite_punctures", td.value, td.exact, single)
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def row(key: tuple) -> _Row:
+    """The row `key` names (see `row_key`), its witnesses executed.  Equal
+    keys give equal rows, so the rows, and with them the witnesses, are kept."""
+    rule, *inputs = key
+    return _RULES[rule](*inputs)
 
 
 def _yes_from_I(
@@ -396,41 +416,52 @@ def _decide_finite_genus(g: int) -> _Row:
     return _yes_from_I("finite-genus-nonvanishing", witness)
 
 
-def _decide_genus_zero(p: int | float, nf: NormalForm, s: Summary) -> _Row:
-    if p != INFINITE:
-        p = int(p)
-        if p <= 1:
-            a = Answer(NO, "cantor-tree-vanishing", coefficients=ANY_COEFFICIENTS)
-            return (a, a, a, None, None, ())
-        if p <= 3:
-            a = Answer(UNKNOWN, "two-or-three-punctures-open")
-            qIII = Answer(
-                YES,
-                "two-or-three-punctures-braid-sign",
-                coefficients=INTEGRAL,
-                witness=_braid_sign_witness(p),
-            )
-            return (a, a, qIII, None, "punctures", ())
-        return _yes_from_I("distinguished-ends-nonvanishing", _distinguished_witness(p), witness_set="punctures")
+def _decide_finite_punctures(p: int) -> _Row:
+    """Genus 0 with finitely many punctures."""
+    if p <= 1:
+        a = Answer(NO, "cantor-tree-vanishing", coefficients=ANY_COEFFICIENTS)
+        return (a, a, a, None, None, ())
+    if p <= 3:
+        a = Answer(UNKNOWN, "two-or-three-punctures-open")
+        qIII = Answer(
+            YES,
+            "two-or-three-punctures-braid-sign",
+            coefficients=INTEGRAL,
+            witness=_braid_sign_witness(p),
+        )
+        return (a, a, qIII, None, "punctures", ())
+    return _yes_from_I(
+        "distinguished-ends-nonvanishing", _distinguished_witness(p, "punctures"), witness_set="punctures"
+    )
 
-    td = s.td_max()
+
+def _decide_infinite_punctures(td_value: int, td_exact: bool, single_interval: bool) -> _Row:
+    """Genus 0 with infinitely many punctures, from the bound on the
+    distinguished set and whether the ends are one ordinal interval."""
+    td = TdMax(td_value, td_exact)
     if td.at_least(4):
         note = None if td.exact else "distinguished set certified by a lower bound"
         return _yes_from_I(
             "distinguished-ends-nonvanishing",
-            _distinguished_witness(td.value),
+            _distinguished_witness(td.value, "distinguished ends"),
             td=td,
             witness_set="distinguished end set",
             note=note,
         )
-    if isinstance(nf, Canonical):
-        part = nf.form.scattered
-        if not nf.form.has_kernel and isinstance(part, Scattered) and part.copies == 1:
-            a = Answer(NO, "single-interval-vanishing", coefficients=ANY_FIELD)
-            return (a, a, a, td, None, ())
+    if single_interval:
+        a = Answer(NO, "single-interval-vanishing", coefficients=ANY_FIELD)
+        return (a, a, a, td, None, ())
     notes = () if td.exact else ("indeterminate invariant: only a lower bound for the distinguished set is certified",)
     a = Answer(UNKNOWN, "genus-zero-infinite-punctures-open")
     return (a, a, a, td, None, notes)
+
+
+_RULES = {
+    "infinite_genus": _decide_infinite_genus,
+    "finite_genus": _decide_finite_genus,
+    "finite_punctures": _decide_finite_punctures,
+    "infinite_punctures": _decide_infinite_punctures,
+}
 
 
 class NoWitness(LookupError):

@@ -333,8 +333,25 @@ class CanonicalEndSpace(Value):
             parts.append(self.scattered.describe())
         return " plus ".join(parts)
 
+    def pieces(self) -> list[str]:
+        """The texts of the summands of ``embed(self)``, written without it."""
+        out = ["cantor"] if self.has_kernel else []
+        s = self.scattered
+        if s.__class__ is Discrete:
+            out.append("pt" if s.count == 1 else f"I({s.count - 1})")
+        elif s is not None:
+            out.append(f"I({power_str(s.exponent, s.copies)})")
+        return out
+
     def __str__(self) -> str:
-        return str(embed(self))
+        return _union_text(self.pieces())
+
+
+def _union_text(pieces: list[str]) -> str:
+    """``str(union(...))`` of summands with these texts, none of them a union."""
+    if len(pieces) > 1:
+        return "U(" + ", ".join(pieces) + ")"
+    return pieces[0] if pieces else "empty"
 
 
 EMPTY_CANON = CanonicalEndSpace(False, None)
@@ -453,6 +470,10 @@ class Summary(NamedTuple):
             return Canonical(self.canon)
         return Irreducible(_assemble(self))
 
+    def normal_text(self) -> str:
+        """``str`` of the normal form's expression, written without it."""
+        return _union_text(self.canon.pieces() + sorted([str(a) for a in self.atoms]))
+
     def is_infinite(self) -> bool:
         """True when the space has infinitely many points."""
         return bool(self.atoms) or self.canon.has_kernel or self.isolated == INFINITE
@@ -566,6 +587,10 @@ def _limit_summary(sup: Ordinal, point: Mark) -> Summary:
     )
 
 
+def _count_sum(a: int | float, b: int | float) -> int | float:
+    return INFINITE if a == INFINITE or b == INFINITE else a + b
+
+
 def join(parts: Sequence[Summary]) -> Summary:
     """Summary of the disjoint union of the summarized spaces, in order."""
     if not parts:
@@ -579,8 +604,9 @@ def join(parts: Sequence[Summary]) -> Summary:
             atoms += p.atoms
             if compare(p.atom_rank, rank) > 0:
                 rank = p.atom_rank
-        isolated += p.isolated
-        planar += p.planar_isolated
+        # INFINITE plus an int past the float range would overflow
+        isolated = _count_sum(isolated, p.isolated)
+        planar = _count_sum(planar, p.planar_isolated)
         marks = _marks_union(marks, p.marks)
         mixed = mixed or p.mixed
         if violation is None and p.violation is not None:

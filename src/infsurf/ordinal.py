@@ -114,9 +114,10 @@ def _format_term(exp: Ordinal, coeff: int) -> str:
     return head if coeff == 1 else f"{head}*{coeff}"
 
 
-def power_str(exp: Ordinal) -> str:
-    """Printable form of w^exp, e.g. "w", "w^2", "w^(w*2+1)"."""
-    return _format_term(exp, 1)
+def power_str(exp: Ordinal, coeff: int = 1) -> str:
+    """Printable form of w^exp*coeff, e.g. "w", "w^2", "w^(w*2+1)*3"; for a
+    positive exponent it is ``str(omega_pow(exp, coeff))``."""
+    return _format_term(exp, coeff)
 
 
 _new = object.__new__

@@ -1,6 +1,7 @@
 """Every test starts with the engine's functools caches empty.
 
-Batch mode keeps verdict lines, and `decide` its witnesses, in module-level
+Batch mode keeps verdict lines and each table row's serialized answers,
+`decide` its table rows and the CLI its argument parser, in module-level
 caches; clearing them before each test keeps results independent of the
 order the tests run in.
 """

@@ -14,6 +14,7 @@ need (`max_of`, `full_twist_image`, `ball_size`) live here too.
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 from math import gcd
 
@@ -783,6 +784,27 @@ def mutate_text(rng: random.Random, text: str) -> str:
         return text[:k] + rng.choice(MUTATION_ALPHABET) + text[k:]
     k = rng.randrange(len(text))
     return text[:k] + text[k + 1 :]
+
+
+def huge_natural_texts(rng: random.Random, count: int, max_digits: int) -> list[str]:
+    """Generated descriptors with one natural of ``max_digits`` - 1,
+    ``max_digits`` or ``max_digits`` + 1 digits, after four fixed ones that
+    put such a natural in the genus, a puncture count, a distinguished-end
+    count and an ordinal exponent."""
+    big = "9" * (max_digits - 1)
+    texts = [
+        f"surface(genus={big}, boundary=0, ends=cantor)",
+        f"surface(genus=inf, boundary=0, ends=U(cantor!np, I({big})))",
+        f"surface(genus=0, boundary=0, ends=I(w^2*{big}))",
+        f"surface(genus=0, boundary=0, ends=U(cantor, I(w^{big})))",
+    ]
+    while len(texts) < count:
+        text = random_surface_text(rng)
+        start, end = rng.choice([m.span() for m in re.finditer(r"[0-9]+", text)])
+        digits = rng.choice((max_digits - 1, max_digits, max_digits + 1))
+        natural = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(digits - 1))
+        texts.append(text[:start] + natural + text[end:])
+    return texts
 
 
 def nested_endspace_text(kind: str, depth: int) -> str:

@@ -10,7 +10,7 @@ from infsurf import decide as decide_module
 from infsurf.catalog import CATALOG
 from infsurf.cli import main, verdict_json
 from infsurf.decide import DecisionError, InternalInvariantViolation, decide
-from infsurf.dsl import MAX_DEPTH, ParseError, parse_surface
+from infsurf.dsl import MAX_DEPTH, MAX_DIGITS, ParseError, parse_surface
 from infsurf.endspace import (
     INFINITE,
     NONPLANAR,
@@ -22,7 +22,7 @@ from infsurf.endspace import (
     SeqCompactification,
 )
 from infsurf.surface import ValidationError
-from oracles import differential_texts, mutate_text, random_surface_text
+from oracles import differential_texts, huge_natural_texts, mutate_text, random_surface_text
 
 VERDICT = "surface(genus=1, boundary=0, ends=I(w))"
 ERROR_LINES = [
@@ -140,8 +140,8 @@ def test_cache_stays_bounded_past_its_size(tmp_path, capsys):
 
 
 def test_every_functools_cache_is_bounded(functools_caches):
-    assert cli._verdict_line in functools_caches
-    assert len(functools_caches) >= 6  # the line cache and five witnesses
+    # the verdict lines, the answers of a row, the rows and the argument parser
+    assert set(functools_caches) == {cli._verdict_line, cli._answers_text, decide_module.row, cli._build_parser}
     for f in functools_caches:
         maxsize = f.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, f
@@ -215,6 +215,7 @@ def test_single_call_prints_the_batch_line(tmp_path, capsys):
     # text agree, on verdicts byte for byte and on errors by kind
     rng = random.Random(4409)
     texts = [c.descriptor for c in CATALOG] + differential_texts(rng, 150, MAX_DEPTH)
+    texts += huge_natural_texts(rng, 60, MAX_DIGITS)
     f = tmp_path / "batch.txt"
     f.write_text("\n".join(texts) + "\n", encoding="utf-8")
     code, lines = run_batch(capsys, f)
@@ -238,7 +239,25 @@ def test_single_call_prints_the_batch_line(tmp_path, capsys):
         else:
             assert json.loads(out.out)["error"]["kind"] == kind, text
             assert rc == {"parse": 2, "internal": 4}.get(kind, 3), text
-    assert kinds == {"verdict", "parse", "HasBoundary", "NotInfiniteType", "InvalidDescriptor"}
+    assert kinds == {"verdict", "parse", "HasBoundary", "NotInfiniteType", "InvalidDescriptor", "ResourceLimit"}
+
+
+def test_answers_are_serialized_once_per_row(tmp_path, capsys, monkeypatch):
+    # many surface types, two rows: closed genus 2, and genus 0 with exactly
+    # four distinguished ends next to a Cantor set
+    lines = [f"surface(genus=2, boundary=0, ends=U(cantor, I(w^{k})))" for k in range(1, 41)]
+    lines += [f"surface(genus=0, boundary=0, ends=U(cantor, I(w^{k}*4)))" for k in range(1, 41)]
+    expected = [uncached(line) for line in lines]
+    assert len(set(expected)) == len(lines)
+    calls = []
+    serialize = cli._answer_json
+    monkeypatch.setattr(cli, "_answer_json", lambda a: calls.append(a) or serialize(a))
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(lines), encoding="utf-8")
+    assert run_batch(capsys, f) == (0, expected)
+    assert cli._verdict_line.cache_info().misses == len(lines)
+    assert len(calls) == 2 * 3
+    assert decide_module.row.cache_info().misses == 2
 
 
 def test_internal_error_is_one_error_line(tmp_path, capsys, monkeypatch):

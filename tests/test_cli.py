@@ -10,11 +10,13 @@ from pathlib import Path
 import pytest
 
 import infsurf
+from infsurf.catalog import CATALOG
 from infsurf.cli import main
-from infsurf.dsl import MAX_DEPTH
+from infsurf.dsl import MAX_DEPTH, MAX_DIGITS, parse_surface
 from infsurf.constructions import MAX_SNAKE_CELLS
+from infsurf.decide import CITATIONS, MAX_WITNESS_ENDS
 from infsurf.homology import MAX_GENERATORS, MAX_SERIES_DEGREE, WREATH_QUOTIENT, IntegerMatrix, poincare_series
-from oracles import matmul
+from oracles import huge_natural_texts, matmul, mutate_text, random_endspace_text, random_surface_text
 
 
 def run(capsys, *argv):
@@ -308,7 +310,8 @@ def test_batch_mode_too_long_natural_is_a_parse_error_line(tmp_path, capsys):
 
 def test_batch_mode_over_budget_line_is_a_resource_limit_line(tmp_path, capsys):
     # its witness would abelianize a presentation on 1 999 generators; this
-    # line used to end the batch in a MemoryError before the second line
+    # line used to end the batch in a MemoryError before the second line.
+    # The error names the surface's count and its bound, not the presentation
     over = "surface(genus=0, boundary=0, ends=I(w^2*2000))"
     f = tmp_path / "batch.jsonl"
     f.write_text(f"{over}\nsurface(genus=1, boundary=0, ends=I(w))\n", encoding="utf-8")
@@ -316,11 +319,26 @@ def test_batch_mode_over_budget_line_is_a_resource_limit_line(tmp_path, capsys):
     assert code == 0 and err == ""
     rows = [json.loads(line) for line in out.splitlines()]
     assert len(rows) == 2
-    message = f"a presentation has at most {MAX_GENERATORS} generators, got 1999"
+    message = f"the genus-0 witness covers at most {MAX_WITNESS_ENDS} distinguished ends, got 2000"
     assert rows[0] == {"error": {"kind": "ResourceLimit", "message": message}}
     assert rows[1]["qI"]["answer"] == "yes"
     code, out, err = run(capsys, "decide", over)
     assert (code, out, err) == (3, "", f"error (ResourceLimit): {message}\n")
+
+
+@pytest.mark.parametrize(
+    ("ends", "counted"),
+    [("I(w^2*{n})", "distinguished ends"), ("U(cantor, I({m}))", "punctures")],
+)
+def test_witness_budget_names_the_count_and_its_bound(capsys, ends, counted):
+    assert MAX_WITNESS_ENDS == MAX_GENERATORS + 1 == 129
+    for n in (MAX_WITNESS_ENDS, MAX_WITNESS_ENDS + 1, 10**40):
+        text = "surface(genus=0, boundary=0, ends=" + ends.format(n=n, m=n - 1) + ")"
+        if n == MAX_WITNESS_ENDS:
+            assert run(capsys, "decide", text)[0] == 0
+            continue
+        message = f"the genus-0 witness covers at most {MAX_WITNESS_ENDS} {counted}, got {n}"
+        assert run(capsys, "decide", text) == (3, "", f"error (ResourceLimit): {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -456,3 +474,130 @@ def test_citation_docs_stay_in_sync():
     text = doc.read_text(encoding="utf-8")
     for tag in CITATIONS:
         assert f"`{tag}`" in text
+
+
+def _homeo_pairs(rng, make_text, catalog_texts):
+    """Pairs of the fixed texts, then 240 generated pairs, a quarter of
+    their texts mutated and so mostly invalid."""
+    pairs = [(a, b) for i, a in enumerate(catalog_texts) for b in catalog_texts[i:]]
+    for _ in range(240):
+        a, b = make_text(rng), make_text(rng)
+        pairs.append((mutate_text(rng, a) if rng.random() < 0.25 else a, mutate_text(rng, b) if rng.random() < 0.25 else b))
+    return pairs
+
+
+@pytest.mark.parametrize("command", ["surface", "ends"])
+def test_homeo_is_symmetric_at_the_cli(capsys, command):
+    rng = random.Random(6101)
+    if command == "surface":
+        catalog = [c.descriptor for c in CATALOG] + huge_natural_texts(rng, 8, MAX_DIGITS)
+        make = random_surface_text
+        check = ("surface", "validate")
+    else:
+        catalog = [str(parse_surface(c.descriptor).ends) for c in CATALOG]
+        make = random_endspace_text
+        check = ("ends", "invariants")
+    rejected = both = 0
+    for a, b in _homeo_pairs(rng, make, catalog):
+        for flag in ((), ("--json",)):
+            forward = run(capsys, command, "homeo", a, b, *flag)
+            backward = run(capsys, command, "homeo", b, a, *flag)
+            alone = {t: run(capsys, *check, t, *flag) for t in (a, b)}
+            failed = [t for t in (a, b) if alone[t][0] != 0]
+            assert forward[0] == backward[0], (a, b)
+            if len(failed) < 2 or not flag:
+                assert forward[1] == backward[1], (a, b)
+            if not failed:
+                assert forward[0] == 0 and forward[2] == backward[2] == "", (a, b)
+                continue
+            rejected += 1
+            both += len(failed) == 2 and a != b
+            # both arguments are parsed before either is validated, so an
+            # order reports its first unparsable argument, else its first
+            # invalid one: with one bad argument that is the same error
+            for result, order in ((forward, (a, b)), (backward, (b, a))):
+                errors = [alone[t] for t in order if alone[t][0] == 2] or [alone[t] for t in order if alone[t][0]]
+                assert result == errors[0], order
+    assert rejected > 20 and both > 0
+
+
+def _python_m_infsurf(argv, **kw):
+    env = dict(os.environ, PYTHONPATH=str(Path(infsurf.__file__).resolve().parent.parent))
+    return subprocess.Popen([sys.executable, "-m", "infsurf", *argv], env=env, **kw)
+
+
+@pytest.mark.parametrize("argv", [("construct", "snake", "100000"), ("decide", "--jsonl", "{batch}")])
+def test_a_reader_that_stops_early_ends_the_command_cleanly(tmp_path, argv):
+    # the output is far larger than a pipe holds, so the command is still
+    # writing when the reader closes its end
+    batch = tmp_path / "batch.txt"
+    batch.write_text("surface(genus=inf, boundary=0, ends=U(cantor!np, I(w*3)))\n" * 5000, encoding="utf-8")
+    argv = [arg.format(batch=batch) for arg in argv]
+    proc = _python_m_infsurf(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first.endswith(b"\n") and err == b""
+
+
+def test_main_called_again_in_one_process_behaves_like_a_new_process(capsys):
+    calls = [
+        ("decide", "--json", "surface(genus=0, boundary=0, ends=U(cantor, pt, pt))"),
+        ("decide",),  # a usage error: decide needs a descriptor
+        ("ord", "eval", "w + 1"),
+        ("surface", "homeo", "surface(genus=inf, boundary=0, ends=pt!np)", "surface(genus=inf, boundary=0, ends=cantor!np)"),
+        ("hom", "poincare", "klein", "1", "2"),  # argparse refuses the choice
+        ("ends", "normalize", "--json", "U(pt, seq1pc(pt))"),
+        ("decide", "surface(genus=0, boundary=0, ends=U(cantor, pt, pt))"),
+        ("hom", "abelianize", "--preset", "braid", "-n", "4", "--json"),
+        ("citations",),
+        ("decide",),
+    ]
+
+    def in_process(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    separate = []
+    for argv in calls:
+        proc = _python_m_infsurf(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        separate.append((proc.returncode, out, err))
+    assert {code for code, _, _ in separate} == {0, 2}
+    for _ in range(2):
+        assert [in_process(argv) for argv in calls] == separate
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def test_golden_batch_output(capsys):
+    code, out, err = run(capsys, "decide", "--jsonl", str(GOLDEN / "golden_batch.txt"))
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "golden_batch.jsonl").read_bytes()
+
+
+def test_golden_batch_covers_every_row_and_error_kind():
+    rows = [json.loads(line) for line in (GOLDEN / "golden_batch.jsonl").read_text(encoding="utf-8").splitlines()]
+    verdicts = [r for r in rows if "error" not in r]
+    cited = {r[q]["citation"] for r in verdicts for q in ("qI", "qII", "qIII")}
+    # every citation a row of the table gives; no row cites this one
+    assert cited == set(CITATIONS) - {"no-punctures-questions-coincide"}
+    assert {r["error"]["kind"] for r in rows if "error" in r} == {
+        "empty_line", "parse", "HasBoundary", "NotInfiniteType", "InvalidDescriptor", "ResourceLimit"
+    }
+    derived = [r["derived"] for r in verdicts]
+    assert {d["genus_class"] for d in derived} == {"zero", "finite_positive", "infinite"}
+    assert {d["genus"] for d in derived} >= {1, 2, "infinity", 0}
+    assert {d["punctures"] for d in derived if d["genus"] == "infinity"} >= {0, 1, 6, "infinity"}
+    assert {d["mixed_end"] for d in derived if d["genus"] == "infinity" and d["punctures"] == "infinity"} == {True, False}
+    assert {d["punctures"] for d in derived if d["genus"] == 0} >= {0, 1, 2, 3, 4, "infinity"}
+    td = {(d["td_max"]["value"] >= 4, d["td_max"]["exact"]) for d in derived if "td_max" in d}
+    assert td == {(True, True), (True, False), (False, True), (False, False)}
+    assert any("irreducible" in d["end_space"] for d in derived)

@@ -473,3 +473,21 @@ def test_summaries_share_their_mark_sets():
         assert id(s.marks) in shared
     assert len(seen) == 3
     assert summarize(EMPTY).marks is endspace._NO_MARKS
+
+
+def test_text_of_a_normal_form_is_the_text_of_its_expression():
+    # the canonical text and the summary's normal text are written without
+    # building the expressions; they must print what the expressions print
+    rng = random.Random(7717)
+    exprs = [random_expr(rng, depth=4) for _ in range(1500)] + [random_marked_expr(rng) for _ in range(500)]
+    exprs += [EMPTY, Pt(), Cantor(), Interval(from_int(7)), Interval(omega_pow(OMEGA, 3))]
+    kinds = set()
+    for e in exprs:
+        s = summarize(e)
+        nf = normalize(e)
+        kinds.add(type(nf).__name__)
+        expr = embed(nf.form) if isinstance(nf, Canonical) else nf.expr
+        assert s.normal_text() == str(expr), e
+        if isinstance(nf, Canonical):
+            assert str(nf.form) == str(embed(nf.form)), e
+    assert kinds == {"Canonical", "Irreducible"}
