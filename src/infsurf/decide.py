@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import homology
 from ._value import Value
-from .endspace import INFINITE, Scattered, Summary, TdMax, summarize
+from .endspace import INFINITE, Summary, TdMax, summarize
 from .surface import SurfaceDescriptor, ValidationError, validate_type
 
 YES = "yes"
@@ -61,10 +61,6 @@ CITATIONS = {
     "infinite-genus-no-punctures-vanishing": (
         "With infinite genus and no punctures, finite-type-supported classes die with "
         "any field coefficients."
-    ),
-    "no-punctures-questions-coincide": (
-        "Without punctures the compact-support and finite-type-support subgroups "
-        "agree, so questions I, II and III coincide."
     ),
     "infinite-genus-finite-punctures-nonvanishing": (
         "With infinite genus and finitely many (at least one) punctures, the circle "
@@ -224,7 +220,7 @@ def _torus_witness() -> WitnessRef:
 
 
 def _closed_surface_witness(g: int) -> WitnessRef:
-    group = homology.h_lookup(homology.H2_MAP_CLOSED, g)
+    group = homology.h2_closed(g)
     if group.rank == 0 and not group.torsion:
         raise InternalInvariantViolation(f"H2 lookup for genus {g} is trivial")
     return WitnessRef(
@@ -359,7 +355,8 @@ def row_key(genus: int | float, s: Summary) -> tuple:
         return ("finite_punctures", int(p))
     td = s.td_max()
     part = s.canon.scattered
-    single = not s.atoms and not s.canon.has_kernel and isinstance(part, Scattered) and part.copies == 1
+    # one copy of [0, w^0] is one point, never infinitely many punctures
+    single = not s.atoms and not s.canon.has_kernel and part is not None and part.copies == 1
     return ("infinite_punctures", td.value, td.exact, single)
 
 

@@ -7,9 +7,10 @@ copies of ``c`` and ``LimitCompactification(s)`` compactifies the disjoint
 union of the intervals [0, w^a_i] along the canonical sequence a_i
 converging to the limit ordinal ``s``.
 
-Every countable expression normalizes to a canonical form - a finite
-discrete space or ``n`` disjoint copies of [0, w^a] - and every expression
-whose isolated points stay away from the perfect kernel normalizes to that
+Every countable expression normalizes to a canonical form, ``n`` disjoint
+copies of [0, w^a] (a = 0 gives ``n`` points; by Mazurkiewicz-Sierpinski
+every countable compact space is one of these), and every expression whose
+isolated points stay away from the perfect kernel normalizes to that
 canonical scattered part next to a Cantor set.  A compactification point
 accumulated by both kernel and scattered material falls outside the
 decidable fragment and is reported as irreducible.
@@ -251,42 +252,19 @@ def strip_marks(e: EndSpaceExpr) -> EndSpaceExpr:
 # canonical forms
 
 
-class Discrete(Value):
-    """A finite discrete space."""
-
-    __slots__ = ("count",)
-
-    def __init__(self, count: int) -> None:
-        if count < 1:
-            raise ValueError("discrete part needs at least one point")
-        object.__setattr__(self, "count", count)
-
-    # summaries are batch cache keys, so equality and hashing are written out
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Discrete:
-            return self.count == other.count
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.count,))
-
-    def describe(self) -> str:
-        return "1 isolated point" if self.count == 1 else f"{self.count} isolated points"
-
-
 class Scattered(Value):
-    """`copies` disjoint copies of the ordinal interval [0, w^exponent]."""
+    """`copies` disjoint copies of the ordinal interval [0, w^exponent];
+    exponent 0 makes it `copies` points."""
 
     __slots__ = ("copies", "exponent")
 
     def __init__(self, copies: int, exponent: Ordinal) -> None:
         if copies < 1:
             raise ValueError("need at least one copy")
-        if exponent.is_zero():
-            raise ValueError("exponent 0 would be a finite space; use Discrete")
         object.__setattr__(self, "copies", copies)
         object.__setattr__(self, "exponent", exponent)
 
+    # summaries are batch cache keys, so equality and hashing are written out
     def __eq__(self, other: object) -> bool:
         if other.__class__ is Scattered:
             return self.copies == other.copies and self.exponent == other.exponent
@@ -296,11 +274,10 @@ class Scattered(Value):
         return hash((self.copies, self.exponent))
 
     def describe(self) -> str:
+        if self.exponent.is_zero():
+            return "1 isolated point" if self.copies == 1 else f"{self.copies} isolated points"
         noun = "copy" if self.copies == 1 else "copies"
         return f"{self.copies} {noun} of [0,{power_str(self.exponent)}]"
-
-
-ScatteredPart = TUnion[Discrete, Scattered, None]
 
 
 class CanonicalEndSpace(Value):
@@ -308,7 +285,7 @@ class CanonicalEndSpace(Value):
 
     __slots__ = ("has_kernel", "scattered")
 
-    def __init__(self, has_kernel: bool, scattered: ScatteredPart) -> None:
+    def __init__(self, has_kernel: bool, scattered: Optional[Scattered]) -> None:
         object.__setattr__(self, "has_kernel", has_kernel)
         object.__setattr__(self, "scattered", scattered)
 
@@ -337,8 +314,8 @@ class CanonicalEndSpace(Value):
         """The texts of the summands of ``embed(self)``, written without it."""
         out = ["cantor"] if self.has_kernel else []
         s = self.scattered
-        if s.__class__ is Discrete:
-            out.append("pt" if s.count == 1 else f"I({s.count - 1})")
+        if s is not None and s.exponent.is_zero():
+            out.append("pt" if s.copies == 1 else f"I({s.copies - 1})")
         elif s is not None:
             out.append(f"I({power_str(s.exponent, s.copies)})")
         return out
@@ -387,25 +364,24 @@ def embed(c: CanonicalEndSpace) -> EndSpaceExpr:
     if c.has_kernel:
         pieces.append(Cantor())
     s = c.scattered
-    if isinstance(s, Discrete):
-        pieces.append(Pt() if s.count == 1 else Interval(from_int(s.count - 1)))
-    elif isinstance(s, Scattered):
+    if s is not None and s.exponent.is_zero():
+        pieces.append(Pt() if s.copies == 1 else Interval(from_int(s.copies - 1)))
+    elif s is not None:
         pieces.append(Interval(omega_pow(s.exponent, s.copies)))
     return union(*pieces)
 
 
 # the finite discrete spaces of up to 100 points, built once and shared
-_DISCRETE = (EMPTY_CANON, *(CanonicalEndSpace(False, Discrete(n)) for n in range(1, 101)))
+_DISCRETE = (EMPTY_CANON, *(CanonicalEndSpace(False, Scattered(n, ZERO)) for n in range(1, 101)))
 
 
 def _discrete(n: int) -> CanonicalEndSpace:
-    return _DISCRETE[n] if n < len(_DISCRETE) else CanonicalEndSpace(False, Discrete(n))
+    return _DISCRETE[n] if n < len(_DISCRETE) else CanonicalEndSpace(False, Scattered(n, ZERO))
 
 
 def _union_canon(canons: Sequence[CanonicalEndSpace]) -> CanonicalEndSpace:
     """Normal form of the disjoint union of canonical spaces."""
     kernel = False
-    points = 0
     top: Optional[Scattered] = None
     copies = 0
     for c in canons:
@@ -414,24 +390,20 @@ def _union_canon(canons: Sequence[CanonicalEndSpace]) -> CanonicalEndSpace:
         s = c.scattered
         if s is None:
             continue
-        if isinstance(s, Discrete):
-            points += s.count
-            continue
-        # only the interval copies of maximal rank survive; they absorb the
-        # finite discrete summands
+        # only the copies of maximal rank survive; they absorb the others
         k = 1 if top is None else compare(s.exponent, top.exponent)
         if k > 0:
             top, copies = s, s.copies
         elif k == 0:
             copies += s.copies
-    if top is not None:
-        scattered: ScatteredPart = top if copies == top.copies else Scattered(copies, top.exponent)
-    elif points and not kernel:
-        return _discrete(points)
-    elif points:
-        scattered = Discrete(points)
-    else:
+    if top is None:
         return CANTOR_CANON if kernel else EMPTY_CANON
+    if copies == top.copies:
+        scattered = top
+    elif kernel or not top.exponent.is_zero():
+        scattered = Scattered(copies, top.exponent)
+    else:
+        return _discrete(copies)
     # a union often has the form of one summand; reuse it instead of a copy
     for c in canons:
         if c.scattered is scattered and c.has_kernel == kernel:
@@ -453,11 +425,13 @@ class Summary(NamedTuple):
     marked planar over non-planar material.  ``atom_rank`` bounds the ranks
     of ordinal-interval germs inside the pieces of the atoms, and ``nested``
     tells whether those pieces contain a compactification.
+
+    The number of isolated points is no field: the reduced form fixes it
+    (see ``isolated``).
     """
 
     canon: CanonicalEndSpace
     atoms: tuple[EndSpaceExpr, ...]
-    isolated: int | float
     planar_isolated: int | float
     marks: frozenset[Mark]
     mixed: bool
@@ -474,16 +448,29 @@ class Summary(NamedTuple):
         """``str`` of the normal form's expression, written without it."""
         return _union_text(self.canon.pieces() + sorted([str(a) for a in self.atoms]))
 
+    @property
+    def isolated(self) -> int | float:
+        """Number of isolated points, as an integer or INFINITE.
+
+        Every irreducible atom compactifies infinitely many copies of a space
+        with isolated points, and [0, w^a] has infinitely many for a > 0, so
+        only a canonical form of points has finitely many: its copies."""
+        s = self.canon.scattered
+        if self.atoms or (s is not None and not s.exponent.is_zero()):
+            return INFINITE
+        return 0 if s is None else s.copies
+
     def is_infinite(self) -> bool:
         """True when the space has infinitely many points."""
-        return bool(self.atoms) or self.canon.has_kernel or self.isolated == INFINITE
+        return self.canon.has_kernel or self.isolated == INFINITE
 
     def td_max(self) -> TdMax:
         if not self.atoms:
             return TdMax(_canonical_td(self.canon))
         claimed = 0 if self.nested else len(self.atoms)
         s = self.canon.scattered
-        if isinstance(s, Scattered) and compare(add(s.exponent, ONE), self.atom_rank) > 0:
+        # atom_rank >= 1 here, so a part of points never counts
+        if s is not None and compare(add(s.exponent, ONE), self.atom_rank) > 0:
             claimed += s.copies
         return TdMax(claimed, exact=False)
 
@@ -522,11 +509,10 @@ _BOTH_MARKS = frozenset(Mark)
 # a limit compactification's interval pieces are planar
 _LIMIT_MARKS = {PLANAR: _MARKS[PLANAR], NONPLANAR: _BOTH_MARKS}
 _ONE_POINT = _DISCRETE[1]
-_CONVERGENT = CanonicalEndSpace(False, Scattered(1, ONE))
 
-_EMPTY_SUMMARY = Summary(EMPTY_CANON, (), 0, 0, _NO_MARKS, False, None, ZERO, False)
-_PT_SUMMARY = {m: Summary(_ONE_POINT, (), 1, int(m is PLANAR), _MARKS[m], False, None, ZERO, False) for m in Mark}
-_CANTOR_SUMMARY = {m: Summary(CANTOR_CANON, (), 0, 0, _MARKS[m], False, None, ZERO, False) for m in Mark}
+_EMPTY_SUMMARY = Summary(EMPTY_CANON, (), 0, _NO_MARKS, False, None, ZERO, False)
+_PT_SUMMARY = {m: Summary(_ONE_POINT, (), int(m is PLANAR), _MARKS[m], False, None, ZERO, False) for m in Mark}
+_CANTOR_SUMMARY = {m: Summary(CANTOR_CANON, (), 0, _MARKS[m], False, None, ZERO, False) for m in Mark}
 
 
 def summarize(e: EndSpaceExpr) -> Summary:
@@ -557,7 +543,7 @@ def _marks_union(a: frozenset[Mark], b: frozenset[Mark]) -> frozenset[Mark]:
 
 def _scattered_leaf(canon: CanonicalEndSpace, n: int | float, mark: Mark) -> Summary:
     """Summary of a leaf with `n` isolated points, all marked `mark`."""
-    return Summary(canon, (), n, n if mark is PLANAR else 0, _MARKS[mark], False, None, ZERO, False)
+    return Summary(canon, (), n if mark is PLANAR else 0, _MARKS[mark], False, None, ZERO, False)
 
 
 # [0, n] for n < 100 is summarized once and shared, as dsl shares the small naturals
@@ -582,7 +568,7 @@ def _limit_summary(sup: Ordinal, point: Mark) -> Summary:
     unless `sup` is a limit ordinal."""
     _require_limit(sup)
     return Summary(
-        CanonicalEndSpace(False, Scattered(1, sup)), (), INFINITE, INFINITE,
+        CanonicalEndSpace(False, Scattered(1, sup)), (), INFINITE,
         _LIMIT_MARKS[point], point is NONPLANAR, None, ZERO, False,
     )
 
@@ -595,7 +581,7 @@ def join(parts: Sequence[Summary]) -> Summary:
     """Summary of the disjoint union of the summarized spaces, in order."""
     if not parts:
         return _EMPTY_SUMMARY
-    _, atoms, isolated, planar, marks, mixed, violation, rank, nested = parts[0]
+    _, atoms, planar, marks, mixed, violation, rank, nested = parts[0]
     if violation is not None:
         violation = ".children[0]" + violation
     for i in range(1, len(parts)):
@@ -605,7 +591,6 @@ def join(parts: Sequence[Summary]) -> Summary:
             if compare(p.atom_rank, rank) > 0:
                 rank = p.atom_rank
         # INFINITE plus an int past the float range would overflow
-        isolated = _count_sum(isolated, p.isolated)
         planar = _count_sum(planar, p.planar_isolated)
         marks = _marks_union(marks, p.marks)
         mixed = mixed or p.mixed
@@ -613,7 +598,7 @@ def join(parts: Sequence[Summary]) -> Summary:
             violation = f".children[{i}]{p.violation}"
         nested = nested or p.nested
     canon = _union_canon([p.canon for p in parts])
-    return Summary(canon, atoms, isolated, planar, marks, mixed, violation, rank, nested)
+    return Summary(canon, atoms, planar, marks, mixed, violation, rank, nested)
 
 
 def _compactify(r: Summary, point: Mark) -> Summary:
@@ -640,14 +625,11 @@ def _compactify(r: Summary, point: Mark) -> Summary:
         canon = EMPTY_CANON
         atoms = (SeqCompactification(embed(c)),)
         atom_rank = _canonical_rank(c)
-    elif isinstance(c.scattered, Discrete):
-        canon = _CONVERGENT
     else:
         canon = CanonicalEndSpace(False, Scattered(1, add(c.scattered.exponent, ONE)))
     return Summary(
         canon,
         atoms,
-        INFINITE if r.isolated > 0 else 0,
         INFINITE if r.planar_isolated > 0 else 0,
         _marks_union(r.marks, _MARKS[point]),
         (point is NONPLANAR and r.planar_isolated > 0) or r.mixed,
@@ -741,11 +723,7 @@ def cb_derivative(e: EndSpaceExpr) -> EndSpaceExpr:
 
 def _canonical_rank(c: CanonicalEndSpace) -> Ordinal:
     s = c.scattered
-    if s is None:
-        return ZERO
-    if isinstance(s, Discrete):
-        return ONE
-    return add(s.exponent, ONE)
+    return ZERO if s is None else add(s.exponent, ONE)
 
 
 def cb_rank(e: EndSpaceExpr) -> Ordinal:
@@ -783,15 +761,11 @@ class TdMax(Value):
 
 
 def _canonical_td(c: CanonicalEndSpace) -> int:
-    # the finite germ classes of a canonical space: all points of a finite
-    # discrete part, or the (finitely many) top-rank points of the interval
-    # copies; Cantor points form an infinite class and contribute nothing
+    # the finite germ classes of a canonical space: the (finitely many)
+    # top-rank points of the copies, all of them when the copies are points;
+    # Cantor points form an infinite class and contribute nothing
     s = c.scattered
-    if s is None:
-        return 0
-    if isinstance(s, Discrete):
-        return s.count
-    return s.copies
+    return 0 if s is None else s.copies
 
 
 def td_max(e: EndSpaceExpr) -> TdMax:

@@ -28,7 +28,6 @@ from infsurf.endspace import (
     PLANAR,
     Cantor,
     CanonicalEndSpace,
-    Discrete,
     DisjointUnion,
     Empty,
     EndSpaceExpr,
@@ -322,11 +321,11 @@ def _merge_canon(a: CanonicalEndSpace, b: CanonicalEndSpace) -> CanonicalEndSpac
     sa, sb = a.scattered, b.scattered
     if sa is None or sb is None:
         s = sa if sb is None else sb
-    elif isinstance(sa, Discrete) and isinstance(sb, Discrete):
-        s = Discrete(sa.count + sb.count)
-    elif isinstance(sa, Discrete) or isinstance(sb, Discrete):
+    elif sa.exponent.is_zero() and sb.exponent.is_zero():
+        s = Scattered(sa.copies + sb.copies, ZERO)
+    elif sa.exponent.is_zero() or sb.exponent.is_zero():
         # finite discrete summands are absorbed by interval copies
-        s = sb if isinstance(sa, Discrete) else sa
+        s = sb if sa.exponent.is_zero() else sa
     else:
         c = compare(sa.exponent, sb.exponent)
         s = Scattered(sa.copies + sb.copies, sa.exponent) if c == 0 else (sa if c > 0 else sb)
@@ -342,13 +341,13 @@ def _reduce(e: EndSpaceExpr) -> tuple[CanonicalEndSpace, tuple[EndSpaceExpr, ...
     if isinstance(e, Empty):
         return EMPTY_CANON, ()
     if isinstance(e, Pt):
-        return CanonicalEndSpace(False, Discrete(1)), ()
+        return CanonicalEndSpace(False, Scattered(1, ZERO)), ()
     if isinstance(e, Cantor):
         return CANTOR_CANON, ()
     if isinstance(e, Interval):
         b = e.bound
         if b.is_finite():
-            return CanonicalEndSpace(False, Discrete(b.as_int() + 1)), ()
+            return CanonicalEndSpace(False, Scattered(b.as_int() + 1, ZERO)), ()
         exp, coeff = b.leading()
         return CanonicalEndSpace(False, Scattered(coeff, exp)), ()
     if isinstance(e, DisjointUnion):
@@ -364,13 +363,13 @@ def _reduce(e: EndSpaceExpr) -> tuple[CanonicalEndSpace, tuple[EndSpaceExpr, ...
         if atoms:
             return EMPTY_CANON, (SeqCompactification(assemble(c, atoms)),)
         if c.is_empty():
-            return CanonicalEndSpace(False, Discrete(1)), ()
+            return CanonicalEndSpace(False, Scattered(1, ZERO)), ()
         if c.has_kernel and c.scattered is None:
             return CANTOR_CANON, ()
         if c.has_kernel:
             return EMPTY_CANON, (SeqCompactification(embed(c)),)
         s = c.scattered
-        exp = ONE if isinstance(s, Discrete) else add(s.exponent, ONE)
+        exp = ONE if s.exponent.is_zero() else add(s.exponent, ONE)
         return CanonicalEndSpace(False, Scattered(1, exp)), ()
     raise TypeError(f"not an end-space expression: {e!r}")
 
@@ -385,13 +384,13 @@ def td_max(e: EndSpaceExpr) -> TdMax:
     canon, atoms = reduce_expr(e)
     s = canon.scattered
     if not atoms:
-        return TdMax(0 if s is None else (s.count if isinstance(s, Discrete) else s.copies))
+        return TdMax(0 if s is None else s.copies)
     claimed = len(atoms) if not any(has_compactification(a.child) for a in atoms) else 0
     spoiled = ZERO
     for a in atoms:
         if compare(rank_bound(a.child), spoiled) > 0:
             spoiled = rank_bound(a.child)
-    if isinstance(s, Scattered) and compare(add(s.exponent, ONE), spoiled) > 0:
+    if s is not None and not s.exponent.is_zero() and compare(add(s.exponent, ONE), spoiled) > 0:
         claimed += s.copies
     return TdMax(claimed, exact=False)
 

@@ -14,7 +14,6 @@ from infsurf.dsl import parse_surface
 from infsurf.endspace import (
     Canonical,
     CanonicalEndSpace,
-    Discrete,
     Interval,
     Pt,
     Scattered,
@@ -37,7 +36,7 @@ from infsurf.homology import (
     prop74_square,
     smith_normal_form,
 )
-from infsurf.ordinal import ONE, Ordinal, add, from_int, omega_pow
+from infsurf.ordinal import ONE, ZERO, Ordinal, add, from_int, omega_pow
 from oracles import (
     ball_size,
     determinant,
@@ -154,7 +153,7 @@ def test_criterion_03_cantor_bendixson_calculus():
         assert cb_rank(cb_derivative(e)) == from_int(delta + 1)
         base = embed(CanonicalEndSpace(False, Scattered(n, ONE)))
         d = normalize(cb_derivative(base))
-        assert isinstance(d, Canonical) and d.form.scattered == Discrete(n)
+        assert isinstance(d, Canonical) and d.form.scattered == Scattered(n, ZERO)
 
     # derivative and normalization commute
     from oracles import random_expr

@@ -15,7 +15,9 @@ from infsurf.cli import main
 from infsurf.dsl import MAX_DEPTH, MAX_DIGITS, parse_surface
 from infsurf.constructions import MAX_SNAKE_CELLS
 from infsurf.decide import CITATIONS, MAX_WITNESS_ENDS
-from infsurf.homology import MAX_GENERATORS, MAX_SERIES_DEGREE, WREATH_QUOTIENT, IntegerMatrix, poincare_series
+from infsurf.homology import (
+    MAX_GENERATORS, MAX_SERIES_DEGREE, MAX_SNF_DIM, MAX_SNF_ENTRIES, WREATH_QUOTIENT, IntegerMatrix, poincare_series
+)
 from oracles import huge_natural_texts, matmul, mutate_text, random_endspace_text, random_surface_text
 
 
@@ -387,6 +389,16 @@ def _run_capped(*argv):
     )
 
 
+def _dense_rows(m, n):
+    """An m x n matrix of seeded entries in [-9, 9]."""
+    rng = random.Random(m * n)
+    return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+
+
+# the largest square matrix the Smith normal form budget allows
+_SNF_SIDE = math.isqrt(MAX_SNF_ENTRIES)
+
+
 def test_decide_huge_puncture_count_answers_at_once():
     proc = _run_capped("decide", "--json", "surface(genus=inf, boundary=0, ends=U(pt!np, I(100000000000)))")
     assert proc.returncode == 0, proc.stderr
@@ -423,6 +435,10 @@ def test_torus_poincare_huge_p_answers_at_once():
         ("hom", "abelianize", "--preset", "spherical_braid", "-n", "2000"),
         ("hom", "abelianize", "--preset", "braid", "-n", str(MAX_GENERATORS + 2)),
         ("hom", "abelianize", "gens=1000000000; rel=1"),
+        # the left transform alone would be 12 000 x 12 000
+        ("hom", "snf", json.dumps([[1]] * 12000)),
+        ("hom", "snf", json.dumps([[1] * (MAX_SNF_DIM + 1)])),
+        ("hom", "snf", json.dumps(_dense_rows(_SNF_SIDE + 1, _SNF_SIDE))),
     ],
 )
 def test_oversized_parameters_are_resource_limits(argv):
@@ -444,6 +460,8 @@ def test_oversized_parameters_are_resource_limits(argv):
         ("construct", "snake", str(MAX_SNAKE_CELLS)),
         ("hom", "abelianize", "--preset", "spherical_braid", "-n", str(MAX_GENERATORS + 1)),
         ("decide", f"surface(genus=0, boundary=0, ends=U(cantor, I({MAX_GENERATORS})))"),
+        ("hom", "snf", json.dumps([[1]] * MAX_SNF_DIM)),
+        ("hom", "snf", json.dumps(_dense_rows(_SNF_SIDE, _SNF_SIDE))),
     ],
 )
 def test_largest_allowed_parameters_answer(argv):
@@ -471,9 +489,9 @@ def test_citation_docs_stay_in_sync():
     from infsurf.decide import CITATIONS
 
     doc = Path(__file__).resolve().parent.parent / "docs" / "citations.md"
-    text = doc.read_text(encoding="utf-8")
-    for tag in CITATIONS:
-        assert f"`{tag}`" in text
+    rows = [line.split(" | ") for line in doc.read_text(encoding="utf-8").splitlines() if line.startswith("| `")]
+    table = {tag.strip("|` "): statement.rstrip(" |") for tag, statement in rows}
+    assert table == CITATIONS
 
 
 def _homeo_pairs(rng, make_text, catalog_texts):
@@ -583,12 +601,23 @@ def test_golden_batch_output(capsys):
     assert out.encode("utf-8") == (GOLDEN / "golden_batch.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["normalize", "invariants"])
+def test_golden_ends_output(capsys, command):
+    exprs = (GOLDEN / "golden_ends.txt").read_text(encoding="utf-8").splitlines()
+    lines = []
+    for e in exprs:
+        code, out, err = run(capsys, "ends", command, e, "--json")
+        assert (code, err) == (0, ""), e
+        lines.append(out)
+    assert "".join(lines).encode("utf-8") == (GOLDEN / f"golden_ends.{command}.jsonl").read_bytes()
+
+
 def test_golden_batch_covers_every_row_and_error_kind():
     rows = [json.loads(line) for line in (GOLDEN / "golden_batch.jsonl").read_text(encoding="utf-8").splitlines()]
     verdicts = [r for r in rows if "error" not in r]
     cited = {r[q]["citation"] for r in verdicts for q in ("qI", "qII", "qIII")}
-    # every citation a row of the table gives; no row cites this one
-    assert cited == set(CITATIONS) - {"no-punctures-questions-coincide"}
+    # every citation is given by some row of the table
+    assert cited == set(CITATIONS)
     assert {r["error"]["kind"] for r in rows if "error" in r} == {
         "empty_line", "parse", "HasBoundary", "NotInfiniteType", "InvalidDescriptor", "ResourceLimit"
     }

@@ -9,7 +9,6 @@ from infsurf.endspace import (
     Canonical,
     CanonicalEndSpace,
     Cantor,
-    Discrete,
     DisjointUnion,
     EMPTY,
     EMPTY_CANON,
@@ -103,8 +102,8 @@ def test_discrete_children_compactify_to_a_convergent_sequence():
 
 
 def test_finite_interval_is_discrete():
-    assert normalize(Interval(from_int(6))) == canon(False, Discrete(7))
-    assert normalize(Pt()) == canon(False, Discrete(1))
+    assert normalize(Interval(from_int(6))) == canon(False, Scattered(7, ZERO))
+    assert normalize(Pt()) == canon(False, Scattered(1, ZERO))
 
 
 def test_union_merge_rules():
@@ -112,7 +111,7 @@ def test_union_merge_rules():
     assert normalize(union(Interval(W2), Interval(W2))) == canon(False, Scattered(2, from_int(2)))
     assert normalize(union(Interval(W2), Pt(), Interval(from_int(4)))) == canon(False, Scattered(1, from_int(2)))
     assert normalize(union(Cantor(), Cantor())) == Canonical(CANTOR_CANON)
-    assert normalize(union(Cantor(), Pt(), Pt())) == canon(True, Discrete(2))
+    assert normalize(union(Cantor(), Pt(), Pt())) == canon(True, Scattered(2, ZERO))
     assert normalize(union(Cantor(), Interval(OMEGA), Pt())) == canon(True, Scattered(1, ONE))
 
 
@@ -202,10 +201,10 @@ def test_derivative_examples(e, expected):
 
 def _predicted_derivative(c: CanonicalEndSpace) -> CanonicalEndSpace:
     s = c.scattered
-    if s is None or isinstance(s, Discrete):
+    if s is None or s.exponent.is_zero():
         return CanonicalEndSpace(c.has_kernel, None)
     if s.exponent == ONE:
-        return CanonicalEndSpace(c.has_kernel, Discrete(s.copies))
+        return CanonicalEndSpace(c.has_kernel, Scattered(s.copies, ZERO))
     if s.exponent.is_finite():
         return CanonicalEndSpace(c.has_kernel, Scattered(s.copies, from_int(s.exponent.as_int() - 1)))
     return c
@@ -234,7 +233,7 @@ def test_derivative_drops_finite_ranks_by_exactly_one():
         assert normalize(e) == canon(False, Scattered(n, from_int(delta + 1)))
         assert normalize(cb_derivative(e)) == canon(False, Scattered(n, from_int(delta)))
         base = Interval(omega_pow(ONE, n))
-        assert normalize(cb_derivative(base)) == canon(False, Discrete(n))
+        assert normalize(cb_derivative(base)) == canon(False, Scattered(n, ZERO))
 
 
 def test_derivative_fixes_infinite_ranks():
@@ -382,28 +381,19 @@ def test_canonical_forms_are_separated_by_their_invariants():
     forms = [EMPTY_CANON, CANTOR_CANON]
     for kernel in (False, True):
         for m in range(1, 6):
-            forms.append(CanonicalEndSpace(kernel, Discrete(m)))
+            forms.append(CanonicalEndSpace(kernel, Scattered(m, ZERO)))
         for n in range(1, 6):
             for alpha in alphas:
                 forms.append(CanonicalEndSpace(kernel, Scattered(n, alpha)))
 
     def signature(f: CanonicalEndSpace):
         s = f.scattered
-        if s is None:
-            mult = 0
-        elif isinstance(s, Discrete):
-            mult = s.count
-        else:
-            mult = s.copies
+        mult = 0 if s is None else s.copies
         return (f.has_kernel, str(_rank(f)), mult)
 
     def _rank(f):
         s = f.scattered
-        if s is None:
-            return ZERO
-        if isinstance(s, Discrete):
-            return ONE
-        return add(s.exponent, ONE)
+        return ZERO if s is None else add(s.exponent, ONE)
 
     seen = {}
     for f in forms:
@@ -420,10 +410,7 @@ def test_profile_oracle_agrees_with_normal_forms():
         assert isinstance(nf, Canonical)
         s = nf.form.scattered
         rank, mult = top_rank_profile(e)
-        if isinstance(s, Discrete):
-            assert (rank, mult) == (ONE, s.count)
-        else:
-            assert (rank, mult) == (add(s.exponent, ONE), s.copies)
+        assert (rank, mult) == (add(s.exponent, ONE), s.copies)
 
 
 # -- the one-pass summary -----------------------------------------------------

@@ -9,7 +9,6 @@ from infsurf.homology import (
     AbelianGroup,
     BadParameter,
     FinitePresentation,
-    H2_MAP_CLOSED,
     IntegerMatrix,
     MAX_GENERATORS,
     MAX_SERIES_DIGITS,
@@ -19,7 +18,7 @@ from infsurf.homology import (
     UnknownPreset,
     WREATH_QUOTIENT,
     abelianize,
-    h_lookup,
+    h2_closed,
     k_of,
     poincare_series,
     preset,
@@ -320,14 +319,14 @@ def test_square_report_matches_the_residue_scan():
     [(2, "Z/2"), (3, "Z + Z/2"), (4, "Z"), (6, "Z")],
 )
 def test_h2_lookup(g, expected):
-    assert str(h_lookup(H2_MAP_CLOSED, g)) == expected
+    assert str(h2_closed(g)) == expected
 
 
 def test_torus_h1_and_table_bounds():
     # H1 of the genus-1 mapping class group is computed, not looked up
     assert str(abelianize(preset("sl2z"))) == "Z/12"
     with pytest.raises(OutOfTable):
-        h_lookup(H2_MAP_CLOSED, 1)
+        h2_closed(1)
 
 
 # -- series ---------------------------------------------------------------------------

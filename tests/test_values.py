@@ -26,7 +26,6 @@ from infsurf.endspace import (
     Canonical,
     CanonicalEndSpace,
     Cantor,
-    Discrete,
     DisjointUnion,
     Empty,
     Interval,
@@ -52,6 +51,9 @@ _TD = "TdMax(value=4, exact=True)"
 _SI = f"SpaceInvariants(countable=True, isolated_count=2, scattered_rank=Ordinal(1), has_kernel=False, td_max={_TD})"
 _ANS = "Answer(result='unknown', citation='infinite-genus-unmixed-open', coefficients=None, witness=None, note=None)"
 
+# three points: the finite form of the scattered part
+_POINTS = (Scattered, "copies exponent", (3, ZERO), "Scattered(copies=3, exponent=Ordinal(0))")
+
 # (class, field names, field values, repr of the class built from them)
 VALUES = [
     (Empty, "", (), "Empty()"),
@@ -71,13 +73,13 @@ VALUES = [
         (OMEGA, PLANAR),
         "LimitCompactification(sup=Ordinal(w), point_mark=<Mark.PLANAR: 'p'>)",
     ),
-    (Discrete, "count", (3,), "Discrete(count=3)"),
+    _POINTS,
     (Scattered, "copies exponent", (2, ONE), "Scattered(copies=2, exponent=Ordinal(1))"),
     (
         CanonicalEndSpace,
         "has_kernel scattered",
-        (True, Discrete(1)),
-        "CanonicalEndSpace(has_kernel=True, scattered=Discrete(count=1))",
+        (True, Scattered(1, ZERO)),
+        "CanonicalEndSpace(has_kernel=True, scattered=Scattered(copies=1, exponent=Ordinal(0)))",
     ),
     (
         Canonical,
@@ -141,7 +143,7 @@ VALUES = [
         "CatalogEntry(name='n', cell='c', descriptor='d', expected=('yes', 'yes', 'yes'))",
     ),
 ]
-IDS = [row[0].__name__ for row in VALUES]
+IDS = ["Scattered-points" if row is _POINTS else row[0].__name__ for row in VALUES]
 
 
 def _hash_or_error(x):
@@ -195,9 +197,9 @@ def test_equal_fields_across_classes_are_unequal():
     assert not (Pt(PLANAR) == Cantor(PLANAR))
     form = CanonicalEndSpace(True, None)
     assert Canonical(form) != Irreducible(form)
-    assert Discrete(1) != (1,)
+    assert Scattered(1, ZERO) != (1, ZERO)
     assert Empty() == Empty() == EMPTY
-    assert Empty() != Discrete(1)
+    assert Empty() != Scattered(1, ZERO)
 
 
 @pytest.mark.parametrize(
@@ -207,9 +209,7 @@ def test_equal_fields_across_classes_are_unequal():
         (lambda: DisjointUnion((Pt(), EMPTY)), ValueError, "union children must be flattened and nonempty; use union()"),
         (lambda: SeqCompactification(EMPTY), ValueError, "cannot compactify copies of the empty space"),
         (lambda: LimitCompactification(ONE), ValueError, "limit compactification needs a limit ordinal, got 1"),
-        (lambda: Discrete(0), ValueError, "discrete part needs at least one point"),
         (lambda: Scattered(0, ONE), ValueError, "need at least one copy"),
-        (lambda: Scattered(1, ZERO), ValueError, "exponent 0 would be a finite space; use Discrete"),
         (lambda: IntegerMatrix(((1, 2), (3,))), ValueError, "ragged rows"),
         (lambda: AbelianGroup(-1), ValueError, "negative rank"),
         (lambda: AbelianGroup(0, (1,)), ValueError, "torsion factors must be >= 2"),
