@@ -20,7 +20,9 @@ from .decide import (
     Answer,
     DerivedFacts,
     InternalInvariantViolation,
+    LINE_CACHE_SIZE,
     ROW_CACHE_SIZE,
+    VERDICT_CACHE_SIZE,
     Verdict,
     WitnessRef,
     CITATIONS,
@@ -28,8 +30,8 @@ from .decide import (
     row_key,
     verdict,
 )
-from .dsl import ParseError, parse_endspace, parse_ordinal, parse_surface, parse_surface_type
-from .endspace import Canonical, INFINITE, SpaceInvariants, Summary, is_homeomorphic, normalize, summarize
+from .dsl import _SURFACE, _TOKEN, ParseError, _parse, parse_endspace, parse_ordinal, parse_surface, parse_surface_type
+from .endspace import Canonical, INFINITE, SUMMARIES, SpaceInvariants, Summary, is_homeomorphic, normalize, summarize
 from .ordinal import compare, kind
 from .surface import surface_invariants, surfaces_homeomorphic, validate
 
@@ -214,6 +216,7 @@ def _run_batch(args) -> int:
     except OSError as err:
         _report_error(args, type(err).__name__, f"cannot read batch file: {err}")
         return VALIDATION_ERROR
+    kept: dict[str, str] = {}
     with fh:
         while True:
             try:
@@ -227,25 +230,42 @@ def _run_batch(args) -> int:
             # splitting chunk by chunk gives the lines of str.splitlines()
             # on the whole text
             for line in chunk.splitlines():
-                print(_batch_line(line))
+                print(_batch_line(line, kept))
 
 
-def _batch_line(line: str) -> str:
+def _batch_line(line: str, kept: dict[str, str]) -> str:
+    """The output line of one input line.  `kept` maps token sequences,
+    joined by spaces, to the output lines of the LINE_CACHE_SIZE most
+    recently seen ones, least recently seen first: a verdict,
+    DecisionError or ResourceLimit line depends on the tokens alone.  A
+    parse error's offset depends on the text, and an internal error is not
+    an answer, so neither is kept."""
     line = line.strip()
     if not line:
         return json.dumps({"error": {"kind": "empty_line"}})
+    toks = _TOKEN.findall(line)
+    # no token holds whitespace, so the join names the token sequence
+    key = " ".join(toks)
+    out = kept.pop(key, None)
+    if out is not None:
+        kept[key] = out  # back at the end, as the most recently seen
+        return out
     try:
-        return _verdict_line(*parse_surface_type(line))
+        out = _verdict_line(*_parse(line, _SURFACE, SUMMARIES, toks))
     except ParseError as err:
         return json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}})
     except ValueError as err:
         # a DecisionError or a ResourceLimit, as the single call reports it
-        return json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}})
+        out = json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}})
     except _INTERNAL as err:
         return json.dumps({"error": {"kind": "internal", "message": str(err)}})
+    kept[key] = out
+    if len(kept) > LINE_CACHE_SIZE:
+        del kept[next(iter(kept))]
+    return out
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
 def _verdict_line(genus: int | float, boundary: int, s: Summary) -> str:
     """The JSON line of the verdict on one surface type; batch lines of the
     same type share it.  Errors are raised, not kept.  Validity depends on

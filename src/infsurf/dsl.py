@@ -69,8 +69,10 @@ _WORD_RUN = re.compile(r"\w*")
 _DIGITS = frozenset("0123456789")
 
 # ordinals are immutable, so the small naturals are built once and shared:
-# parsing skips building them, and the summaries a batch keeps share them
+# parsing skips building them, and the summaries a batch keeps share them;
+# genus, boundary and coefficient tokens are looked up the same way
 _SMALL = {str(n): from_int(n) for n in range(100)}
+_SMALL_INT = {str(n): n for n in range(100)}
 
 _LEAF_MARKS = {"!np": NONPLANAR, "!p": PLANAR}
 _POINT_MARKS = {"np": NONPLANAR, "p": PLANAR}
@@ -121,6 +123,9 @@ def _finite(text: str, toks: list[str], i: int) -> Ordinal:
 
 def _natural(text: str, toks: list[str], i: int) -> int:
     tok = toks[i]
+    n = _SMALL_INT.get(tok)
+    if n is not None:
+        return n
     if tok[:1] not in _DIGITS:
         raise _fail(text, i, ("natural number",))
     return _int(text, toks, i)
@@ -167,10 +172,12 @@ def _surface_head(text: str, toks: list[str]) -> tuple[int | float, int]:
     return genus, boundary
 
 
-def _parse(text: str, goal: int, fold: Fold = TREES):
+def _parse(text: str, goal: int, fold: Fold = TREES, toks: list[str] | None = None):
     """Parse `text` as an ordinal, an end space or a surface; `fold` says
-    what an end space is built into."""
-    toks = _TOKEN.findall(text)
+    what an end space is built into.  A caller that has already split the
+    text passes ``toks = _TOKEN.findall(text)``, which the parse extends."""
+    if toks is None:
+        toks = _TOKEN.findall(text)
     toks.append("")  # end of input; equal to no token the grammar expects
     i = 0
     if goal == _SURFACE:

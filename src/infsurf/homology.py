@@ -153,6 +153,30 @@ JSON, 512 x 32 takes 0.6 s, and past the bound 192 x 192 takes 12 s and
 """
 
 
+MAX_SNF_MINOR_DIGITS = 384
+"""Most digits of Hadamard's bound on the minors of a matrix
+``smith_normal_form`` takes, r * (d + log10(r) / 2) for the smaller side r
+and entries of at most d digits.
+
+So the entries may have at most ``_snf_entry_digits(r)`` digits: 384 at
+r = 1, 23 at r = 16, 11 at 32, 5 at 64 and 1 at 128.  The diagonal entries
+divide such minors.  The transforms grow faster: on seeded square, tall
+and wide matrices (r = 1 to 128, d = 1 to 512; Python 3.11, shared 2-vCPU
+VM) their largest entry had up to twice the bound's digits on square
+matrices and up to six times on others.  At the bound, over r = 1 to 128
+with every allowed larger side from r to 512, the largest had 2 271
+digits (4 x 512 with 95-digit entries), inside Python's 4 300-digit print
+limit, and the dearest matrix took 2.5 s (96 x 170 with 3-digit entries).
+Past it, 16 x 16 with 400-digit entries has transform entries of 12 401
+digits, and 128 x 128 with 2-digit entries takes 3.9 s.
+"""
+
+
+def _snf_entry_digits(r: int) -> int:
+    """Most digits of an entry of a matrix whose smaller side is ``r`` > 0."""
+    return int(MAX_SNF_MINOR_DIGITS / r - log10(r) / 2)
+
+
 def smith_normal_form(a: IntegerMatrix) -> SNFResult:
     """Smith normal form with unimodular transforms: left @ a @ right is
     diagonal with d1 | d2 | ... and all di >= 0.
@@ -165,8 +189,8 @@ def smith_normal_form(a: IntegerMatrix) -> SNFResult:
     Reducing above every pivot after each new row, as Kannan and Bachem
     (1979) do, keeps their entries near the size of the matrix's minors
     instead of letting them compound from pass to pass.  A matrix past
-    ``MAX_SNF_DIM`` rows or columns or ``MAX_SNF_ENTRIES`` entries raises
-    ResourceLimit.
+    ``MAX_SNF_DIM`` rows or columns, ``MAX_SNF_ENTRIES`` entries or
+    ``MAX_SNF_MINOR_DIGITS`` raises ResourceLimit.
     """
     m, n = a.rows, a.cols
     if max(m, n) > MAX_SNF_DIM or m * n > MAX_SNF_ENTRIES:
@@ -174,6 +198,12 @@ def smith_normal_form(a: IntegerMatrix) -> SNFResult:
             f"a Smith normal form takes at most {MAX_SNF_DIM} rows or columns and {MAX_SNF_ENTRIES} entries, "
             f"got {m} x {n}"
         )
+    if m and n:
+        digits = _snf_entry_digits(min(m, n))
+        if max(max(map(abs, row)) for row in a.entries) >= 10**digits:
+            raise ResourceLimit(
+                f"a Smith normal form of a {m} x {n} matrix takes entries of at most {digits} digits"
+            )
     diag, left, right_t = _diagonalize(a, transforms=True)
     return SNFResult(
         tuple(diag),

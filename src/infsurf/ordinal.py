@@ -157,6 +157,9 @@ OMEGA = omega_pow(ONE)
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Total order on Cantor normal forms: -1, 0 or 1."""
+    if a is b:
+        # shared ordinals (the small naturals, ONE, OMEGA) meet often
+        return 0
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
         c = compare(ea, eb)
         if c:

@@ -1,16 +1,19 @@
-"""Batch mode: the verdict-line cache against the uncached path, and the
-streamed batch file against ``str.splitlines()``."""
+"""Batch mode: the line cache (token sequence -> output line) and the
+verdict-line cache (surface type -> verdict line) against the uncached
+path, and the streamed batch file against ``str.splitlines()``."""
 
 import io
 import json
 import random
 
+import pytest
+
 from infsurf import cli
 from infsurf import decide as decide_module
 from infsurf.catalog import CATALOG
 from infsurf.cli import main, verdict_json
-from infsurf.decide import DecisionError, InternalInvariantViolation, decide
-from infsurf.dsl import MAX_DEPTH, MAX_DIGITS, ParseError, parse_surface
+from infsurf.decide import LINE_CACHE_SIZE, DecisionError, InternalInvariantViolation, decide
+from infsurf.dsl import _TOKEN, MAX_DEPTH, MAX_DIGITS, ParseError, parse_surface, parse_surface_type
 from infsurf.endspace import (
     INFINITE,
     NONPLANAR,
@@ -55,6 +58,32 @@ def run_batch(capsys, path):
     return code, out.out.split("\n")[:-1]
 
 
+def token_key(line: str) -> str:
+    """The token sequence of a line, as the line cache names it."""
+    return " ".join(_TOKEN.findall(line.strip()))
+
+
+def count_parses(monkeypatch) -> list:
+    """The lines batch mode parses from now on, which are the misses of its
+    line cache, in order."""
+    parsed = []
+    parse = cli._parse
+    monkeypatch.setattr(cli, "_parse", lambda text, *args: parsed.append(text) or parse(text, *args))
+    return parsed
+
+
+def respace(text: str, rng: random.Random) -> str:
+    """`text` with the whitespace around its tokens redrawn: the same token
+    sequence, spelled another way."""
+    toks = _TOKEN.findall(text)
+    out = "".join(rng.choice(["", "", " ", "  ", "\t"]) + tok for tok in toks) + rng.choice(["", " "])
+    if _TOKEN.findall(out) != toks:
+        # a dropped space joined two tokens; spaces everywhere cannot
+        out = "".join(rng.choice([" ", "  ", "\t"]) + tok for tok in toks)
+    assert _TOKEN.findall(out) == toks
+    return out
+
+
 def respell(e, rng: random.Random) -> str:
     """The same end space with its unions permuted and regrouped, default
     marks spelled out and extra whitespace."""
@@ -96,7 +125,7 @@ def rewrite(text: str, rng: random.Random) -> str:
     return f"surface( genus={genus},boundary = {d.boundary} , ends={rng.choice(['', ' '])}{respell(d.ends, rng)} )"
 
 
-def test_cached_batch_equals_the_uncached_path(tmp_path, capsys):
+def test_cached_batch_equals_the_uncached_path(tmp_path, capsys, monkeypatch):
     rng = random.Random(5)
     lines = [c.descriptor for c in CATALOG]
     lines += [rewrite(c.descriptor, rng) for c in CATALOG for _ in range(4)]
@@ -110,12 +139,19 @@ def test_cached_batch_equals_the_uncached_path(tmp_path, capsys):
     f = tmp_path / "batch.txt"
     f.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+    parsed = count_parses(monkeypatch)
     cli._verdict_line.cache_clear()
     assert run_batch(capsys, f) == (0, expected)
     cold = cli._verdict_line.cache_info()
-    # more hits than repeated verdict lines: distinct lines of one type share an entry
-    verdict_lines = [line for line, out in zip(lines, expected) if '"error"' not in out]
-    assert cold.hits > len(verdict_lines) - len(set(verdict_lines))
+    # every repeat of a kept token sequence (not empty, not a parse error) is
+    # a hit of the line cache, so it is not parsed again
+    kept = [token_key(line) for line, out in zip(lines, expected) if line.strip() and '"kind": "parse"' not in out]
+    line_hits = sum(1 for line in lines if line.strip()) - len(parsed)
+    assert line_hits >= len(kept) - len(set(kept)) > 0
+    # distinct token sequences of one surface type still share a verdict line
+    verdicts = [line for line, out in zip(lines, expected) if '"error"' not in out]
+    types = {parse_surface_type(line) for line in verdicts}
+    assert cold.hits >= len({token_key(line) for line in verdicts}) - len(types) > 0
     assert 0 < cold.currsize <= cold.maxsize
     assert run_batch(capsys, f) == (0, expected)
     warm = cli._verdict_line.cache_info()
@@ -137,6 +173,95 @@ def test_cache_stays_bounded_past_its_size(tmp_path, capsys):
     assert info.currsize == maxsize
     # the first lines were evicted before they came round again
     assert info.hits == 0
+
+
+def test_line_cache_stays_bounded_past_its_size(tmp_path, capsys, monkeypatch):
+    # one token sequence per line; `fresh` comes back every 256 lines, so it
+    # stays among the most recently used
+    distinct = [f"surface(genus=inf, boundary=0, ends=U(cantor!np, I(w*{k})))" for k in range(1, LINE_CACHE_SIZE + 50)]
+    fresh = distinct[0]
+    lines = []
+    for i, line in enumerate(distinct):
+        lines.append(line)
+        if i % 256 == 255:
+            lines.append(fresh)
+    # the next ten were evicted and are parsed again; the last ten were not
+    lines += distinct[1:11] + [fresh] + distinct[-10:]
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(lines), encoding="utf-8")
+    parsed = count_parses(monkeypatch)
+    assert run_batch(capsys, f) == (0, [uncached(line) for line in lines])
+    assert parsed == distinct + distinct[1:11]
+    kept = {}
+    for line in lines:
+        cli._batch_line(line, kept)
+    assert len(kept) == LINE_CACHE_SIZE
+    assert list(kept)[-11:] == [token_key(line) for line in [fresh] + distinct[-10:]]
+
+
+def test_respaced_lines_give_the_uncached_output(tmp_path, capsys, monkeypatch):
+    # a line and its respellings share one token sequence: the first of them
+    # misses the line cache and the others hit it, and every one of them,
+    # error lines included, must print what the uncached path prints for it
+    rng = random.Random(1201)
+    bases = [c.descriptor for c in CATALOG] + ERROR_LINES[:-1]
+    for _ in range(300):
+        text = random_surface_text(rng)
+        bases.append(mutate_text(rng, text) if rng.random() < 0.3 else text)
+    lines, respelled = [], 0
+    for base in bases:
+        group = [base, respace(base, rng), respace(base, rng)]
+        respelled += (group[1] != base) + (group[2] != base)
+        rng.shuffle(group)
+        lines += group
+    assert respelled > len(bases)
+    expected = [uncached(line) for line in lines]
+    assert sum('"kind": "parse"' in out for out in expected) > 100
+    assert sum('"error"' not in out for out in expected) > 100
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    parsed = count_parses(monkeypatch)
+    assert run_batch(capsys, f) == (0, expected)
+    assert len(parsed) < len(lines) - len(bases)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("pt!np", "pt ! np"),
+        ("pt!p", "pt! p"),
+        ("I(12)", "I(1 2)"),
+        ("seq1pc(pt; np)", "seq1pc(pt; n p)"),
+        ("I(w^23)", "I(w^2 3)"),
+    ],
+)
+def test_near_collisions_keep_their_own_lines(tmp_path, capsys, left, right):
+    # equal once whitespace is dropped, but other token sequences: each line
+    # gets its own output in either order, and the parse error is not kept
+    texts = [f"surface(genus=inf, boundary=0, ends=U(cantor!np, {e}))" for e in (left, right)]
+    assert token_key(texts[0]) != token_key(texts[1])
+    assert texts[0].replace(" ", "") == texts[1].replace(" ", "")
+    expected = [uncached(text) for text in texts]
+    assert '"error"' not in expected[0] and '"kind": "parse"' in expected[1]
+    for order in (texts, texts[::-1]):
+        f = tmp_path / "batch.txt"
+        f.write_text("\n".join(order * 2), encoding="utf-8")
+        assert run_batch(capsys, f) == (0, [uncached(text) for text in order * 2])
+        kept = {}
+        for text in order:
+            cli._batch_line(text, kept)
+        assert list(kept) == [token_key(texts[0])]
+
+
+def test_respaced_operators_share_their_line(tmp_path, capsys, monkeypatch):
+    # "w^2" and "w ^ 2" are one token sequence: the second line is a hit
+    texts = [f"surface(genus=1, boundary=0, ends=I({w}))" for w in ("w^2", "w ^ 2")]
+    assert token_key(texts[0]) == token_key(texts[1])
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(texts), encoding="utf-8")
+    parsed = count_parses(monkeypatch)
+    assert run_batch(capsys, f) == (0, [uncached(text) for text in texts])
+    assert parsed == texts[:1]
 
 
 def test_every_functools_cache_is_bounded(functools_caches):
@@ -267,13 +392,16 @@ def test_internal_error_is_one_error_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(decide_module, "_torus_witness", broken)
     torus = "surface(genus=1, boundary=0, ends=cantor)"
     f = tmp_path / "batch.txt"
-    f.write_text(f"{VERDICT.replace('genus=1', 'genus=2')}\n{torus}\n{ERROR_LINES[0]}\n", encoding="utf-8")
+    f.write_text(f"{VERDICT.replace('genus=1', 'genus=2')}\n{torus}\n{ERROR_LINES[0]}\n{torus}\n", encoding="utf-8")
+    parsed = count_parses(monkeypatch)
     code, out = run_batch(capsys, f)
     assert code == 0
-    assert len(out) == 3
+    assert len(out) == 4
     assert json.loads(out[0])["qI"]["answer"] == "yes"
     assert json.loads(out[1]) == {"error": {"kind": "internal", "message": "witness self-check failed"}}
     assert json.loads(out[2])["error"]["kind"] == "HasBoundary"
+    # an internal error is not kept: the repeated line is decided again
+    assert out[3] == out[1] and parsed.count(torus) == 2
     # a single call still exits 4
     assert main(["decide", torus]) == 4
     assert "witness self-check failed" in capsys.readouterr().err

@@ -16,7 +16,14 @@ from infsurf.dsl import MAX_DEPTH, MAX_DIGITS, parse_surface
 from infsurf.constructions import MAX_SNAKE_CELLS
 from infsurf.decide import CITATIONS, MAX_WITNESS_ENDS
 from infsurf.homology import (
-    MAX_GENERATORS, MAX_SERIES_DEGREE, MAX_SNF_DIM, MAX_SNF_ENTRIES, WREATH_QUOTIENT, IntegerMatrix, poincare_series
+    MAX_GENERATORS,
+    MAX_SERIES_DEGREE,
+    MAX_SNF_DIM,
+    MAX_SNF_ENTRIES,
+    WREATH_QUOTIENT,
+    IntegerMatrix,
+    _snf_entry_digits,
+    poincare_series,
 )
 from oracles import huge_natural_texts, matmul, mutate_text, random_endspace_text, random_surface_text
 
@@ -389,10 +396,11 @@ def _run_capped(*argv):
     )
 
 
-def _dense_rows(m, n):
-    """An m x n matrix of seeded entries in [-9, 9]."""
+def _dense_rows(m, n, digits=1):
+    """An m x n matrix of seeded entries of at most `digits` digits."""
     rng = random.Random(m * n)
-    return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    top = 10**digits - 1
+    return [[rng.randint(-top, top) for _ in range(n)] for _ in range(m)]
 
 
 # the largest square matrix the Smith normal form budget allows
@@ -439,6 +447,10 @@ def test_torus_poincare_huge_p_answers_at_once():
         ("hom", "snf", json.dumps([[1]] * 12000)),
         ("hom", "snf", json.dumps([[1] * (MAX_SNF_DIM + 1)])),
         ("hom", "snf", json.dumps(_dense_rows(_SNF_SIDE + 1, _SNF_SIDE))),
+        # the transforms would print integers past Python's 4 300-digit limit
+        ("hom", "snf", json.dumps(_dense_rows(16, 16, 400))),
+        ("hom", "snf", json.dumps(_dense_rows(16, 16, _snf_entry_digits(16) + 1))),
+        ("hom", "snf", json.dumps([[10 ** _snf_entry_digits(1)]])),
     ],
 )
 def test_oversized_parameters_are_resource_limits(argv):
@@ -462,6 +474,8 @@ def test_oversized_parameters_are_resource_limits(argv):
         ("decide", f"surface(genus=0, boundary=0, ends=U(cantor, I({MAX_GENERATORS})))"),
         ("hom", "snf", json.dumps([[1]] * MAX_SNF_DIM)),
         ("hom", "snf", json.dumps(_dense_rows(_SNF_SIDE, _SNF_SIDE))),
+        ("hom", "snf", json.dumps(_dense_rows(16, 16, _snf_entry_digits(16)))),
+        ("hom", "snf", json.dumps([[-(10 ** _snf_entry_digits(1)) + 1]])),
     ],
 )
 def test_largest_allowed_parameters_answer(argv):

@@ -358,6 +358,27 @@ def test_torus_series_stops_at_the_digit_budget():
         assert time.perf_counter() - start < 1.0
 
 
+def test_snf_entries_stop_at_the_digit_budget():
+    # at the bound every integer of the result prints; one digit more is
+    # refused before any work, also past Python's int-to-string limit
+    rng = random.Random(43)
+    for m, n in ((1, 1), (2, 2), (6, 3), (3, 12), (16, 16), (24, 8)):
+        digits = homology._snf_entry_digits(min(m, n))
+        top = 10**digits - 1
+        rows = [[rng.randint(-top, top) for _ in range(n)] for _ in range(m)]
+        rows[rng.randrange(m)][rng.randrange(n)] = rng.choice((top, -top))
+        res = smith_normal_form(IntegerMatrix.from_rows(rows))
+        printed = (*res.diagonal, *(x for t in (res.left, res.right) for row in t.entries for x in row))
+        assert all(abs(x) < 10**4300 for x in printed)  # Python's default print limit
+        rows[0][0] = 10**digits
+        with pytest.raises(ResourceLimit):
+            smith_normal_form(IntegerMatrix.from_rows(rows))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        smith_normal_form(IntegerMatrix.from_rows([[10**5000, 1], [1, 1]]))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_wreath_series_counts_bounded_partitions():
     coeffs = poincare_series(WREATH_QUOTIENT, 3, 12)
     assert coeffs[12] == 7 == partitions_with_max_part(6, 3)
