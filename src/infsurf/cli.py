@@ -31,7 +31,7 @@ from .decide import (
     verdict,
 )
 from .dsl import _SURFACE, _TOKEN, ParseError, _parse, parse_endspace, parse_ordinal, parse_surface, parse_surface_type
-from .endspace import Canonical, INFINITE, SUMMARIES, SpaceInvariants, Summary, is_homeomorphic, normalize, summarize
+from .endspace import INFINITE, SUMMARIES, SpaceInvariants, Summary, is_homeomorphic, summarize
 from .ordinal import compare, kind
 from .surface import surface_invariants, surfaces_homeomorphic, validate
 
@@ -149,14 +149,13 @@ def _cmd_ord_compare(args) -> int:
 
 
 def _cmd_ends_normalize(args) -> int:
-    e = parse_endspace(args.endspace)
-    nf = normalize(e)
-    if isinstance(nf, Canonical):
-        payload = {"status": "canonical", "expr": str(nf.form), "description": nf.form.describe()}
-        text = f"canonical: {nf.form} ({nf.form.describe()})"
+    s = summarize(parse_endspace(args.endspace))
+    if not s.atoms:
+        payload = {"status": "canonical", "expr": str(s.canon), "description": s.canon.describe()}
+        text = f"canonical: {s.canon} ({s.canon.describe()})"
     else:
-        payload = {"status": "irreducible", "expr": str(nf.expr)}
-        text = f"irreducible: {nf.expr}"
+        payload = {"status": "irreducible", "expr": s.normal_text()}
+        text = f"irreducible: {payload['expr']}"
     return _emit(args, payload, text)
 
 

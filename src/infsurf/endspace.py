@@ -20,7 +20,11 @@ the surface layer.  Normal forms, ranks, invariants and the homeomorphism
 decision ignore marks.  A ``Summary`` holds every fact the engine needs;
 next to the mark-free reduced form it carries the mark facts of the surface
 layer: the marks present, the planar isolated points, mixed ends and the
-first closedness violation.
+first closedness violation.  The reduced form is a canonical part next to
+irreducible atoms, and each atom is the plain pair ``(canon, atoms)`` of
+the space whose copies it compactifies, so a summary holds no expression
+tree: ``Summary.normal_text`` writes the normal form, and ``normalize`` is
+the one place that builds its expression.
 
 The summary rules (the point, Cantor, interval and ``lim1pc`` leaves,
 ``join`` for unions and the compactification rule) are one bottom-up fold,
@@ -72,16 +76,6 @@ class Pt(Value):
     def __init__(self, mark: Mark = PLANAR) -> None:
         object.__setattr__(self, "mark", mark)
 
-    # the irreducible atoms of a summary are part of the batch cache key, so
-    # the nodes they are built from write equality and hashing out
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Pt:
-            return self.mark == other.mark
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.mark,))
-
     def __str__(self) -> str:
         return "pt" + _mark_suffix(self.mark)
 
@@ -95,14 +89,6 @@ class Interval(Value):
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "mark", mark)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Interval:
-            return self.bound == other.bound and self.mark == other.mark
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.bound, self.mark))
-
     def __str__(self) -> str:
         return f"I({self.bound})" + _mark_suffix(self.mark)
 
@@ -112,14 +98,6 @@ class Cantor(Value):
 
     def __init__(self, mark: Mark = PLANAR) -> None:
         object.__setattr__(self, "mark", mark)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Cantor:
-            return self.mark == other.mark
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.mark,))
 
     def __str__(self) -> str:
         return "cantor" + _mark_suffix(self.mark)
@@ -136,14 +114,6 @@ class DisjointUnion(Value):
                 raise ValueError("union children must be flattened and nonempty; use union()")
         object.__setattr__(self, "children", children)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is DisjointUnion:
-            return self.children == other.children
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.children,))
-
     def __str__(self) -> str:
         return "U(" + ", ".join(str(c) for c in self.children) + ")"
 
@@ -158,14 +128,6 @@ class SeqCompactification(Value):
             raise ValueError("cannot compactify copies of the empty space")
         object.__setattr__(self, "child", child)
         object.__setattr__(self, "point_mark", point_mark)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is SeqCompactification:
-            return self.child == other.child and self.point_mark == other.point_mark
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.child, self.point_mark))
 
     def __str__(self) -> str:
         inner = str(self.child)
@@ -419,8 +381,11 @@ class Summary(NamedTuple):
     """Every fact the engine reads off an expression, from one bottom-up pass.
 
     The reduced form (``canon`` next to the irreducible ``atoms``) and the
-    counts ignore marks, and the atoms are built afresh, unmarked; the mark
-    fields are what the surface layer reads.  ``violation`` is the path,
+    counts ignore marks; the mark fields are what the surface layer reads.
+    Each atom is the reduced form ``(canon, atoms)`` of the space whose
+    copies it compactifies, its atoms in input order; ``normal_text``
+    writes the normal form from them, and only ``normalize`` builds its
+    expression.  ``violation`` is the path,
     relative to the summarized node, of the first compactification point
     marked planar over non-planar material.  ``atom_rank`` bounds the ranks
     of ordinal-interval germs inside the pieces of the atoms, and ``nested``
@@ -431,7 +396,7 @@ class Summary(NamedTuple):
     """
 
     canon: CanonicalEndSpace
-    atoms: tuple[EndSpaceExpr, ...]
+    atoms: tuple[tuple[CanonicalEndSpace, tuple], ...]
     planar_isolated: int | float
     marks: frozenset[Mark]
     mixed: bool
@@ -439,14 +404,9 @@ class Summary(NamedTuple):
     atom_rank: Ordinal
     nested: bool
 
-    def normal_form(self) -> NormalForm:
-        if not self.atoms:
-            return Canonical(self.canon)
-        return Irreducible(_assemble(self))
-
     def normal_text(self) -> str:
         """``str`` of the normal form's expression, written without it."""
-        return _union_text(self.canon.pieces() + sorted([str(a) for a in self.atoms]))
+        return _reduced_text(self.canon, self.atoms)
 
     @property
     def isolated(self) -> int | float:
@@ -489,13 +449,12 @@ class Summary(NamedTuple):
 
     def homeomorphic_to(self, other: "Summary") -> Homeo:
         """Decide homeomorphism of the unmarked spaces where the calculus can."""
-        na, nb = self.normal_form(), other.normal_form()
-        if isinstance(na, Canonical) and isinstance(nb, Canonical):
-            return Homeo.YES if na.form == nb.form else Homeo.NO
-        if isinstance(na, Irreducible) and isinstance(nb, Irreducible) and na.expr == nb.expr:
+        if not self.atoms and not other.atoms:
+            return Homeo.YES if self.canon == other.canon else Homeo.NO
+        if self.canon == other.canon and self.normal_text() == other.normal_text():
             return Homeo.YES
-        ka = isinstance(na, Irreducible) or na.form.has_kernel
-        kb = isinstance(nb, Irreducible) or nb.form.has_kernel
+        ka = bool(self.atoms) or self.canon.has_kernel
+        kb = bool(other.atoms) or other.canon.has_kernel
         # at least one side is irreducible, so no rank comparison can decide
         if ka != kb or self.isolated != other.isolated:
             return Homeo.NO
@@ -609,12 +568,12 @@ def _compactify(r: Summary, point: Mark) -> Summary:
         violation: Optional[str] = ""
     else:
         violation = None if r.violation is None else ".child" + r.violation
-    atoms: tuple[EndSpaceExpr, ...] = ()
+    atoms: tuple = ()
     atom_rank, nested = ZERO, False
     c = r.canon
     if r.atoms:
         canon = EMPTY_CANON
-        atoms = (SeqCompactification(_assemble(r)),)
+        atoms = ((c, r.atoms),)
         atom_rank, nested = max(_canonical_rank(c), add(r.atom_rank, ONE)), True
     elif c.has_kernel and c.scattered is None:
         # countably many Cantor sets plus a limit point: compact, perfect,
@@ -623,7 +582,7 @@ def _compactify(r: Summary, point: Mark) -> Summary:
     elif c.has_kernel:
         # the added point is accumulated by kernel and scattered material
         canon = EMPTY_CANON
-        atoms = (SeqCompactification(embed(c)),)
+        atoms = ((c, ()),)
         atom_rank = _canonical_rank(c)
     else:
         canon = CanonicalEndSpace(False, Scattered(1, add(c.scattered.exponent, ONE)))
@@ -639,12 +598,16 @@ def _compactify(r: Summary, point: Mark) -> Summary:
     )
 
 
-def _assemble(r: Summary) -> EndSpaceExpr:
-    parts: list[EndSpaceExpr] = []
-    if not r.canon.is_empty():
-        parts.append(embed(r.canon))
-    parts.extend(sorted(r.atoms, key=str))
-    return union(*parts)
+def _reduced_text(canon: CanonicalEndSpace, atoms: tuple) -> str:
+    """``str`` of the unmarked expression of a reduced form, the atoms of each
+    union sorted by their text."""
+    return _union_text(canon.pieces() + sorted([f"seq1pc({_reduced_text(*a)})" for a in atoms]))
+
+
+def _reduced_tree(canon: CanonicalEndSpace, atoms: tuple) -> EndSpaceExpr:
+    """The unmarked expression of a reduced form; ``_reduced_text`` is its text."""
+    parts = [] if canon.is_empty() else [embed(canon)]
+    return union(*parts, *sorted([SeqCompactification(_reduced_tree(*a)) for a in atoms], key=str))
 
 
 class Fold(NamedTuple):
@@ -683,7 +646,8 @@ SUMMARIES = Fold(_PT_SUMMARY, _CANTOR_SUMMARY, _interval_summary, _summary_union
 
 def normalize(e: EndSpaceExpr) -> NormalForm:
     """Confluent normal form of an end-space expression (marks are ignored)."""
-    return summarize(e).normal_form()
+    s = summarize(e)
+    return Irreducible(_reduced_tree(s.canon, s.atoms)) if s.atoms else Canonical(s.canon)
 
 
 # ---------------------------------------------------------------------------
@@ -728,10 +692,10 @@ def _canonical_rank(c: CanonicalEndSpace) -> Ordinal:
 
 def cb_rank(e: EndSpaceExpr) -> Ordinal:
     """Cantor-Bendixson rank of the space; requires a canonical normal form."""
-    nf = normalize(e)
-    if isinstance(nf, Irreducible):
-        raise RankUndecidable(f"rank undecidable outside the canonical fragment: {nf.expr}")
-    return _canonical_rank(nf.form)
+    s = summarize(e)
+    if s.atoms:
+        raise RankUndecidable(f"rank undecidable outside the canonical fragment: {s.normal_text()}")
+    return _canonical_rank(s.canon)
 
 
 def isolated_count(e: EndSpaceExpr) -> int | float:

@@ -94,12 +94,6 @@ class Ordinal:
         return f"Ordinal({self})"
 
 
-def _compact(o: Ordinal) -> str:
-    if not o.terms:
-        return "0"
-    return "+".join(_format_term(e, c) for e, c in o.terms)
-
-
 def _format_term(exp: Ordinal, coeff: int) -> str:
     if exp.is_zero():
         return str(coeff)
@@ -110,7 +104,7 @@ def _format_term(exp: Ordinal, coeff: int) -> str:
     elif exp == OMEGA:
         head = "w^w"
     else:
-        head = f"w^({_compact(exp)})"
+        head = "w^(" + "+".join(_format_term(e, c) for e, c in exp.terms) + ")"
     return head if coeff == 1 else f"{head}*{coeff}"
 
 

@@ -12,7 +12,7 @@ import pytest
 import infsurf
 from infsurf.catalog import CATALOG
 from infsurf.cli import main
-from infsurf.dsl import MAX_DEPTH, MAX_DIGITS, parse_surface
+from infsurf.dsl import MAX_DEPTH, MAX_DIGITS, ParseError, parse_endspace, parse_surface
 from infsurf.constructions import MAX_SNAKE_CELLS
 from infsurf.decide import CITATIONS, MAX_WITNESS_ENDS
 from infsurf.homology import (
@@ -77,6 +77,52 @@ def test_ends_invariants(capsys):
     assert payload["isolated_count"] == 2
     assert payload["has_kernel"] is True
     assert payload["td_max"] == {"value": 2, "exact": True}
+
+
+# two intervals of 10^1000 points each: the normal form writes their union as
+# [0, 2 * 10^1000 - 1], a natural of MAX_DIGITS + 1 digits that the parser refuses
+_NINES = "9" * MAX_DIGITS
+_OVERLONG = f"seq1pc(U(cantor, I({_NINES}), I({_NINES})))"
+_OVERLONG_NF = f"seq1pc(U(cantor, I(1{_NINES})))"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("ends", "normalize", _OVERLONG), f"irreducible: {_OVERLONG_NF}\n"),
+        (("ends", "normalize", _OVERLONG, "--json"), f'{{"expr": "{_OVERLONG_NF}", "status": "irreducible"}}\n'),
+        (
+            ("ends", "invariants", _OVERLONG, "--json"),
+            '{"countable": false, "has_kernel": true, "isolated_count": "infinity", "scattered_rank": null, '
+            '"td_max": {"exact": false, "value": 1}}\n',
+        ),
+        (("ends", "homeo", _OVERLONG, f"seq1pc(U(I({_NINES}), cantor, I({_NINES})))"), "Yes\n"),
+    ],
+)
+def test_normal_forms_write_naturals_the_parser_refuses(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
+    with pytest.raises(ParseError, match="natural too long"):
+        parse_endspace(_OVERLONG_NF)
+
+
+def test_decide_writes_naturals_the_parser_refuses(tmp_path, capsys):
+    text = f"surface(genus=0, boundary=0, ends=U({_OVERLONG}, pt))"
+    ends = f"U(pt, {_OVERLONG_NF})"
+    open_answer = {"answer": "unknown", "citation": "genus-zero-infinite-punctures-open", "witness": None}
+    derived = {
+        "end_space": f"{ends} (irreducible: {ends})",
+        "genus": 0,
+        "genus_class": "zero",
+        "mixed_end": False,
+        "notes": ["indeterminate invariant: only a lower bound for the distinguished set is certified"],
+        "punctures": "infinity",
+        "td_max": {"exact": False, "value": 1},
+    }
+    expected = json.dumps({"derived": derived, "qI": open_answer, "qII": open_answer, "qIII": open_answer}) + "\n"
+    assert run(capsys, "decide", "--json", text) == (0, expected, "")
+    f = tmp_path / "batch.txt"
+    f.write_text(text + "\n", encoding="utf-8")
+    assert run(capsys, "decide", "--jsonl", str(f)) == (0, expected, "")
 
 
 def test_decide_loch_ness(capsys):

@@ -5,6 +5,7 @@ import pytest
 from infsurf import endspace
 from infsurf.dsl import parse_surface_type
 from infsurf.endspace import (
+    _reduced_tree,
     CANTOR_CANON,
     Canonical,
     CanonicalEndSpace,
@@ -34,7 +35,8 @@ from infsurf.endspace import (
     td_max,
     union,
 )
-from infsurf.ordinal import ONE, OMEGA, ZERO, add, from_int, omega_pow
+from infsurf._value import Value
+from infsurf.ordinal import ONE, OMEGA, ZERO, Ordinal, add, from_int, omega_pow
 import oracles
 from oracles import random_countable_expr, random_expr, random_marked_expr, top_rank_profile
 
@@ -344,6 +346,40 @@ def test_homeo_examples(a, b, expected):
     assert is_homeomorphic(a, b) is expected
 
 
+def _homeo_on_oracle_trees(a, b):
+    """The homeomorphism rule, read off the oracles' reduced forms and the
+    expressions they assemble."""
+    (ca, ta), (cb, tb) = oracles.reduce_expr(a), oracles.reduce_expr(b)
+    if not ta and not tb:
+        return Homeo.YES if ca == cb else Homeo.NO
+    if oracles.assemble(ca, ta) == oracles.assemble(cb, tb):
+        return Homeo.YES
+    if (bool(ta) or ca.has_kernel) != (bool(tb) or cb.has_kernel):
+        return Homeo.NO
+    return Homeo.NO if oracles.isolated_count(a) != oracles.isolated_count(b) else Homeo.UNKNOWN
+
+
+def test_homeo_decides_as_the_rule_on_oracle_trees():
+    rng = random.Random(149)
+    pool = [random_marked_expr(rng, rng.randint(1, 4)) for _ in range(600)]
+    irreducible = [e for e in pool if oracles.reduce_expr(e)[1]]
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(600)]
+    pairs += [(rng.choice(irreducible), rng.choice(irreducible)) for _ in range(400)]
+    # respellings: unions shuffled and parts normalized at random positions
+    pairs += [(e, _random_partial_rewrite(e, rng)) for e in irreducible for _ in range(5)]
+    seen = set()
+    respelled_yes = 0
+    for a, b in pairs:
+        got = is_homeomorphic(a, b)
+        assert got is _homeo_on_oracle_trees(a, b), (a, b)
+        sa, sb = summarize(a), summarize(b)
+        seen.add((got, bool(sa.atoms)))
+        # equal reduced forms whose atoms come in another order
+        respelled_yes += got is Homeo.YES and sa.atoms != sb.atoms
+    assert seen >= {(h, True) for h in Homeo} | {(h, False) for h in Homeo}
+    assert respelled_yes >= 15
+
+
 def test_homeo_is_an_equivalence_on_the_canonical_fragment():
     rng = random.Random(47)
     pool = [random_expr(rng, depth=3) for _ in range(40)]
@@ -425,7 +461,7 @@ def test_summary_matches_the_per_fact_oracles():
         canon, atoms = oracles.reduce_expr(e)
         # the reduced form ignores marks and holds no input node
         assert s.canon == canon
-        assert s.atoms == atoms
+        assert tuple(SeqCompactification(_reduced_tree(*a)) for a in s.atoms) == atoms
         assert s.isolated == oracles.isolated_count(e)
         assert s.planar_isolated == oracles.isolated_count(e, planar_only=True)
         assert s.marks == set(oracles.marks(e))
@@ -440,6 +476,38 @@ def test_summary_matches_the_per_fact_oracles():
         nested += s.nested
     # the generator must exercise the rare branches
     assert violations >= 300 and irreducible >= 200 and nested >= 50
+
+
+_TREE_NODES = (Pt, Interval, Cantor, DisjointUnion, SeqCompactification, LimitCompactification)
+
+
+def _held_values(v):
+    """`v` and every value inside it: container elements, ordinal terms and
+    the fields of value classes."""
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        yield v
+        if isinstance(v, (tuple, list, frozenset)):
+            stack.extend(v)
+        elif isinstance(v, Ordinal):
+            stack.extend(v.terms)
+        elif isinstance(v, Value):
+            stack.extend(getattr(v, name) for name in v.__slots__)
+
+
+def test_a_summary_holds_no_expression_node():
+    # an irreducible atom is the reduced form of the space it compactifies,
+    # so neither walk builds a tree into the summary it keeps
+    rng = random.Random(139)
+    irreducible = nested = 0
+    for _ in range(800):
+        e = random_marked_expr(rng, rng.randint(0, 4))
+        for s in (summarize(e), parse_surface_type(f"surface(genus=inf, boundary=0, ends={e})")[2]):
+            assert not any(isinstance(v, _TREE_NODES) for v in _held_values(s)), e
+        irreducible += bool(s.atoms)
+        nested += s.nested
+    assert irreducible >= 60 and nested >= 8
 
 
 def test_summaries_share_their_mark_sets():

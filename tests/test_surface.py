@@ -155,6 +155,14 @@ def test_homeo_splits_clopen_marked_pairs():
     c = SurfaceDescriptor(INFINITE, 0, union(Cantor(NONPLANAR), Interval(OMEGA), Pt(NONPLANAR)))
     d = SurfaceDescriptor(INFINITE, 0, union(Cantor(NONPLANAR), Interval(OMEGA), Pt()))
     assert surfaces_homeomorphic(c, d) is Homeo.NO
+    # irreducible planar parts: Yes when their normal forms agree, Unknown
+    # when only their invariants do
+    left = parse_surface("surface(genus=inf, boundary=0, ends=U(pt!np, seq1pc(U(cantor, pt))))")
+    same = parse_surface("surface(genus=inf, boundary=0, ends=U(seq1pc(U(pt, cantor)), pt!np))")
+    assert surfaces_homeomorphic(left, same) is Homeo.YES
+    other = parse_surface("surface(genus=inf, boundary=0, ends=U(pt!np, seq1pc(U(cantor, pt, pt))))")
+    assert surfaces_homeomorphic(left, other) is Homeo.UNKNOWN
+    assert surfaces_homeomorphic(other, left) is Homeo.UNKNOWN
 
 
 def test_homeo_gives_up_on_forced_marks_over_planar_content():
