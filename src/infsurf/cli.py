@@ -20,9 +20,7 @@ from .decide import (
     Answer,
     DerivedFacts,
     InternalInvariantViolation,
-    LINE_CACHE_SIZE,
     ROW_CACHE_SIZE,
-    VERDICT_CACHE_SIZE,
     Verdict,
     WitnessRef,
     CITATIONS,
@@ -207,6 +205,17 @@ def _cmd_decide(args) -> int:
         return _run_batch(args)
     v = verdict(*parse_surface_type(args.surface))
     return _emit(args, verdict_json(v), _verdict_text(v))
+
+
+VERDICT_CACHE_SIZE = 1024
+"""Surface types whose verdict lines ``decide --jsonl`` keeps
+(``_verdict_line``), so that lines of one type are decided once."""
+
+LINE_CACHE_SIZE = 1024
+"""Token sequences whose finished output lines one ``decide --jsonl`` run
+keeps (``_batch_line``), so that a repeated sequence is not parsed
+again.  Each entry holds its key as one string, the tokens joined by
+spaces; a tuple of the tokens would hold a string object per token."""
 
 
 def _run_batch(args) -> int:

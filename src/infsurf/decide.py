@@ -338,16 +338,6 @@ ROW_CACHE_SIZE = 256
 batch of many surface types names few rows, and one of many sizes cannot
 grow the cache without limit."""
 
-VERDICT_CACHE_SIZE = 1024
-"""Surface types whose verdict lines ``decide --jsonl`` keeps
-(``cli._verdict_line``), so that lines of one type are decided once."""
-
-LINE_CACHE_SIZE = 1024
-"""Token sequences whose finished output lines one ``decide --jsonl`` run
-keeps (``cli._batch_line``), so that a repeated sequence is not parsed
-again.  Each entry holds its key as one string, the tokens joined by
-spaces; a tuple of the tokens would hold a string object per token."""
-
 
 def row_key(genus: int | float, s: Summary) -> tuple:
     """The row of the table that a valid, boundaryless, infinite-type surface

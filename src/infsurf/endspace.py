@@ -19,12 +19,13 @@ Leaves and compactification points carry a planar/non-planar mark used by
 the surface layer.  Normal forms, ranks, invariants and the homeomorphism
 decision ignore marks.  A ``Summary`` holds every fact the engine needs;
 next to the mark-free reduced form it carries the mark facts of the surface
-layer: the marks present, the planar isolated points, mixed ends and the
-first closedness violation.  The reduced form is a canonical part next to
-irreducible atoms, and each atom is the plain pair ``(canon, atoms)`` of
-the space whose copies it compactifies, so a summary holds no expression
-tree: ``Summary.normal_text`` writes the normal form, and ``normalize`` is
-the one place that builds its expression.
+layer: the marks present as two bits, the planar isolated points, mixed
+ends and the first closedness violation.  The reduced form is a canonical
+part next to irreducible atoms, and each atom is the plain pair
+``(canon, atoms)`` of the space whose copies it compactifies, so a summary
+holds no expression tree: ``Summary.normal_text`` writes the normal form,
+``normalize`` is the one place that builds its expression, and the number
+of isolated points and the distinguished-end bound are read off it.
 
 The summary rules (the point, Cantor, interval and ``lim1pc`` leaves,
 ``join`` for unions and the compactification rule) are one bottom-up fold,
@@ -57,6 +58,11 @@ class Mark(Enum):
 
 PLANAR = Mark.PLANAR
 NONPLANAR = Mark.NONPLANAR
+
+# the bits of ``Summary.marks``: some end is marked planar, non-planar
+PLANAR_BIT = 1
+NONPLANAR_BIT = 2
+_BIT = {PLANAR: PLANAR_BIT, NONPLANAR: NONPLANAR_BIT}
 
 
 # ---------------------------------------------------------------------------
@@ -385,24 +391,20 @@ class Summary(NamedTuple):
     Each atom is the reduced form ``(canon, atoms)`` of the space whose
     copies it compactifies, its atoms in input order; ``normal_text``
     writes the normal form from them, and only ``normalize`` builds its
-    expression.  ``violation`` is the path,
-    relative to the summarized node, of the first compactification point
-    marked planar over non-planar material.  ``atom_rank`` bounds the ranks
-    of ordinal-interval germs inside the pieces of the atoms, and ``nested``
-    tells whether those pieces contain a compactification.
+    expression.  ``marks`` ORs the bits of the marks present.  ``violation``
+    is the path, relative to the summarized node, of the first
+    compactification point marked planar over non-planar material.
 
-    The number of isolated points is no field: the reduced form fixes it
-    (see ``isolated``).
+    The number of isolated points and the distinguished-end bound are no
+    fields: the reduced form fixes them (see ``isolated`` and ``td_max``).
     """
 
     canon: CanonicalEndSpace
     atoms: tuple[tuple[CanonicalEndSpace, tuple], ...]
     planar_isolated: int | float
-    marks: frozenset[Mark]
+    marks: int
     mixed: bool
     violation: Optional[str]
-    atom_rank: Ordinal
-    nested: bool
 
     def normal_text(self) -> str:
         """``str`` of the normal form's expression, written without it."""
@@ -427,10 +429,11 @@ class Summary(NamedTuple):
     def td_max(self) -> TdMax:
         if not self.atoms:
             return TdMax(_canonical_td(self.canon))
-        claimed = 0 if self.nested else len(self.atoms)
+        # a compactification inside the atoms could alias their points' germs
+        claimed = 0 if any(inner for _, inner in self.atoms) else len(self.atoms)
         s = self.canon.scattered
-        # atom_rank >= 1 here, so a part of points never counts
-        if s is not None and compare(add(s.exponent, ONE), self.atom_rank) > 0:
+        # the atom rank is >= 1 here, so a part of points never counts
+        if s is not None and compare(add(s.exponent, ONE), _atom_rank(self.atoms)) > 0:
             claimed += s.copies
         return TdMax(claimed, exact=False)
 
@@ -461,17 +464,21 @@ class Summary(NamedTuple):
         return Homeo.UNKNOWN
 
 
-# every summary's marks are one of these four sets, so summaries share them
-_NO_MARKS: frozenset[Mark] = frozenset()
-_MARKS = {m: frozenset((m,)) for m in Mark}
-_BOTH_MARKS = frozenset(Mark)
-# a limit compactification's interval pieces are planar
-_LIMIT_MARKS = {PLANAR: _MARKS[PLANAR], NONPLANAR: _BOTH_MARKS}
+def _atom_rank(atoms: tuple) -> Ordinal:
+    """Bound for the ranks of ordinal-interval germs inside the pieces of the
+    atoms: an atom's space has its canonical rank, and the points that
+    compactify its own atoms sit one rank above theirs."""
+    rank = ZERO
+    for c, inner in atoms:
+        rank = max(rank, _canonical_rank(c), add(_atom_rank(inner), ONE) if inner else ZERO)
+    return rank
+
+
 _ONE_POINT = _DISCRETE[1]
 
-_EMPTY_SUMMARY = Summary(EMPTY_CANON, (), 0, _NO_MARKS, False, None, ZERO, False)
-_PT_SUMMARY = {m: Summary(_ONE_POINT, (), int(m is PLANAR), _MARKS[m], False, None, ZERO, False) for m in Mark}
-_CANTOR_SUMMARY = {m: Summary(CANTOR_CANON, (), 0, _MARKS[m], False, None, ZERO, False) for m in Mark}
+_EMPTY_SUMMARY = Summary(EMPTY_CANON, (), 0, 0, False, None)
+_PT_SUMMARY = {m: Summary(_ONE_POINT, (), int(m is PLANAR), _BIT[m], False, None) for m in Mark}
+_CANTOR_SUMMARY = {m: Summary(CANTOR_CANON, (), 0, _BIT[m], False, None) for m in Mark}
 
 
 def summarize(e: EndSpaceExpr) -> Summary:
@@ -493,16 +500,9 @@ def summarize(e: EndSpaceExpr) -> Summary:
     raise TypeError(f"not an end-space expression: {e!r}")
 
 
-def _marks_union(a: frozenset[Mark], b: frozenset[Mark]) -> frozenset[Mark]:
-    """``a | b`` for two of the shared mark sets, itself a shared one."""
-    if b <= a:
-        return a
-    return b if a <= b else _BOTH_MARKS
-
-
 def _scattered_leaf(canon: CanonicalEndSpace, n: int | float, mark: Mark) -> Summary:
     """Summary of a leaf with `n` isolated points, all marked `mark`."""
-    return Summary(canon, (), n if mark is PLANAR else 0, _MARKS[mark], False, None, ZERO, False)
+    return Summary(canon, (), n if mark is PLANAR else 0, _BIT[mark], False, None)
 
 
 # [0, n] for n < 100 is summarized once and shared, as dsl shares the small naturals
@@ -526,10 +526,9 @@ def _limit_summary(sup: Ordinal, point: Mark) -> Summary:
     """Summary of ``LimitCompactification(sup, point)``; raises ValueError
     unless `sup` is a limit ordinal."""
     _require_limit(sup)
-    return Summary(
-        CanonicalEndSpace(False, Scattered(1, sup)), (), INFINITE,
-        _LIMIT_MARKS[point], point is NONPLANAR, None, ZERO, False,
-    )
+    # the interval pieces are planar
+    marks = PLANAR_BIT | _BIT[point]
+    return Summary(CanonicalEndSpace(False, Scattered(1, sup)), (), INFINITE, marks, point is NONPLANAR, None)
 
 
 def _count_sum(a: int | float, b: int | float) -> int | float:
@@ -540,41 +539,36 @@ def join(parts: Sequence[Summary]) -> Summary:
     """Summary of the disjoint union of the summarized spaces, in order."""
     if not parts:
         return _EMPTY_SUMMARY
-    _, atoms, planar, marks, mixed, violation, rank, nested = parts[0]
+    _, atoms, planar, marks, mixed, violation = parts[0]
     if violation is not None:
         violation = ".children[0]" + violation
     for i in range(1, len(parts)):
         p = parts[i]
         if p.atoms:
             atoms += p.atoms
-            if compare(p.atom_rank, rank) > 0:
-                rank = p.atom_rank
         # INFINITE plus an int past the float range would overflow
         planar = _count_sum(planar, p.planar_isolated)
-        marks = _marks_union(marks, p.marks)
+        marks |= p.marks
         mixed = mixed or p.mixed
         if violation is None and p.violation is not None:
             violation = f".children[{i}]{p.violation}"
-        nested = nested or p.nested
     canon = _union_canon([p.canon for p in parts])
-    return Summary(canon, atoms, planar, marks, mixed, violation, rank, nested)
+    return Summary(canon, atoms, planar, marks, mixed, violation)
 
 
 def _compactify(r: Summary, point: Mark) -> Summary:
     """Summary of the one-point compactification of countably many copies
     of the non-empty space `r` summarizes, the added point marked `point`."""
     # a planar limit of non-planar ends would leave the non-planar set open
-    if point is PLANAR and NONPLANAR in r.marks:
+    if point is PLANAR and r.marks & NONPLANAR_BIT:
         violation: Optional[str] = ""
     else:
         violation = None if r.violation is None else ".child" + r.violation
     atoms: tuple = ()
-    atom_rank, nested = ZERO, False
     c = r.canon
     if r.atoms:
         canon = EMPTY_CANON
         atoms = ((c, r.atoms),)
-        atom_rank, nested = max(_canonical_rank(c), add(r.atom_rank, ONE)), True
     elif c.has_kernel and c.scattered is None:
         # countably many Cantor sets plus a limit point: compact, perfect,
         # totally disconnected and metrizable, hence a Cantor set again
@@ -583,19 +577,11 @@ def _compactify(r: Summary, point: Mark) -> Summary:
         # the added point is accumulated by kernel and scattered material
         canon = EMPTY_CANON
         atoms = ((c, ()),)
-        atom_rank = _canonical_rank(c)
     else:
         canon = CanonicalEndSpace(False, Scattered(1, add(c.scattered.exponent, ONE)))
-    return Summary(
-        canon,
-        atoms,
-        INFINITE if r.planar_isolated > 0 else 0,
-        _marks_union(r.marks, _MARKS[point]),
-        (point is NONPLANAR and r.planar_isolated > 0) or r.mixed,
-        violation,
-        atom_rank,
-        nested,
-    )
+    planar = INFINITE if r.planar_isolated > 0 else 0
+    mixed = (point is NONPLANAR and r.planar_isolated > 0) or r.mixed
+    return Summary(canon, atoms, planar, r.marks | _BIT[point], mixed, violation)
 
 
 def _reduced_text(canon: CanonicalEndSpace, atoms: tuple) -> str:

@@ -18,7 +18,8 @@ from .endspace import (
     EndSpaceExpr,
     Homeo,
     INFINITE,
-    NONPLANAR,
+    NONPLANAR_BIT,
+    PLANAR_BIT,
     SpaceInvariants,
     Summary,
     join,
@@ -101,7 +102,7 @@ def validate_type(genus: int | float, s: Summary) -> Summary:
             "a compactification point over non-planar ends is a limit of them and must be marked non-planar",
             "ends" + s.violation,
         )
-    np_present = NONPLANAR in s.marks
+    np_present = bool(s.marks & NONPLANAR_BIT)
     if (genus == INFINITE) != np_present:
         if np_present:
             raise GenusMarkMismatch("non-planar ends force infinite genus")
@@ -148,9 +149,9 @@ def _split(parts: list[Summary]) -> Optional[tuple[Summary, Summary]]:
     """Summaries of the (non-planar part, planar part) of the ends with these
     summands when the non-planar set is a union of whole summands (hence
     clopen); None otherwise."""
-    if any(len(s.marks) != 1 for s in parts):
+    if any(s.marks not in (PLANAR_BIT, NONPLANAR_BIT) for s in parts):
         return None
-    return join([s for s in parts if NONPLANAR in s.marks]), join([s for s in parts if NONPLANAR not in s.marks])
+    return join([s for s in parts if s.marks & NONPLANAR_BIT]), join([s for s in parts if not s.marks & NONPLANAR_BIT])
 
 
 def surfaces_homeomorphic(d1: SurfaceDescriptor, d2: SurfaceDescriptor) -> Homeo:

@@ -11,8 +11,8 @@ import pytest
 from infsurf import cli
 from infsurf import decide as decide_module
 from infsurf.catalog import CATALOG
-from infsurf.cli import main, verdict_json
-from infsurf.decide import LINE_CACHE_SIZE, DecisionError, InternalInvariantViolation, decide
+from infsurf.cli import LINE_CACHE_SIZE, main, verdict_json
+from infsurf.decide import DecisionError, InternalInvariantViolation, decide
 from infsurf.dsl import _TOKEN, MAX_DEPTH, MAX_DIGITS, ParseError, parse_surface, parse_surface_type
 from infsurf.endspace import (
     INFINITE,

@@ -219,6 +219,11 @@ def test_hom_abelianize_text_presentation(capsys):
     assert code == 0 and out.strip() == "Z"
 
 
+def test_hom_abelianize_skips_empty_chunks(capsys):
+    code, out, err = run(capsys, "hom", "abelianize", "gens=2;; rel=1 1;")
+    assert (code, out, err) == (0, "Z + Z/2\n", "")
+
+
 @pytest.mark.parametrize("text", ["gens=x; rel=1", "gens=2; rel=1 a", "gens=; rel=1"])
 def test_hom_abelianize_bad_integer_is_a_parse_error(capsys, text):
     code, _, err = run(capsys, "hom", "abelianize", text)
@@ -670,6 +675,20 @@ def test_golden_ends_output(capsys, command):
         assert (code, err) == (0, ""), e
         lines.append(out)
     assert "".join(lines).encode("utf-8") == (GOLDEN / f"golden_ends.{command}.jsonl").read_bytes()
+
+
+def test_golden_surface_output(capsys):
+    # one call a line: `surface validate|invariants --json` on each descriptor
+    # (the catalog, then marked cases) and `surface homeo --json` on each
+    # descriptor and the next one, with its exit code and exact stdout
+    calls = [json.loads(line) for line in (GOLDEN / "golden_surface.txt").read_text(encoding="utf-8").splitlines()]
+    assert {c["exit"] for c in calls} == {0, 3}
+    homeo = {json.loads(c["stdout"]).get("result") for c in calls if c["argv"][1] == "homeo"}
+    assert homeo == {"yes", "no", "unknown", None}
+    for c in calls:
+        code, out, err = run(capsys, *c["argv"])
+        assert (code, err) == (c["exit"], ""), c["argv"]
+        assert out.encode("utf-8") == c["stdout"].encode("utf-8"), c["argv"]
 
 
 def test_golden_batch_covers_every_row_and_error_kind():

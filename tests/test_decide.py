@@ -11,6 +11,7 @@ from infsurf.decide import (
     EVERY_EVEN_DEGREE,
     HasBoundary,
     INTEGRAL,
+    InternalInvariantViolation,
     InvalidDescriptor,
     NO,
     NoWitness,
@@ -191,6 +192,14 @@ def test_every_possible_verdict_respects_the_implication_chain():
             assert b == NO
         if b == NO:
             assert a == NO
+
+
+def test_a_broken_implication_chain_is_an_internal_error():
+    v = D("surface(genus=1, boundary=0, ends=I(w))")
+    no = decide_module.Answer(NO, "infinite-genus-no-punctures-vanishing", coefficients=ANY_FIELD)
+    with pytest.raises(InternalInvariantViolation) as info:
+        decide_module._check_chain(decide_module.Verdict(v.qI, no, no, v.derived))
+    assert str(info.value) == "implication chain broken: yes, no, no"
 
 
 def test_any_coefficient_noes_occur_only_for_near_cantor_trees():

@@ -19,6 +19,10 @@ from infsurf.endspace import (
     Interval,
     Irreducible,
     LimitCompactification,
+    NONPLANAR,
+    NONPLANAR_BIT,
+    PLANAR,
+    PLANAR_BIT,
     Pt,
     RankUndecidable,
     Scattered,
@@ -452,6 +456,10 @@ def test_profile_oracle_agrees_with_normal_forms():
 # -- the one-pass summary -----------------------------------------------------
 
 
+def _mark_bits(marks) -> int:
+    return sum({PLANAR_BIT if m is PLANAR else NONPLANAR_BIT for m in marks})
+
+
 def test_summary_matches_the_per_fact_oracles():
     rng = random.Random(131)
     violations = irreducible = nested = 0
@@ -464,16 +472,16 @@ def test_summary_matches_the_per_fact_oracles():
         assert tuple(SeqCompactification(_reduced_tree(*a)) for a in s.atoms) == atoms
         assert s.isolated == oracles.isolated_count(e)
         assert s.planar_isolated == oracles.isolated_count(e, planar_only=True)
-        assert s.marks == set(oracles.marks(e))
+        assert s.marks == _mark_bits(oracles.marks(e))
         assert s.mixed == oracles.mixed(e)
         bad = oracles.closedness_violation(e)
         assert (None if s.violation is None else "ends" + s.violation) == bad
-        assert s.atom_rank == max((oracles.rank_bound(a.child) for a in atoms), default=ZERO)
-        assert s.nested == any(oracles.has_compactification(a.child) for a in atoms)
+        assert endspace._atom_rank(s.atoms) == max((oracles.rank_bound(a.child) for a in atoms), default=ZERO)
+        assert any(inner for _, inner in s.atoms) == any(oracles.has_compactification(a.child) for a in atoms)
         assert s.td_max() == oracles.td_max(e)
         violations += bad is not None
         irreducible += bool(atoms)
-        nested += s.nested
+        nested += any(inner for _, inner in s.atoms)
     # the generator must exercise the rare branches
     assert violations >= 300 and irreducible >= 200 and nested >= 50
 
@@ -506,28 +514,32 @@ def test_a_summary_holds_no_expression_node():
         for s in (summarize(e), parse_surface_type(f"surface(genus=inf, boundary=0, ends={e})")[2]):
             assert not any(isinstance(v, _TREE_NODES) for v in _held_values(s)), e
         irreducible += bool(s.atoms)
-        nested += s.nested
+        nested += any(inner for _, inner in s.atoms)
     assert irreducible >= 60 and nested >= 8
 
 
 def test_summaries_share_their_mark_sets():
-    # a batch keeps many summaries; each holds one of four shared mark sets
-    # instead of a set of its own
-    shared = {id(endspace._NO_MARKS), id(endspace._BOTH_MARKS), *map(id, endspace._MARKS.values())}
-    assert len(shared) == 4
+    # a batch keeps many summaries; each holds its marks as two bits
     rng = random.Random(137)
     seen = set()
     for _ in range(800):
         e = random_marked_expr(rng, rng.randint(0, 4))
         for node in oracles.walk(e):
             s = summarize(node)
-            assert id(s.marks) in shared
-            assert s.marks == set(oracles.marks(node))
+            assert s.marks == _mark_bits(oracles.marks(node))
             seen.add(s.marks)
         s = parse_surface_type(f"surface(genus=inf, boundary=0, ends={e})")[2]
-        assert id(s.marks) in shared
-    assert len(seen) == 3
-    assert summarize(EMPTY).marks is endspace._NO_MARKS
+        assert s.marks == _mark_bits(oracles.marks(e))
+    assert seen == {PLANAR_BIT, NONPLANAR_BIT, PLANAR_BIT | NONPLANAR_BIT}
+    assert summarize(EMPTY).marks == 0
+
+
+def test_a_summary_keeps_the_reduced_form_and_the_mark_facts():
+    # the isolated count and the distinguished-end bound are read off the atoms
+    assert endspace.Summary._fields == ("canon", "atoms", "planar_isolated", "marks", "mixed", "violation")
+    s = summarize(union(SeqCompactification(union(Cantor(), Pt())), Interval(omega_pow(from_int(3))), Pt(NONPLANAR)))
+    assert type(s.marks) is int and s.marks == PLANAR_BIT | NONPLANAR_BIT
+    assert (s.isolated, s.td_max()) == (INFINITE, TdMax(2, exact=False))
 
 
 def test_text_of_a_normal_form_is_the_text_of_its_expression():

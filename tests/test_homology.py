@@ -269,6 +269,8 @@ def test_abelianize_is_invariant_under_tietze_moves():
 def test_abelian_group_formatting():
     assert str(AbelianGroup(0, ())) == "0"
     assert str(AbelianGroup(2, (2, 4))) == "Z + Z + Z/2 + Z/4"
+    assert AbelianGroup(0, (2, 4)).order() == 8
+    assert AbelianGroup(1, (2,)).order() is None
     with pytest.raises(ValueError):
         AbelianGroup(0, (4, 2))
 

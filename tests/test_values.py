@@ -232,6 +232,16 @@ def test_equal_fields_across_classes_are_unequal():
             InternalInvariantViolation,
             "a positive answer needs integral coefficients and a witness",
         ),
+        (
+            lambda: Answer("no", "infinite-genus-no-punctures-vanishing"),
+            InternalInvariantViolation,
+            "a negative answer needs its coefficient scope",
+        ),
+        (
+            lambda: Answer("unknown", "infinite-genus-unmixed-open", coefficients="any_field"),
+            InternalInvariantViolation,
+            "an unknown answer carries no scope or witness",
+        ),
     ],
 )
 def test_construction_checks_still_raise(build, error, message):
