@@ -7,6 +7,9 @@ the instances frozen and gives them value semantics: ``repr`` is
 same class and their field tuples are equal, and the hash is the hash of
 the field tuple.  A class whose instances are hashed or compared in bulk
 writes ``__eq__`` and ``__hash__`` out with the same results.
+
+Ordinals are not values of this kind: ``ordinal.Ordinal`` is a tuple of
+its terms and takes its order, equality and hash from the tuple.
 """
 
 from __future__ import annotations

@@ -247,7 +247,7 @@ def _distinguished_witness(n: int, counted: str) -> WitnessRef:
     if n > MAX_WITNESS_ENDS:
         raise homology.ResourceLimit(f"the genus-0 witness covers at most {MAX_WITNESS_ENDS} {counted}, got {n}")
     report = homology.prop74_square(n)
-    if not (report.element_nonzero and report.square_commutes):
+    if not (report.element_nonzero and report.square_commutes and report.full_twist_residue == 0):
         raise InternalInvariantViolation(f"distinguished-end witness failed for n={n}: {report}")
     spherical = homology.abelianize(homology.preset("spherical_braid", n))
     if spherical.order() != 2 * n - 2:

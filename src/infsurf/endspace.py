@@ -42,7 +42,7 @@ from enum import Enum
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union as TUnion
 
 from ._value import Value
-from .ordinal import Kind, ONE, ZERO, Ordinal, add, compare, div_omega, from_int, kind, omega_pow, power_str
+from .ordinal import Kind, ONE, ZERO, Ordinal, add, div_omega, from_int, kind, omega_pow, power_str
 
 INFINITE = math.inf
 
@@ -359,10 +359,9 @@ def _union_canon(canons: Sequence[CanonicalEndSpace]) -> CanonicalEndSpace:
         if s is None:
             continue
         # only the copies of maximal rank survive; they absorb the others
-        k = 1 if top is None else compare(s.exponent, top.exponent)
-        if k > 0:
+        if top is None or s.exponent > top.exponent:
             top, copies = s, s.copies
-        elif k == 0:
+        elif s.exponent == top.exponent:
             copies += s.copies
     if top is None:
         return CANTOR_CANON if kernel else EMPTY_CANON
@@ -433,7 +432,7 @@ class Summary(NamedTuple):
         claimed = 0 if any(inner for _, inner in self.atoms) else len(self.atoms)
         s = self.canon.scattered
         # the atom rank is >= 1 here, so a part of points never counts
-        if s is not None and compare(add(s.exponent, ONE), _atom_rank(self.atoms)) > 0:
+        if s is not None and add(s.exponent, ONE) > _atom_rank(self.atoms):
             claimed += s.copies
         return TdMax(claimed, exact=False)
 

@@ -430,7 +430,9 @@ def prop74_square(n: int) -> SquareReport:
     commutes = (2 * (1 % k)) % two_k == 2 % two_k
     injective = two_k // gcd(2, two_k) == k
     twist = (n * (n - 1)) % two_k
-    assert twist == 0, "the full twist must vanish in Z/2k"
+    if twist:
+        # raised, not asserted: python -O must not certify a live twist
+        raise AssertionError(f"the full twist must vanish in Z/2k, got {twist} in Z/{two_k}")
     return SquareReport(
         n=n,
         k=k,

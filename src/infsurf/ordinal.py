@@ -6,6 +6,15 @@ An ordinal is stored in Cantor normal form as a sequence of terms
 sequence is 0.  The representation is unique, so structural equality is
 ordinal equality and values hash consistently.
 
+:class:`Ordinal` is a ``tuple`` of its ``(exponent, coefficient)`` terms,
+and its order, equality and hash are the tuple's.  Lexicographic order on
+normal forms is the ordinal order: the first term where two ordinals
+differ decides, by the larger exponent and then the larger coefficient,
+because every later term is below the place they differ; and a proper
+prefix is the smaller ordinal.  So an Ordinal also equals, and hashes as,
+the plain tuple of its terms.  Tuple repetition is refused, and ``+`` is
+ordinal addition, not concatenation.
+
 Only the operations the end-space calculus needs are exposed: comparison,
 addition, zero/successor/limit classification, the symbolic derived-set
 quotient ``div_omega`` and maximum-with-multiplicity.  General
@@ -16,7 +25,6 @@ powers ``w^e * c`` are built directly with :func:`omega_pow`.
 from __future__ import annotations
 
 from enum import Enum
-from functools import total_ordering
 from typing import Iterable
 
 
@@ -26,69 +34,65 @@ class Kind(Enum):
     LIMIT = "limit"
 
 
-@total_ordering
-class Ordinal:
-    __slots__ = ("terms",)
+class Ordinal(tuple):
+    __slots__ = ()
 
-    def __init__(self, terms: Iterable[tuple["Ordinal", int]] = ()):
-        terms = tuple(terms)
+    def __new__(cls, terms: Iterable[tuple["Ordinal", int]] = ()) -> "Ordinal":
+        terms = [(exp, coeff) for exp, coeff in terms]
         for exp, coeff in terms:
             if not isinstance(exp, Ordinal):
                 raise TypeError(f"exponent must be an Ordinal, got {type(exp).__name__}")
             if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff < 1:
                 raise ValueError(f"coefficient must be a positive integer, got {coeff!r}")
         for (hi, _), (lo, _) in zip(terms, terms[1:]):
-            if compare(hi, lo) <= 0:
+            if hi <= lo:
                 raise ValueError("exponents must be strictly decreasing")
-        self.terms = terms
+        return tuple.__new__(cls, terms)
+
+    @property
+    def terms(self) -> "Ordinal":
+        """The ``(exponent, coefficient)`` terms, which are the ordinal itself."""
+        return self
 
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def is_finite(self) -> bool:
         """True when the ordinal is a natural number."""
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero())
+        return not self or (len(self) == 1 and self[0][0].is_zero())
 
     def as_int(self) -> int:
         if not self.is_finite():
             raise ValueError(f"{self} is not a natural number")
-        return self.terms[0][1] if self.terms else 0
+        return self[0][1] if self else 0
 
     def leading(self) -> tuple["Ordinal", int]:
         """Leading (exponent, coefficient) pair; raises on 0."""
-        if not self.terms:
+        if not self:
             raise ValueError("0 has no leading term")
-        return self.terms[0]
+        return self[0]
 
-    # -- comparisons / hashing ----------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return compare(self, other) < 0
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Ordinal") -> "Ordinal":
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return add(self, other)
+
+    def __mul__(self, other: object):
+        # not a product: refuse the tuple's repetition of the terms
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     # -- printing ------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self:
             return "0"
-        return " + ".join(_format_term(e, c) for e, c in self.terms)
+        return " + ".join(_format_term(e, c) for e, c in self)
 
     def __repr__(self) -> str:
         return f"Ordinal({self})"
@@ -104,7 +108,7 @@ def _format_term(exp: Ordinal, coeff: int) -> str:
     elif exp == OMEGA:
         head = "w^w"
     else:
-        head = "w^(" + "+".join(_format_term(e, c) for e, c in exp.terms) + ")"
+        head = "w^(" + "+".join(_format_term(e, c) for e, c in exp) + ")"
     return head if coeff == 1 else f"{head}*{coeff}"
 
 
@@ -114,15 +118,9 @@ def power_str(exp: Ordinal, coeff: int = 1) -> str:
     return _format_term(exp, coeff)
 
 
-_new = object.__new__
-
-
-def _cnf(terms: tuple) -> Ordinal:
-    """The ordinal with ``terms``, which the caller has built in Cantor
-    normal form; unlike ``Ordinal(terms)`` nothing is checked again."""
-    o = _new(Ordinal)
-    o.terms = terms
-    return o
+# ``_cnf(Ordinal, terms)`` is the ordinal with ``terms``, which the caller
+# has built in Cantor normal form; unlike ``Ordinal(terms)`` it checks nothing
+_cnf = tuple.__new__
 
 
 ZERO = Ordinal()
@@ -142,7 +140,7 @@ def omega_pow(exp: Ordinal, coeff: int = 1) -> Ordinal:
         raise TypeError(f"exponent must be an Ordinal, got {type(exp).__name__}")
     if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff < 1:
         raise ValueError(f"coefficient must be a positive integer, got {coeff!r}")
-    return _cnf(((exp, coeff),))
+    return _cnf(Ordinal, ((exp, coeff),))
 
 
 ONE = from_int(1)
@@ -151,44 +149,30 @@ OMEGA = omega_pow(ONE)
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Total order on Cantor normal forms: -1, 0 or 1."""
-    if a is b:
-        # shared ordinals (the small naturals, ONE, OMEGA) meet often
-        return 0
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    return (a > b) - (a < b)
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum; terms of `a` below the leading exponent of `b` are absorbed."""
-    if not b.terms:
+    if not b:
         return a
-    lead, lead_coeff = b.terms[0]
-    kept = []
-    merged = lead_coeff
-    for exp, coeff in a.terms:
-        c = compare(exp, lead)
-        if c > 0:
-            kept.append((exp, coeff))
-        elif c == 0:
-            merged += coeff
-            break
+    lead, lead_coeff = b[0]
+    # the kept terms of a lie above the lead and b's other terms below it
+    kept = 0
+    for exp, coeff in a:
+        if exp > lead:
+            kept += 1
+        elif exp == lead:
+            return _cnf(Ordinal, (*a[:kept], (lead, coeff + lead_coeff), *b[1:]))
         else:
             break
-    # the kept terms lie above the lead and b's other terms below it
-    return _cnf((*kept, (lead, merged), *b.terms[1:]))
+    return _cnf(Ordinal, (*a[:kept], *b)) if kept else b
 
 
 def kind(a: Ordinal) -> Kind:
-    if not a.terms:
+    if not a:
         return Kind.ZERO
-    return Kind.SUCCESSOR if a.terms[-1][0].is_zero() else Kind.LIMIT
+    return Kind.SUCCESSOR if a[-1][0].is_zero() else Kind.LIMIT
 
 
 def div_omega(b: Ordinal) -> Ordinal:
@@ -201,7 +185,7 @@ def div_omega(b: Ordinal) -> Ordinal:
     leaving infinite exponents untouched (w * w^g = w^g once g >= w).
     """
     out = []
-    for exp, coeff in b.terms:
+    for exp, coeff in b:
         if exp.is_zero():
             continue
         if exp.is_finite():
@@ -209,4 +193,4 @@ def div_omega(b: Ordinal) -> Ordinal:
         else:
             out.append((exp, coeff))
     # g -> g-1 keeps finite exponents >= 1 apart and below the infinite ones
-    return _cnf(tuple(out))
+    return _cnf(Ordinal, out)

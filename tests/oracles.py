@@ -69,6 +69,21 @@ def from_vector(vec: list[int]) -> Ordinal:
     return out
 
 
+def cnf_compare(a: Ordinal, b: Ordinal) -> int:
+    """-1, 0 or 1 by a recursive walk over the Cantor normal form terms: the
+    first term where they differ decides, by exponent and then coefficient,
+    and else the ordinal with fewer terms is the smaller."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = cnf_compare(ea, eb)
+        if c:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) != len(b.terms):
+        return -1 if len(a.terms) < len(b.terms) else 1
+    return 0
+
+
 def div_omega_vector(vec: list[int]) -> list[int]:
     """Largest q with w*q <= b, computed on dense vectors by a plain shift:
     multiplying q by w on the left shifts its coefficients one slot up."""

@@ -691,6 +691,43 @@ def test_golden_surface_output(capsys):
         assert out.encode("utf-8") == c["stdout"].encode("utf-8"), c["argv"]
 
 
+def test_golden_ord_output(capsys):
+    # `ord eval` (text and --json) on seeded ordinal texts, some not in
+    # normal form and some with nested exponents, and `ord compare --json`
+    # on neighbouring texts and on each seventh text against itself
+    calls = [json.loads(line) for line in (GOLDEN / "golden_ord.txt").read_text(encoding="utf-8").splitlines()]
+    assert {json.loads(c["stdout"])["result"] for c in calls if c["argv"][1] == "compare"} == {"less", "equal", "greater"}
+    for c in calls:
+        code, out, err = run(capsys, *c["argv"])
+        assert (code, err) == (c["exit"], ""), c["argv"]
+        assert out.encode("utf-8") == c["stdout"].encode("utf-8"), c["argv"]
+
+
+def test_a_live_full_twist_is_refused_under_python_O(tmp_path):
+    # with a wrong k the full twist does not vanish in Z/2k; the check must
+    # not be an assert, which python -O strips
+    batch = tmp_path / "batch.txt"
+    batch.write_text("surface(genus=0, boundary=0, ends=U(cantor, I(4)))\n", encoding="utf-8")
+    code = f"""
+import sys
+from infsurf import homology
+from infsurf.cli import main
+assert sys.flags.optimize == 1
+homology.k_of = lambda n: n + 1
+try:
+    homology.prop74_square(5)
+except AssertionError as err:
+    print("raised:", err)
+sys.exit(main(["decide", "--jsonl", {str(batch)!r}]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(infsurf.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    raised, line = proc.stdout.splitlines()
+    assert raised.startswith("raised: the full twist must vanish")
+    assert json.loads(line)["error"]["kind"] == "internal"
+
+
 def test_golden_batch_covers_every_row_and_error_kind():
     rows = [json.loads(line) for line in (GOLDEN / "golden_batch.jsonl").read_text(encoding="utf-8").splitlines()]
     verdicts = [r for r in rows if "error" not in r]

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -17,6 +20,7 @@ from infsurf.ordinal import (
 )
 from infsurf.dsl import parse_ordinal
 from oracles import (
+    cnf_compare,
     div_omega_vector,
     from_vector,
     fundamental_sequence,
@@ -218,3 +222,68 @@ def test_omega_pow_rejects_a_bad_coefficient(coeff):
         omega_pow(ONE, coeff)
     with pytest.raises(TypeError):
         omega_pow(2, 1)
+
+
+NESTED_TEXTS = ["w^(w^w+1)*2", "w^(w^w+1)*2 + w^(w^w)", "w^(w^w)*3", "w^(w^(w+1))", "w^(w^w+1) + 5", "w^(w*2+1)*3 + w + 5"]
+
+
+def _ordinal_pool(rng):
+    """Random ordinals with nested exponents, each text parsed twice so that
+    equal ordinals also meet as distinct objects."""
+    texts = NESTED_TEXTS + [random_ordinal_text(rng, depth=3) for _ in range(120)]
+    pool = [parse_ordinal(t) for t in texts for _ in range(2)]
+    pool += [random_ordinal(rng) for _ in range(40)] + [ZERO, ONE, OMEGA, W2, W_OMEGA]
+    assert sum(any(not e.is_finite() for e, _ in o.terms) for o in pool) > 40
+    return pool
+
+
+def test_tuple_order_matches_the_term_walk():
+    rng = random.Random(41)
+    pool = _ordinal_pool(rng)
+    outcomes = set()
+    for _ in range(2500):
+        a, b = rng.choice(pool), rng.choice(pool)
+        want = cnf_compare(a, b)
+        outcomes.add(want)
+        assert compare(a, b) == want, (a, b)
+        assert (a < b) is (want < 0) and (a <= b) is (want <= 0), (a, b)
+        assert (a > b) is (want > 0) and (a >= b) is (want >= 0), (a, b)
+        assert (a == b) is (want == 0) and (a != b) is (want != 0), (a, b)
+        if want == 0:
+            assert hash(a) == hash(b)
+    assert outcomes == {-1, 0, 1}
+    assert sorted(pool) == sorted(pool, key=cmp_to_key(cnf_compare))
+    assert sorted(pool, reverse=True) == sorted(pool, key=cmp_to_key(cnf_compare), reverse=True)
+    assert len(set(pool)) == len({str(o) for o in pool})
+
+
+def test_tuple_order_matches_the_vector_oracle_below_w4():
+    rng = random.Random(43)
+    for _ in range(1000):
+        u, v = [rng.randint(0, 3) for _ in range(4)], [rng.randint(0, 3) for _ in range(4)]
+        a, b = from_vector(u), from_vector(v)
+        want = (u > v) - (u < v)
+        assert compare(a, b) == want and (a < b) is (u < v) and (a == b) is (u == v), (u, v)
+
+
+def test_an_ordinal_is_the_tuple_of_its_terms():
+    o = parse_ordinal("w^(w^w+1)*2 + w + 3")
+    assert o == tuple(o.terms) and hash(o) == hash(tuple(o.terms))
+    assert o.terms is o and len(o) == 3 and not ZERO
+    # + is ordinal addition, not concatenation
+    assert ONE + ONE == from_int(2)
+    assert OMEGA + ONE == add(OMEGA, ONE) and ONE + OMEGA == OMEGA
+
+
+@pytest.mark.parametrize("op", [lambda: ONE * 2, lambda: 2 * ONE, lambda: OMEGA * OMEGA, lambda: ONE + (1,)])
+def test_tuple_repetition_and_concatenation_are_refused(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+@pytest.mark.parametrize("text", ["0", "5", "w^(w^w+1)*2 + w^w + 1"])
+def test_copy_and_pickle_keep_an_ordinal(text):
+    o = parse_ordinal(text)
+    for twin in (copy.copy(o), copy.deepcopy(o), pickle.loads(pickle.dumps(o))):
+        assert type(twin) is Ordinal and twin == o and hash(twin) == hash(o) and str(twin) == str(o)
+        assert all(type(e) is Ordinal for e, _ in twin.terms)
