@@ -337,12 +337,14 @@ def _parse_presentation(text: str) -> homology.FinitePresentation:
 
 
 def _cmd_hom_abelianize(args) -> int:
+    if bool(args.preset) == bool(args.presentation):
+        raise homology.BadParameter("give either --preset or a presentation")
     if args.preset:
         pres = homology.preset(args.preset, args.n)
-    elif args.presentation:
-        pres = _parse_presentation(args.presentation)
+    elif args.n is not None:
+        raise homology.BadParameter("a presentation takes no parameter")
     else:
-        raise homology.BadParameter("give either --preset or a presentation")
+        pres = _parse_presentation(args.presentation)
     group = homology.abelianize(pres)
     payload = {
         "presentation": str(pres),
@@ -477,7 +479,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _main(argv: Optional[list[str]]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "decide" and not args.jsonl and not args.surface:
+    if getattr(args, "command", None) == "decide" and bool(args.jsonl) == bool(args.surface):
         parser.error("decide needs a descriptor or --jsonl FILE")
     try:
         return args.func(args)

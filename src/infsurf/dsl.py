@@ -17,8 +17,8 @@ constructs on an explicit stack.  At most ``MAX_DEPTH`` of them may be
 open at once, and a natural has at most ``MAX_DIGITS`` digits; deeper or
 longer input is a parse error.
 
-The loop is one of the two walks that run the end-space fold
-(``endspace.Fold``); ``endspace.summarize`` over an expression tree is the
+The loop is one of the two walks that run an end-space fold
+(``endspace.Fold``); ``endspace.fold_tree`` over an expression tree is the
 other.  At each end-space construct it closes, the loop asks the fold for
 its value: ``parse_surface`` and ``parse_endspace`` build the expression
 (``endspace.TREES``), and ``parse_surface_type`` folds the text straight
@@ -38,9 +38,9 @@ from .surface import SurfaceDescriptor
 MAX_DEPTH = 100
 """Most ``U``/``seq1pc``/``I``/``lim1pc``/``w^`` parentheses open at once.
 
-The engine's folds, comparisons and printers recurse once per level, so
-this keeps every descriptor that parses well inside Python's recursion
-limit.
+The walks over a summary's atoms, the ordinal printer, and the equality
+and hash of nested values recurse once per level, so this keeps every
+descriptor that parses well inside Python's recursion limit.
 """
 
 MAX_DIGITS = 1000

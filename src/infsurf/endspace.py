@@ -29,10 +29,11 @@ of isolated points and the distinguished-end bound are read off it.
 
 The summary rules (the point, Cantor, interval and ``lim1pc`` leaves,
 ``join`` for unions and the compactification rule) are one bottom-up fold,
-``SUMMARIES``, and two walks run it: ``summarize`` walks an
-expression tree, and the parser in ``dsl`` folds descriptor text straight
-into a summary (``dsl.parse_surface_type``).  ``TREES`` is the same fold
-building expressions.
+``SUMMARIES``.  Two walks run a fold: ``fold_tree`` over an expression
+tree, on an explicit stack, and the parser in ``dsl`` over descriptor text,
+which it folds straight into a summary (``dsl.parse_surface_type``).
+``summarize``, ``strip_marks``, ``cb_derivative`` and the ``str`` of an
+expression are each one ``fold_tree`` call.
 """
 
 from __future__ import annotations
@@ -69,24 +70,27 @@ _BIT = {PLANAR: PLANAR_BIT, NONPLANAR: NONPLANAR_BIT}
 # expression trees
 
 
-class Empty(Value):
+class _Expr(Value):
+    """The base of the seven expression classes; the text is the ``TEXTS`` fold."""
+
     __slots__ = ()
 
     def __str__(self) -> str:
-        return "empty"
+        return fold_tree(TEXTS, self)
 
 
-class Pt(Value):
+class Empty(_Expr):
+    __slots__ = ()
+
+
+class Pt(_Expr):
     __slots__ = ("mark",)
 
     def __init__(self, mark: Mark = PLANAR) -> None:
         object.__setattr__(self, "mark", mark)
 
-    def __str__(self) -> str:
-        return "pt" + _mark_suffix(self.mark)
 
-
-class Interval(Value):
+class Interval(_Expr):
     """The closed ordinal interval [0, bound] with the order topology."""
 
     __slots__ = ("bound", "mark")
@@ -95,21 +99,15 @@ class Interval(Value):
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "mark", mark)
 
-    def __str__(self) -> str:
-        return f"I({self.bound})" + _mark_suffix(self.mark)
 
-
-class Cantor(Value):
+class Cantor(_Expr):
     __slots__ = ("mark",)
 
     def __init__(self, mark: Mark = PLANAR) -> None:
         object.__setattr__(self, "mark", mark)
 
-    def __str__(self) -> str:
-        return "cantor" + _mark_suffix(self.mark)
 
-
-class DisjointUnion(Value):
+class DisjointUnion(_Expr):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple["EndSpaceExpr", ...]) -> None:
@@ -120,11 +118,8 @@ class DisjointUnion(Value):
                 raise ValueError("union children must be flattened and nonempty; use union()")
         object.__setattr__(self, "children", children)
 
-    def __str__(self) -> str:
-        return "U(" + ", ".join(str(c) for c in self.children) + ")"
 
-
-class SeqCompactification(Value):
+class SeqCompactification(_Expr):
     """One-point compactification of countably many disjoint copies of `child`."""
 
     __slots__ = ("child", "point_mark")
@@ -135,14 +130,8 @@ class SeqCompactification(Value):
         object.__setattr__(self, "child", child)
         object.__setattr__(self, "point_mark", point_mark)
 
-    def __str__(self) -> str:
-        inner = str(self.child)
-        if self.point_mark is NONPLANAR:
-            return f"seq1pc({inner}; np)"
-        return f"seq1pc({inner})"
 
-
-class LimitCompactification(Value):
+class LimitCompactification(_Expr):
     """One-point compactification of the intervals [0, w^a_i] with a_i -> sup.
 
     The a_i are the canonical fundamental sequence of the limit ordinal
@@ -157,11 +146,6 @@ class LimitCompactification(Value):
         object.__setattr__(self, "sup", sup)
         object.__setattr__(self, "point_mark", point_mark)
 
-    def __str__(self) -> str:
-        if self.point_mark is NONPLANAR:
-            return f"lim1pc({self.sup}; np)"
-        return f"lim1pc({self.sup})"
-
 
 EndSpaceExpr = TUnion[Empty, Pt, Interval, Cantor, DisjointUnion, SeqCompactification, LimitCompactification]
 
@@ -171,10 +155,6 @@ EMPTY = Empty()
 def _require_limit(sup: Ordinal) -> None:
     if kind(sup) is not Kind.LIMIT:
         raise ValueError(f"limit compactification needs a limit ordinal, got {sup}")
-
-
-def _mark_suffix(mark: Mark) -> str:
-    return "!np" if mark is NONPLANAR else ""
 
 
 def union(*children: EndSpaceExpr) -> EndSpaceExpr:
@@ -201,19 +181,7 @@ def union(*children: EndSpaceExpr) -> EndSpaceExpr:
 
 def strip_marks(e: EndSpaceExpr) -> EndSpaceExpr:
     """The same expression with every mark reset to planar."""
-    if isinstance(e, Pt):
-        return Pt()
-    if isinstance(e, Interval):
-        return Interval(e.bound)
-    if isinstance(e, Cantor):
-        return Cantor()
-    if isinstance(e, DisjointUnion):
-        return DisjointUnion(tuple(strip_marks(c) for c in e.children))
-    if isinstance(e, SeqCompactification):
-        return SeqCompactification(strip_marks(e.child))
-    if isinstance(e, LimitCompactification):
-        return LimitCompactification(e.sup)
-    return e
+    return fold_tree(UNMARKED, e)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +257,10 @@ class CanonicalEndSpace(Value):
         return out
 
     def __str__(self) -> str:
-        return _union_text(self.pieces())
+        return _union_text(*self.pieces())
 
 
-def _union_text(pieces: list[str]) -> str:
+def _union_text(*pieces: str) -> str:
     """``str(union(...))`` of summands with these texts, none of them a union."""
     if len(pieces) > 1:
         return "U(" + ", ".join(pieces) + ")"
@@ -482,21 +450,7 @@ _CANTOR_SUMMARY = {m: Summary(CANTOR_CANON, (), 0, _BIT[m], False, None) for m i
 
 def summarize(e: EndSpaceExpr) -> Summary:
     """The summary of `e`: the ``SUMMARIES`` fold, run over the tree."""
-    if isinstance(e, Pt):
-        return _PT_SUMMARY[e.mark]
-    if isinstance(e, DisjointUnion):
-        return join([summarize(c) for c in e.children])
-    if isinstance(e, Interval):
-        return _interval_summary(e.bound, e.mark)
-    if isinstance(e, SeqCompactification):
-        return _compactify(summarize(e.child), e.point_mark)
-    if isinstance(e, Cantor):
-        return _CANTOR_SUMMARY[e.mark]
-    if isinstance(e, LimitCompactification):
-        return _limit_summary(e.sup, e.point_mark)
-    if isinstance(e, Empty):
-        return _EMPTY_SUMMARY
-    raise TypeError(f"not an end-space expression: {e!r}")
+    return fold_tree(SUMMARIES, e)
 
 
 def _scattered_leaf(canon: CanonicalEndSpace, n: int | float, mark: Mark) -> Summary:
@@ -586,7 +540,7 @@ def _compactify(r: Summary, point: Mark) -> Summary:
 def _reduced_text(canon: CanonicalEndSpace, atoms: tuple) -> str:
     """``str`` of the unmarked expression of a reduced form, the atoms of each
     union sorted by their text."""
-    return _union_text(canon.pieces() + sorted([f"seq1pc({_reduced_text(*a)})" for a in atoms]))
+    return _union_text(*canon.pieces(), *sorted([f"seq1pc({_reduced_text(*a)})" for a in atoms]))
 
 
 def _reduced_tree(canon: CanonicalEndSpace, atoms: tuple) -> EndSpaceExpr:
@@ -598,9 +552,9 @@ def _reduced_tree(canon: CanonicalEndSpace, atoms: tuple) -> EndSpaceExpr:
 class Fold(NamedTuple):
     """What to build for each end-space construct, children first.
 
-    ``dsl`` runs a fold over the text as it parses it; ``summarize``
-    runs ``SUMMARIES`` over an expression tree.  ``union`` receives the
-    flattened summands, at least one; a single summand is the union.
+    ``dsl`` runs a fold over the text as it parses it, ``fold_tree`` over an
+    expression tree.  ``union`` receives the flattened summands: a single
+    summand is the union, and the empty space is the union of none.
     """
 
     point: Mapping[Mark, Any]
@@ -628,6 +582,58 @@ TREES = Fold(
 SUMMARIES = Fold(_PT_SUMMARY, _CANTOR_SUMMARY, _interval_summary, _summary_union, _compactify, _limit_summary)
 """Builds the summary of the expression, as ``summarize`` does."""
 
+UNMARKED = Fold(
+    dict.fromkeys(Mark, TREES.point[PLANAR]), dict.fromkeys(Mark, TREES.cantor[PLANAR]), lambda bound, _: Interval(bound),
+    union, lambda child, _: SeqCompactification(child), lambda sup, _: LimitCompactification(sup),
+)
+"""Builds the expression with every mark planar, as ``strip_marks`` does."""
+
+TEXTS = Fold(
+    {PLANAR: "pt", NONPLANAR: "pt!np"}, {PLANAR: "cantor", NONPLANAR: "cantor!np"},
+    lambda b, mark: f"I({b})!np" if mark is NONPLANAR else f"I({b})", _union_text,
+    lambda inner, point: f"seq1pc({inner}; np)" if point is NONPLANAR else f"seq1pc({inner})",
+    lambda sup, point: f"lim1pc({sup}; np)" if point is NONPLANAR else f"lim1pc({sup})",
+)
+"""Writes the expression, as its ``str`` does; ``dsl`` parses the text back."""
+
+# on the stack of ``fold_tree``, marks that the node below it has the values
+# of its children on top of the value stack
+_CLOSE = object()
+
+
+def fold_tree(f: Fold, e: EndSpaceExpr) -> Any:
+    """The value `f` builds for the expression tree `e`, children first, on an
+    explicit stack, so no depth reaches the recursion limit.  It is the one
+    place that dispatches on the expression classes; anything else in the
+    tree raises TypeError."""
+    todo, values = [e], []
+    while todo:
+        node = todo.pop()
+        if node is _CLOSE:
+            node = todo.pop()
+            if isinstance(node, SeqCompactification):
+                values[-1] = f.seq(values[-1], node.point_mark)
+            else:
+                n = len(node.children)
+                values[-n:] = [f.union(*values[-n:])]
+        elif isinstance(node, Pt):
+            values.append(f.point[node.mark])
+        elif isinstance(node, DisjointUnion):
+            todo += (node, _CLOSE, *reversed(node.children))
+        elif isinstance(node, Interval):
+            values.append(f.interval(node.bound, node.mark))
+        elif isinstance(node, SeqCompactification):
+            todo += (node, _CLOSE, node.child)
+        elif isinstance(node, Cantor):
+            values.append(f.cantor[node.mark])
+        elif isinstance(node, LimitCompactification):
+            values.append(f.lim(node.sup, node.point_mark))
+        elif isinstance(node, Empty):
+            values.append(f.union())
+        else:
+            raise TypeError(f"not an end-space expression: {node!r}")
+    return values[0]
+
 
 def normalize(e: EndSpaceExpr) -> NormalForm:
     """Confluent normal form of an end-space expression (marks are ignored)."""
@@ -641,33 +647,26 @@ def normalize(e: EndSpaceExpr) -> NormalForm:
 
 def cb_derivative(e: EndSpaceExpr) -> EndSpaceExpr:
     """Expression for the derived set (isolated points removed); marks survive."""
-    if isinstance(e, (Empty, Pt)):
-        return EMPTY if isinstance(e, Pt) else e
-    if isinstance(e, Cantor):
-        return e
-    if isinstance(e, Interval):
-        q = div_omega(e.bound)
-        if q.is_zero():
-            return EMPTY
-        if q == ONE:
-            return Pt(e.mark)
-        if q.is_finite():
-            # the derived set is the q limit ordinals in [0, bound], discrete
-            return Interval(from_int(q.as_int() - 1), e.mark)
-        return Interval(q, e.mark)
-    if isinstance(e, DisjointUnion):
-        return union(*(cb_derivative(c) for c in e.children))
-    if isinstance(e, SeqCompactification):
-        d = cb_derivative(e.child)
-        if isinstance(d, Empty):
-            # the added point survives as the limit of the deleted points
-            return Pt(e.point_mark)
-        return SeqCompactification(d, e.point_mark)
-    if isinstance(e, LimitCompactification):
-        # each interval piece loses a layer but the exponents still approach
-        # the same limit, so the derived set has the same form
-        return e
-    raise TypeError(f"not an end-space expression: {e!r}")
+    return fold_tree(DERIVED, e)
+
+
+def _derived_interval(bound: Ordinal, mark: Mark) -> EndSpaceExpr:
+    q = div_omega(bound)
+    if not q.is_finite():
+        return Interval(q, mark)
+    # the derived set is the q limit ordinals in [0, bound], discrete
+    n = q.as_int()
+    return EMPTY if n == 0 else TREES.point[mark] if n == 1 else Interval(from_int(n - 1), mark)
+
+
+# An empty derived set is always EMPTY; the point added to copies that lose
+# all their points survives as their limit.  Each interval piece of a lim1pc
+# loses a layer, but the exponents approach the same limit: the same space.
+DERIVED = Fold(
+    dict.fromkeys(Mark, EMPTY), TREES.cantor, _derived_interval, union,
+    lambda d, point: TREES.point[point] if d is EMPTY else SeqCompactification(d, point), LimitCompactification,
+)
+"""Builds the expression of the derived set, as ``cb_derivative`` does."""
 
 
 def _canonical_rank(c: CanonicalEndSpace) -> Ordinal:

@@ -268,14 +268,23 @@ def test_hom_abelianize_needs_a_preset_or_a_presentation(capsys):
     code, out, _ = run(capsys, "hom", "abelianize", "--json")
     assert code == 3
     assert json.loads(out) == {"error": {"kind": "BadParameter", "message": "give either --preset or a presentation"}}
+    # an argument the call would not read is refused, not dropped
+    code, out, err = run(capsys, "hom", "abelianize", "gens=1; rel=1 1", "--preset", "braid", "-n", "3")
+    assert (code, out, err) == (3, "", "error (BadParameter): give either --preset or a presentation\n")
+    code, out, err = run(capsys, "hom", "abelianize", "gens=1; rel=1 1", "-n", "3")
+    assert (code, out, err) == (3, "", "error (BadParameter): a presentation takes no parameter\n")
 
 
 def test_decide_needs_a_descriptor_or_a_batch_file(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["decide"])
-    assert exit_info.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: infsurf") and err.endswith("error: decide needs a descriptor or --jsonl FILE\n")
+    # with both, one of them would be dropped
+    both = ["decide", "surface(genus=0, boundary=0, ends=U(cantor, pt))", "--jsonl", str(GOLDEN / "golden_batch.txt")]
+    for argv in (["decide"], both):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: infsurf")
+        assert err.endswith("error: decide needs a descriptor or --jsonl FILE\n")
 
 
 def test_hom_poincare(capsys):

@@ -1,9 +1,16 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import infsurf
+
 from infsurf import endspace
-from infsurf.dsl import parse_surface_type
+from infsurf.dsl import parse_endspace, parse_surface_type
 from infsurf.endspace import (
     _reduced_tree,
     CANTOR_CANON,
@@ -27,14 +34,18 @@ from infsurf.endspace import (
     RankUndecidable,
     Scattered,
     SeqCompactification,
+    SUMMARIES,
+    TREES,
     TdMax,
     cb_derivative,
     cb_rank,
     embed,
+    fold_tree,
     invariants,
     is_homeomorphic,
     isolated_count,
     normalize,
+    strip_marks,
     summarize,
     td_max,
     union,
@@ -558,3 +569,75 @@ def test_text_of_a_normal_form_is_the_text_of_its_expression():
         if isinstance(nf, Canonical):
             assert str(nf.form) == str(embed(nf.form)), e
     assert kinds == {"Canonical", "Irreducible"}
+
+
+# -- the tree walks ------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def _walks(text):
+    e = parse_endspace(text)
+    d = cb_derivative(e)
+    line = {
+        "text": text,
+        "str": str(e),
+        "strip_marks": str(strip_marks(e)),
+        "cb_derivative": str(d),
+        "cb_derivative2": str(cb_derivative(d)),
+        "summarize": repr(summarize(e)),
+    }
+    return json.dumps(line, sort_keys=True) + "\n"
+
+
+def test_golden_tree_walks():
+    # one line per expression of golden_ends.txt, recorded from the
+    # recursive walks that fold_tree replaced
+    texts = (GOLDEN / "golden_ends.txt").read_text(encoding="utf-8").splitlines()
+    assert len(texts) == 301
+    assert "".join(_walks(t) for t in texts).encode("utf-8") == (GOLDEN / "golden_ends.walks.jsonl").read_bytes()
+    for t in texts:
+        e = parse_endspace(t)
+        assert fold_tree(TREES, e) == e, t
+
+
+def test_the_empty_space_is_the_union_of_no_summands():
+    assert fold_tree(TREES, Empty()) is EMPTY
+    assert str(Empty()) == "empty"
+    assert summarize(Empty()) == endspace.join(()) == SUMMARIES.union()
+    assert strip_marks(Empty()) is EMPTY and cb_derivative(Empty()) is EMPTY
+
+
+@pytest.mark.parametrize("walk", [summarize, strip_marks, cb_derivative])
+@pytest.mark.parametrize("bad", [42, DisjointUnion((Pt(), 42)), SeqCompactification(42)], ids=["int", "in-union", "in-seq"])
+def test_tree_walks_refuse_a_non_expression(walk, bad):
+    with pytest.raises(TypeError, match="^not an end-space expression: 42$"):
+        walk(bad)
+
+
+def test_tree_walks_run_on_an_api_tree_100000_deep():
+    # the parser stops at dsl.MAX_DEPTH, the API does not; fold_tree keeps
+    # its stack in a list, so no walk over the tree reaches the recursion limit
+    code = """
+from infsurf.endspace import CANTOR_CANON, Cantor, DisjointUnion, Pt, SeqCompactification, cb_derivative
+from infsurf.endspace import invariants, strip_marks, summarize, union
+e = Pt()
+for i in range(100_000):
+    e = SeqCompactification(e) if i % 2 == 0 else union(e, Cantor())
+s = summarize(e)
+print(s.canon == CANTOR_CANON, len(s.atoms))
+inv = invariants(e)
+print(inv.has_kernel, inv.isolated_count, inv.td_max.value)
+print(type(strip_marks(e)).__name__, type(cb_derivative(e)).__name__)
+text = str(e)
+print(len(text), text.count("U(seq1pc("), text.count(", cantor)"), text.count("seq1pc(pt)"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(infsurf.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "True 1",
+        "True inf 0",
+        "DisjointUnion DisjointUnion",
+        "950002 50000 50000 1",
+    ]
