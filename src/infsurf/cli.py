@@ -148,12 +148,13 @@ def _cmd_ord_compare(args) -> int:
 
 def _cmd_ends_normalize(args) -> int:
     s = summarize(parse_endspace(args.endspace))
+    expr = s.normal_text()
     if not s.atoms:
-        payload = {"status": "canonical", "expr": str(s.canon), "description": s.canon.describe()}
-        text = f"canonical: {s.canon} ({s.canon.describe()})"
+        payload = {"status": "canonical", "expr": expr, "description": s.canon.describe()}
+        text = f"canonical: {expr} ({s.canon.describe()})"
     else:
-        payload = {"status": "irreducible", "expr": s.normal_text()}
-        text = f"irreducible: {payload['expr']}"
+        payload = {"status": "irreducible", "expr": expr}
+        text = f"irreducible: {expr}"
     return _emit(args, payload, text)
 
 
@@ -318,19 +319,22 @@ def _cmd_hom_snf(args) -> int:
 def _parse_presentation(text: str) -> homology.FinitePresentation:
     ngens = None
     relators = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
+    start = 0
+    for raw in text.split(";"):
+        chunk = raw.strip()
+        at = start + len(raw) - len(raw.lstrip())
+        start += len(raw) + 1
         if not chunk:
             continue
         if not chunk.startswith(("gens=", "rel=")):
-            raise ParseError(text.find(chunk), ("'gens='", "'rel='"), f"bad presentation chunk {chunk!r}")
+            raise ParseError(at, ("'gens='", "'rel='"), f"bad presentation chunk {chunk!r}")
         try:
             if chunk.startswith("gens="):
                 ngens = int(chunk[5:])
             else:
                 relators.append(tuple(int(tok) for tok in chunk[4:].split()))
         except ValueError as err:
-            raise ParseError(text.find(chunk), ("integers",), f"bad presentation chunk {chunk!r}") from err
+            raise ParseError(at, ("integers",), f"bad presentation chunk {chunk!r}") from err
     if ngens is None:
         raise ParseError(0, ("'gens='",), "presentation needs a generator count")
     return homology.FinitePresentation(ngens, tuple(relators))

@@ -377,10 +377,14 @@ def _yes_from_I(
 ) -> _Row:
     """Question I answered yes with its witness; II and III follow from I."""
     qI = Answer(YES, citation, coefficients=INTEGRAL, witness=witness, note=note)
-    propagated = Answer(
-        YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note="propagated from question I"
-    )
+    propagated = _propagated("I", witness)
     return (qI, propagated, propagated, td, witness_set, ())
+
+
+def _propagated(question: str, witness: WitnessRef) -> Answer:
+    """The yes that follows from a yes to `question`, with its witness."""
+    note = f"propagated from question {question}"
+    return Answer(YES, "positive-answers-propagate", coefficients=INTEGRAL, witness=witness, note=note)
 
 
 def _decide_infinite_genus(p: int | float, mixed: bool) -> _Row:
@@ -393,14 +397,7 @@ def _decide_infinite_genus(p: int | float, mixed: bool) -> _Row:
     if p != INFINITE:
         witness = _even_degree_witness(int(p))
         qII = Answer(YES, "infinite-genus-finite-punctures-nonvanishing", coefficients=INTEGRAL, witness=witness)
-        qIII = Answer(
-            YES,
-            "positive-answers-propagate",
-            coefficients=INTEGRAL,
-            witness=witness,
-            note="propagated from question II",
-        )
-        return (no_compact, qII, qIII, None, "punctures", ())
+        return (no_compact, qII, _propagated("II", witness), None, "punctures", ())
     if mixed:
         a = Answer(NO, "mixed-end-vanishing", coefficients=ANY_FIELD)
     else:

@@ -17,10 +17,11 @@ constructs on an explicit stack.  At most ``MAX_DEPTH`` of them may be
 open at once, and a natural has at most ``MAX_DIGITS`` digits; deeper or
 longer input is a parse error.
 
-The loop is one of the two walks that run an end-space fold
-(``endspace.Fold``); ``endspace.fold_tree`` over an expression tree is the
-other.  At each end-space construct it closes, the loop asks the fold for
-its value: ``parse_surface`` and ``parse_endspace`` build the expression
+The loop is one of the three drivers that run an end-space fold
+(``endspace.Fold``); ``endspace.fold_tree`` over an expression tree and
+``endspace.fold_reduced`` over a reduced form are the others.  At each
+end-space construct it closes, the loop asks the fold for its value:
+``parse_surface`` and ``parse_endspace`` build the expression
 (``endspace.TREES``), and ``parse_surface_type`` folds the text straight
 into the summary of the ends (``endspace.SUMMARIES``) without building a
 tree.  The loop flattens unions itself: a ``U(`` directly inside a ``U(``
@@ -38,9 +39,10 @@ from .surface import SurfaceDescriptor
 MAX_DEPTH = 100
 """Most ``U``/``seq1pc``/``I``/``lim1pc``/``w^`` parentheses open at once.
 
-The walks over a summary's atoms, the ordinal printer, and the equality
-and hash of nested values recurse once per level, so this keeps every
-descriptor that parses well inside Python's recursion limit.
+The equality, hash and repr of nested values (``_value.Value``) and the
+printer, comparison and hash of nested ordinals still recurse once per
+level, so this keeps every descriptor that parses well inside Python's
+recursion limit.
 """
 
 MAX_DIGITS = 1000

@@ -23,17 +23,17 @@ layer: the marks present as two bits, the planar isolated points, mixed
 ends and the first closedness violation.  The reduced form is a canonical
 part next to irreducible atoms, and each atom is the plain pair
 ``(canon, atoms)`` of the space whose copies it compactifies, so a summary
-holds no expression tree: ``Summary.normal_text`` writes the normal form,
-``normalize`` is the one place that builds its expression, and the number
-of isolated points and the distinguished-end bound are read off it.
+holds no expression tree.
 
 The summary rules (the point, Cantor, interval and ``lim1pc`` leaves,
 ``join`` for unions and the compactification rule) are one bottom-up fold,
-``SUMMARIES``.  Two walks run a fold: ``fold_tree`` over an expression
-tree, on an explicit stack, and the parser in ``dsl`` over descriptor text,
-which it folds straight into a summary (``dsl.parse_surface_type``).
-``summarize``, ``strip_marks``, ``cb_derivative`` and the ``str`` of an
-expression are each one ``fold_tree`` call.
+``SUMMARIES``.  Three drivers run a fold, each on an explicit stack:
+``fold_tree`` over an expression tree, ``fold_reduced`` over a reduced form
+and the parser in ``dsl`` over descriptor text, which it folds straight
+into a summary (``dsl.parse_surface_type``).  ``summarize``,
+``strip_marks``, ``cb_derivative`` and the ``str`` of an expression are
+each one ``fold_tree`` call; ``embed``, ``normalize``, ``normal_text``, the
+``str`` of a canonical form and the ranks are ``fold_reduced`` calls.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from enum import Enum
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union as TUnion
 
 from ._value import Value
-from .ordinal import Kind, ONE, ZERO, Ordinal, add, div_omega, from_int, kind, omega_pow, power_str
+from .ordinal import Kind, ONE, ZERO, Ordinal, _cnf, add, div_omega, from_int, kind, power_str
 
 INFINITE = math.inf
 
@@ -246,18 +246,8 @@ class CanonicalEndSpace(Value):
             parts.append(self.scattered.describe())
         return " plus ".join(parts)
 
-    def pieces(self) -> list[str]:
-        """The texts of the summands of ``embed(self)``, written without it."""
-        out = ["cantor"] if self.has_kernel else []
-        s = self.scattered
-        if s is not None and s.exponent.is_zero():
-            out.append("pt" if s.copies == 1 else f"I({s.copies - 1})")
-        elif s is not None:
-            out.append(f"I({power_str(s.exponent, s.copies)})")
-        return out
-
     def __str__(self) -> str:
-        return _union_text(*self.pieces())
+        return fold_reduced(TEXTS, self, ())
 
 
 def _union_text(*pieces: str) -> str:
@@ -296,15 +286,7 @@ class RankUndecidable(ValueError):
 
 def embed(c: CanonicalEndSpace) -> EndSpaceExpr:
     """A (planar-marked) expression denoting the canonical space."""
-    pieces: list[EndSpaceExpr] = []
-    if c.has_kernel:
-        pieces.append(Cantor())
-    s = c.scattered
-    if s is not None and s.exponent.is_zero():
-        pieces.append(Pt() if s.copies == 1 else Interval(from_int(s.copies - 1)))
-    elif s is not None:
-        pieces.append(Interval(omega_pow(s.exponent, s.copies)))
-    return union(*pieces)
+    return fold_reduced(TREES, c, ())
 
 
 # the finite discrete spaces of up to 100 points, built once and shared
@@ -375,7 +357,7 @@ class Summary(NamedTuple):
 
     def normal_text(self) -> str:
         """``str`` of the normal form's expression, written without it."""
-        return _reduced_text(self.canon, self.atoms)
+        return fold_reduced(TEXTS, self.canon, self.atoms)
 
     @property
     def isolated(self) -> int | float:
@@ -408,7 +390,7 @@ class Summary(NamedTuple):
         if self.atoms:
             has_kernel, rank = True, None
         else:
-            has_kernel, rank = self.canon.has_kernel, _canonical_rank(self.canon)
+            has_kernel, rank = self.canon.has_kernel, fold_reduced(RANKS, self.canon, ())
         return SpaceInvariants(
             countable=not has_kernel,
             isolated_count=self.isolated,
@@ -433,12 +415,8 @@ class Summary(NamedTuple):
 
 def _atom_rank(atoms: tuple) -> Ordinal:
     """Bound for the ranks of ordinal-interval germs inside the pieces of the
-    atoms: an atom's space has its canonical rank, and the points that
-    compactify its own atoms sit one rank above theirs."""
-    rank = ZERO
-    for c, inner in atoms:
-        rank = max(rank, _canonical_rank(c), add(_atom_rank(inner), ONE) if inner else ZERO)
-    return rank
+    atoms: the largest ``RANKS`` value of the spaces they compactify."""
+    return max((fold_reduced(RANKS, c, inner) for c, inner in atoms), default=ZERO)
 
 
 _ONE_POINT = _DISCRETE[1]
@@ -537,24 +515,13 @@ def _compactify(r: Summary, point: Mark) -> Summary:
     return Summary(canon, atoms, planar, r.marks | _BIT[point], mixed, violation)
 
 
-def _reduced_text(canon: CanonicalEndSpace, atoms: tuple) -> str:
-    """``str`` of the unmarked expression of a reduced form, the atoms of each
-    union sorted by their text."""
-    return _union_text(*canon.pieces(), *sorted([f"seq1pc({_reduced_text(*a)})" for a in atoms]))
-
-
-def _reduced_tree(canon: CanonicalEndSpace, atoms: tuple) -> EndSpaceExpr:
-    """The unmarked expression of a reduced form; ``_reduced_text`` is its text."""
-    parts = [] if canon.is_empty() else [embed(canon)]
-    return union(*parts, *sorted([SeqCompactification(_reduced_tree(*a)) for a in atoms], key=str))
-
-
 class Fold(NamedTuple):
     """What to build for each end-space construct, children first.
 
     ``dsl`` runs a fold over the text as it parses it, ``fold_tree`` over an
-    expression tree.  ``union`` receives the flattened summands: a single
-    summand is the union, and the empty space is the union of none.
+    expression tree and ``fold_reduced`` over a reduced form.  ``union``
+    receives the flattened summands: a single summand is the union, and the
+    empty space is the union of none.
     """
 
     point: Mapping[Mark, Any]
@@ -596,8 +563,14 @@ TEXTS = Fold(
 )
 """Writes the expression, as its ``str`` does; ``dsl`` parses the text back."""
 
-# on the stack of ``fold_tree``, marks that the node below it has the values
-# of its children on top of the value stack
+RANKS = Fold(
+    dict.fromkeys(Mark, ONE), dict.fromkeys(Mark, ZERO), lambda b, _: ONE if b.is_zero() else add(b.leading()[0], ONE),
+    lambda *ranks: max(ranks, default=ZERO), lambda rank, _: add(rank, ONE), lambda sup, _: add(sup, ONE),
+)
+"""Builds the Cantor-Bendixson rank of a countable space; a Cantor set adds none."""
+
+# on the stack of ``fold_tree`` and ``fold_reduced``, marks that the node
+# below it has the values of its children on top of the value stack
 _CLOSE = object()
 
 
@@ -635,10 +608,42 @@ def fold_tree(f: Fold, e: EndSpaceExpr) -> Any:
     return values[0]
 
 
+def _canonical_summands(f: Fold, c: CanonicalEndSpace) -> list:
+    """The values `f` builds for the summands of ``embed(c)``."""
+    out = [f.cantor[PLANAR]] if c.has_kernel else []
+    s = c.scattered
+    if s is not None and s.exponent.is_zero():
+        out.append(f.point[PLANAR] if s.copies == 1 else f.interval(_cnf(Ordinal, ((ZERO, s.copies - 1),)), PLANAR))
+    elif s is not None:
+        out.append(f.interval(_cnf(Ordinal, ((s.exponent, s.copies),)), PLANAR))
+    return out
+
+
+def fold_reduced(f: Fold, canon: CanonicalEndSpace, atoms: tuple) -> Any:
+    """The value `f` builds for the unmarked expression of the reduced form
+    ``(canon, atoms)``: the union of the summands of ``embed(canon)`` and of
+    the atoms' values passed through ``f.seq``, sorted by ``str``.  Like
+    ``fold_tree`` it keeps its stack in a list, so no depth recurses."""
+    todo, values = [(canon, atoms)], []
+    while todo:
+        node = todo.pop()
+        if node is not _CLOSE:
+            todo += (node, _CLOSE, *reversed(node[1]))
+            continue
+        canon, atoms = todo.pop()
+        k = len(values) - len(atoms)
+        seqs = [f.seq(v, PLANAR) for v in values[k:]]
+        # a lone atom is not sorted, which keeps a deep nest of them linear
+        if len(seqs) > 1:
+            seqs.sort(key=str)
+        values[k:] = [f.union(*_canonical_summands(f, canon), *seqs)]
+    return values[0]
+
+
 def normalize(e: EndSpaceExpr) -> NormalForm:
     """Confluent normal form of an end-space expression (marks are ignored)."""
     s = summarize(e)
-    return Irreducible(_reduced_tree(s.canon, s.atoms)) if s.atoms else Canonical(s.canon)
+    return Irreducible(fold_reduced(TREES, s.canon, s.atoms)) if s.atoms else Canonical(s.canon)
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +674,12 @@ DERIVED = Fold(
 """Builds the expression of the derived set, as ``cb_derivative`` does."""
 
 
-def _canonical_rank(c: CanonicalEndSpace) -> Ordinal:
-    s = c.scattered
-    return ZERO if s is None else add(s.exponent, ONE)
-
-
 def cb_rank(e: EndSpaceExpr) -> Ordinal:
     """Cantor-Bendixson rank of the space; requires a canonical normal form."""
     s = summarize(e)
     if s.atoms:
         raise RankUndecidable(f"rank undecidable outside the canonical fragment: {s.normal_text()}")
-    return _canonical_rank(s.canon)
+    return fold_reduced(RANKS, s.canon, ())
 
 
 def isolated_count(e: EndSpaceExpr) -> int | float:

@@ -252,6 +252,25 @@ def test_hom_abelianize_bad_integer_is_a_parse_error(capsys, text):
                 "offset": 0,
             },
         ),
+        # each chunk is found where it starts, not where its text first occurs
+        (
+            "gens=12; s=1",
+            {
+                "expected": ["'gens='", "'rel='"],
+                "kind": "parse",
+                "message": "bad presentation chunk 's=1' at offset 9 (expected 'gens=', 'rel=')",
+                "offset": 9,
+            },
+        ),
+        (
+            "gens=2; rel=1 2; el=1",
+            {
+                "expected": ["'gens='", "'rel='"],
+                "kind": "parse",
+                "message": "bad presentation chunk 'el=1' at offset 17 (expected 'gens=', 'rel=')",
+                "offset": 17,
+            },
+        ),
     ],
 )
 def test_hom_abelianize_malformed_presentation(capsys, text, error):

@@ -12,7 +12,6 @@ import infsurf
 from infsurf import endspace
 from infsurf.dsl import parse_endspace, parse_surface_type
 from infsurf.endspace import (
-    _reduced_tree,
     CANTOR_CANON,
     Canonical,
     CanonicalEndSpace,
@@ -31,6 +30,7 @@ from infsurf.endspace import (
     PLANAR,
     PLANAR_BIT,
     Pt,
+    RANKS,
     RankUndecidable,
     Scattered,
     SeqCompactification,
@@ -40,6 +40,7 @@ from infsurf.endspace import (
     cb_derivative,
     cb_rank,
     embed,
+    fold_reduced,
     fold_tree,
     invariants,
     is_homeomorphic,
@@ -480,7 +481,7 @@ def test_summary_matches_the_per_fact_oracles():
         canon, atoms = oracles.reduce_expr(e)
         # the reduced form ignores marks and holds no input node
         assert s.canon == canon
-        assert tuple(SeqCompactification(_reduced_tree(*a)) for a in s.atoms) == atoms
+        assert tuple(SeqCompactification(fold_reduced(TREES, *a)) for a in s.atoms) == atoms
         assert s.isolated == oracles.isolated_count(e)
         assert s.planar_isolated == oracles.isolated_count(e, planar_only=True)
         assert s.marks == _mark_bits(oracles.marks(e))
@@ -488,6 +489,7 @@ def test_summary_matches_the_per_fact_oracles():
         bad = oracles.closedness_violation(e)
         assert (None if s.violation is None else "ends" + s.violation) == bad
         assert endspace._atom_rank(s.atoms) == max((oracles.rank_bound(a.child) for a in atoms), default=ZERO)
+        assert fold_tree(RANKS, e) == oracles.rank_bound(e)
         assert any(inner for _, inner in s.atoms) == any(oracles.has_compactification(a.child) for a in atoms)
         assert s.td_max() == oracles.td_max(e)
         violations += bad is not None
@@ -613,6 +615,44 @@ def test_the_empty_space_is_the_union_of_no_summands():
 def test_tree_walks_refuse_a_non_expression(walk, bad):
     with pytest.raises(TypeError, match="^not an end-space expression: 42$"):
         walk(bad)
+
+
+def test_reduced_form_walks_run_on_an_api_tree_5000_deep():
+    # every level of this tree holds one atom inside the last; fold_reduced
+    # keeps its stack in a list, so writing, building and ranking the reduced
+    # form reach no recursion limit (the recursive walks failed near 1 000
+    # levels, the rank near 2 000)
+    code = """
+from infsurf import endspace
+from infsurf.endspace import Cantor, Interval, Pt, RankUndecidable, SeqCompactification, cb_rank
+from infsurf.endspace import invariants, is_homeomorphic, normalize, summarize, td_max, union
+from infsurf.ordinal import OMEGA, omega_pow
+e = Pt()
+for i in range(5_000):
+    e = SeqCompactification(e) if i % 2 == 0 else union(e, Cantor())
+nf = normalize(e)
+text = summarize(e).normal_text()
+print(type(nf).__name__, str(nf.expr) == text, len(text), is_homeomorphic(e, e).value)
+for b in (OMEGA, omega_pow(OMEGA)):
+    inv = invariants(union(e, Interval(b)))
+    print(inv.has_kernel, inv.isolated_count, inv.scattered_rank, inv.td_max.value, td_max(union(e, Interval(b))).value)
+print(endspace._atom_rank(summarize(e).atoms))
+try:
+    cb_rank(e)
+except RankUndecidable as err:
+    print(str(err) == "rank undecidable outside the canonical fragment: " + text)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(infsurf.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # the atoms' rank is 2 500, half the depth, so only [0, w^w] rises above it
+    assert proc.stdout.splitlines() == [
+        "Irreducible True 47496 yes",
+        "True inf None 0 0",
+        "True inf None 1 1",
+        "2500",
+        "True",
+    ]
 
 
 def test_tree_walks_run_on_an_api_tree_100000_deep():
