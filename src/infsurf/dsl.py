@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 
 from .endspace import EndSpaceExpr, Fold, INFINITE, NONPLANAR, PLANAR, SUMMARIES, Summary, TREES
-from .ordinal import ONE, OMEGA, Ordinal, add, from_int, omega_pow
+from .ordinal import ONE, OMEGA, ZERO, Ordinal, _cnf, add, from_int
 from .surface import SurfaceDescriptor
 
 MAX_DEPTH = 100
@@ -118,9 +118,12 @@ def _int(text: str, toks: list[str], i: int) -> int:
 
 
 def _finite(text: str, toks: list[str], i: int) -> Ordinal:
-    """The ordinal of the digit token ``i``."""
+    """The ordinal of the digit token ``i``; "007" misses the table and is 7."""
     o = _SMALL.get(toks[i])
-    return from_int(_int(text, toks, i)) if o is None else o
+    if o is not None:
+        return o
+    n = _int(text, toks, i)
+    return _cnf(Ordinal, ((ZERO, n),)) if n else ZERO
 
 
 def _natural(text: str, toks: list[str], i: int) -> int:
@@ -217,7 +220,8 @@ def _parse(text: str, goal: int, fold: Fold = TREES, toks: list[str] | None = No
                     else:
                         raise _fail(text, i, ("'('", "'w'", "natural number"), "malformed exponent")
                 coeff, i = _coefficient(text, toks, i + 1)
-                term = omega_pow(exp, coeff)
+                # the grammar gives an Ordinal exponent and a natural coefficient
+                term = _cnf(Ordinal, ((exp, coeff),)) if coeff else ZERO
             else:
                 raise _fail(text, i, ("'w'", "natural number"))
             total = term if total is None else add(total, term)
@@ -275,7 +279,7 @@ def _parse(text: str, goal: int, fold: Fold = TREES, toks: list[str] | None = No
                 if tok != ")":
                     raise _fail(text, i, ("')'",))
                 coeff, i = _coefficient(text, toks, i + 1)
-                term = omega_pow(value, coeff)
+                term = _cnf(Ordinal, ((value, coeff),)) if coeff else ZERO
                 total = term if data is None else add(data, term)
                 if toks[i] == "+":
                     stack.pop()

@@ -623,14 +623,17 @@ def fold_reduced(f: Fold, canon: CanonicalEndSpace, atoms: tuple) -> Any:
     """The value `f` builds for the unmarked expression of the reduced form
     ``(canon, atoms)``: the union of the summands of ``embed(canon)`` and of
     the atoms' values passed through ``f.seq``, sorted by ``str``.  Like
-    ``fold_tree`` it keeps its stack in a list, so no depth recurses."""
+    ``fold_tree`` it keeps its stack in a list, so no depth recurses, and
+    closes a form without atoms on first visit, as ``fold_tree`` a leaf."""
     todo, values = [(canon, atoms)], []
     while todo:
         node = todo.pop()
-        if node is not _CLOSE:
+        if node is _CLOSE:
+            node = todo.pop()
+        elif node[1]:
             todo += (node, _CLOSE, *reversed(node[1]))
             continue
-        canon, atoms = todo.pop()
+        canon, atoms = node
         k = len(values) - len(atoms)
         seqs = [f.seq(v, PLANAR) for v in values[k:]]
         # a lone atom is not sorted, which keeps a deep nest of them linear

@@ -20,6 +20,11 @@ addition, zero/successor/limit classification, the symbolic derived-set
 quotient ``div_omega`` and maximum-with-multiplicity.  General
 multiplication and exponentiation are deliberately absent; single-term
 powers ``w^e * c`` are built directly with :func:`omega_pow`.
+
+``Ordinal(terms)`` is the one place that checks terms; ``omega_pow`` and
+``from_int``, the checked builders of the API, go through it.  Internal
+builders whose terms are in Cantor normal form by construction (the parser,
+``add``, ``div_omega``) call ``_cnf(Ordinal, terms)``, which checks nothing.
 """
 
 from __future__ import annotations
@@ -92,13 +97,15 @@ class Ordinal(tuple):
     def __str__(self) -> str:
         if not self:
             return "0"
-        return " + ".join(_format_term(e, c) for e, c in self)
+        return " + ".join(power_str(e, c) for e, c in self)
 
     def __repr__(self) -> str:
         return f"Ordinal({self})"
 
 
-def _format_term(exp: Ordinal, coeff: int) -> str:
+def power_str(exp: Ordinal, coeff: int = 1) -> str:
+    """Printable form of w^exp*coeff, e.g. "w", "w^2", "w^(w*2+1)*3"; for a
+    positive exponent it is ``str(omega_pow(exp, coeff))``."""
     if exp.is_zero():
         return str(coeff)
     if exp == ONE:
@@ -108,18 +115,10 @@ def _format_term(exp: Ordinal, coeff: int) -> str:
     elif exp == OMEGA:
         head = "w^w"
     else:
-        head = "w^(" + "+".join(_format_term(e, c) for e, c in exp) + ")"
+        head = "w^(" + "+".join(power_str(e, c) for e, c in exp) + ")"
     return head if coeff == 1 else f"{head}*{coeff}"
 
 
-def power_str(exp: Ordinal, coeff: int = 1) -> str:
-    """Printable form of w^exp*coeff, e.g. "w", "w^2", "w^(w*2+1)*3"; for a
-    positive exponent it is ``str(omega_pow(exp, coeff))``."""
-    return _format_term(exp, coeff)
-
-
-# ``_cnf(Ordinal, terms)`` is the ordinal with ``terms``, which the caller
-# has built in Cantor normal form; unlike ``Ordinal(terms)`` it checks nothing
 _cnf = tuple.__new__
 
 
@@ -134,13 +133,7 @@ def from_int(n: int) -> Ordinal:
 
 def omega_pow(exp: Ordinal, coeff: int = 1) -> Ordinal:
     """The single-term ordinal w^exp * coeff (coeff = 0 gives 0)."""
-    if coeff == 0:
-        return ZERO
-    if not isinstance(exp, Ordinal):
-        raise TypeError(f"exponent must be an Ordinal, got {type(exp).__name__}")
-    if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff < 1:
-        raise ValueError(f"coefficient must be a positive integer, got {coeff!r}")
-    return _cnf(Ordinal, ((exp, coeff),))
+    return ZERO if coeff == 0 else Ordinal(((exp, coeff),))
 
 
 ONE = from_int(1)

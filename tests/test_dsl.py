@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,7 @@ from infsurf.endspace import (
     summarize,
     union,
 )
-from infsurf.ordinal import OMEGA, ZERO, from_int, omega_pow
+from infsurf.ordinal import OMEGA, ZERO, Ordinal, from_int, omega_pow
 from infsurf.surface import ValidationError, validate, validate_type
 from oracles import (
     differential_texts,
@@ -397,3 +398,26 @@ def test_summary_fold_agrees_with_the_tree():
         assert got == want and repr(got) == repr(want), text
         outcomes["parse" if want[0] == "parse" else "valid" if want[3] is None else "invalid"] += 1
     assert min(outcomes.values()) >= 500, outcomes
+
+
+def test_the_parser_leaves_the_term_checks_to_the_api(monkeypatch):
+    # the grammar already gives each w^e*c an Ordinal exponent and a natural
+    # coefficient, so parsing builds its ordinals without Ordinal(terms)
+    calls = []
+    checked = Ordinal.__new__
+    monkeypatch.setattr(Ordinal, "__new__", lambda cls, *args: calls.append(args) or checked(cls, *args))
+    texts = (Path(__file__).parent / "data" / "golden_batch.txt").read_text(encoding="utf-8").splitlines()
+    texts += [c.descriptor for c in CATALOG] + FUSED_CORNERS
+    parsed = 0
+    for text in texts:
+        for parse in (parse_surface, parse_surface_type):
+            try:
+                parse(text)
+                parsed += 1
+            except ParseError:
+                pass
+    for text in ("00", "007", "w^00", "w*0 + 3", "1234567890123", "w^(w^0100*007+00)*0 + w^(0)*120"):
+        parse_ordinal(text)
+    assert parsed > 100 and calls == []
+    # the API builders do go through it
+    assert omega_pow(OMEGA, 2) == parse_ordinal("w^w*2") and len(calls) == 1

@@ -608,6 +608,8 @@ def test_the_empty_space_is_the_union_of_no_summands():
     assert str(Empty()) == "empty"
     assert summarize(Empty()) == endspace.join(()) == SUMMARIES.union()
     assert strip_marks(Empty()) is EMPTY and cb_derivative(Empty()) is EMPTY
+    empty = CanonicalEndSpace(False, None)
+    assert empty.describe() == "empty space" and str(empty) == "empty" and embed(empty) is EMPTY
 
 
 @pytest.mark.parametrize("walk", [summarize, strip_marks, cb_derivative])

@@ -181,20 +181,29 @@ def test_fundamental_sequence_approaches_its_limit():
         assert compare(fundamental_sequence(lam, 40), fundamental_sequence(lam, 2)) > 0
 
 
+def _checked(o: Ordinal) -> Ordinal:
+    """`o` rebuilt through Ordinal(terms) at every level of its exponents."""
+    return Ordinal([(_checked(e), c) for e, c in o.terms])
+
+
 def test_arithmetic_results_pass_the_checked_constructor():
-    # add, omega_pow and div_omega build Cantor normal form without the
-    # checks of Ordinal(...); rebuilding through them must accept each
-    # result and give an equal, equally hashing value
+    # the parser, add and div_omega build Cantor normal form with _cnf,
+    # without the checks of Ordinal(...); rebuilding each parsed ordinal and
+    # each result through Ordinal(...) at every level must accept it and
+    # give an equal, equally hashing value
     rng = random.Random(23)
-    pool = [parse_ordinal(random_ordinal_text(rng)) for _ in range(150)]
+    # naturals past the parser's small table or with leading zeros, and a zero coefficient
+    edges = {"00": "0", "007": "7", "w^00": "1", "w*0 + 3": "3", "1234567890123": "1234567890123"}
+    assert {t: str(parse_ordinal(t)) for t in edges} == edges
+    pool = [parse_ordinal(t) for t in [*(random_ordinal_text(rng) for _ in range(150)), *edges]]
     pool += [random_ordinal(rng) for _ in range(50)] + [ZERO, ONE, OMEGA, W2, W_OMEGA]
     results = []
     for _ in range(1500):
         a, b = rng.choice(pool), rng.choice(pool)
         results += [add(a, b), omega_pow(a, rng.randint(0, 5)), div_omega(a), from_int(rng.randint(0, 200))]
     assert sum(not r.is_finite() for r in results) > 1000
-    for r in results:
-        checked = Ordinal(r.terms)
+    for r in pool + results:
+        checked = _checked(r)
         assert checked == r and hash(checked) == hash(r)
         assert str(r) == str(checked)
 
@@ -218,10 +227,15 @@ def test_checked_constructor_still_rejects_bad_terms(terms, error):
 
 @pytest.mark.parametrize("coeff", [-1, True, 1.5, "2"])
 def test_omega_pow_rejects_a_bad_coefficient(coeff):
-    with pytest.raises(ValueError):
-        omega_pow(ONE, coeff)
-    with pytest.raises(TypeError):
-        omega_pow(2, 1)
+    # omega_pow leaves the checks to Ordinal(terms): same type, same message
+    for exp, error, message in [
+        (ONE, ValueError, f"coefficient must be a positive integer, got {coeff!r}"),
+        (2, TypeError, "exponent must be an Ordinal, got int"),
+    ]:
+        for build in (omega_pow, lambda e, c: Ordinal([(e, c)])):
+            with pytest.raises(error) as info:
+                build(exp, coeff)
+            assert type(info.value) is error and str(info.value) == message
 
 
 NESTED_TEXTS = ["w^(w^w+1)*2", "w^(w^w+1)*2 + w^(w^w)", "w^(w^w)*3", "w^(w^(w+1))", "w^(w^w+1) + 5", "w^(w*2+1)*3 + w + 5"]

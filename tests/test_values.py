@@ -38,7 +38,7 @@ from infsurf.endspace import (
     TdMax,
 )
 from infsurf.homology import AbelianGroup, FinitePresentation, IntegerMatrix, SNFResult, SquareReport
-from infsurf.ordinal import OMEGA, ONE, ZERO
+from infsurf.ordinal import OMEGA, ONE, ZERO, from_int
 from infsurf.surface import SurfaceDescriptor, SurfaceInvariants
 
 _M = IntegerMatrix(((1, 0), (0, 1)))
@@ -210,6 +210,11 @@ def test_equal_fields_across_classes_are_unequal():
         (lambda: SeqCompactification(EMPTY), ValueError, "cannot compactify copies of the empty space"),
         (lambda: LimitCompactification(ONE), ValueError, "limit compactification needs a limit ordinal, got 1"),
         (lambda: Scattered(0, ONE), ValueError, "need at least one copy"),
+        (lambda: ZERO.leading(), ValueError, "0 has no leading term"),
+        (lambda: OMEGA.as_int(), ValueError, "w is not a natural number"),
+        (lambda: from_int(-1), ValueError, "ordinals are non-negative"),
+        (lambda: from_int(True), ValueError, "coefficient must be a positive integer, got True"),
+        (lambda: from_int(1.5), ValueError, "coefficient must be a positive integer, got 1.5"),
         (lambda: IntegerMatrix(((1, 2), (3,))), ValueError, "ragged rows"),
         (lambda: AbelianGroup(-1), ValueError, "negative rank"),
         (lambda: AbelianGroup(0, (1,)), ValueError, "torsion factors must be >= 2"),
