@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from itertools import islice
 from typing import Any, Optional
 
 from . import constructions, homology
@@ -371,7 +372,11 @@ def _cmd_construct_snake(args) -> int:
     if getattr(args, "json", False):
         print(json.dumps(path.points))
         return OK
-    print("\n".join(f"{x} {y}" for x, y in path.points))
+    # one line a cell, written 4096 lines at a time, so neither the cells
+    # nor the whole text are held at once
+    cells, write = path.cells(), sys.stdout.write
+    while block := "".join([f"{x} {y}\n" for x, y in islice(cells, 4096)]):
+        write(block)
     return OK
 
 

@@ -88,12 +88,22 @@ def _hermite_pass(rows: list[list[int]], width: int) -> list[list[int]]:
     the entries above each pivot are brought into [0, pivot).  That keeps
     every entry, transforms included, from growing beyond what the
     pivots force.  Returns the pivot rows (positive pivots, in column
-    order) followed by the zero rows.
+    order) followed by the zero rows; the given rows are changed in place.
+
+    A row operation at column c touches only the columns [c, hi): both
+    rows are zero before c, and every row taken so far is zero from ``hi``
+    on, the end of the furthest last nonzero entry among them.  A pass that
+    starts from an identity transform so skips most of it.
     """
     pivots: list[list[int]] = []
     cols: list[int] = []
     zeros: list[list[int]] = []
+    hi = 0
     for row in rows:
+        end = len(row)
+        while end > hi and not row[end - 1]:
+            end -= 1
+        hi = max(hi, end)
         k = c = 0
         changed = None  # index of the first pivot row this row altered
         while True:
@@ -105,7 +115,9 @@ def _hermite_pass(rows: list[list[int]], width: int) -> list[list[int]]:
             while k < len(cols) and cols[k] < c:
                 k += 1
             if k == len(cols) or cols[k] != c:
-                pivots.insert(k, row if row[c] > 0 else [-x for x in row])
+                if row[c] < 0:
+                    row[c:hi] = [-x for x in row[c:hi]]
+                pivots.insert(k, row)
                 cols.insert(k, c)
                 if changed is None:
                     changed = k
@@ -115,13 +127,14 @@ def _hermite_pass(rows: list[list[int]], width: int) -> list[list[int]]:
             if b % a:
                 g, s, t = _xgcd(a, b)
                 a, b = a // g, b // g
-                pivots[k] = [s * x + t * y for x, y in zip(p, row)]
-                row = [a * y - b * x for x, y in zip(p, row)]
+                ps, rs = p[c:hi], row[c:hi]
+                p[c:hi] = [s * x + t * y for x, y in zip(ps, rs)]
+                row[c:hi] = [a * y - b * x for x, y in zip(ps, rs)]
                 if changed is None:
                     changed = k
             else:
                 q = b // a
-                row = [y - q * x for x, y in zip(p, row)]
+                row[c:hi] = [y - q * x for x, y in zip(p[c:hi], row[c:hi])]
             k += 1
             c += 1
         if changed is None:
@@ -129,10 +142,12 @@ def _hermite_pass(rows: list[list[int]], width: int) -> list[list[int]]:
         for k in range(changed, len(cols)):
             c, p = cols[k], pivots[k]
             v = p[c]
+            live = p[c:hi]
             for j in range(k):
                 q = pivots[j][c] // v
                 if q:
-                    pivots[j] = [y - q * x for x, y in zip(p, pivots[j])]
+                    above = pivots[j]
+                    above[c:hi] = [y - q * x for x, y in zip(live, above[c:hi])]
     return pivots + zeros
 
 

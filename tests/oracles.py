@@ -843,3 +843,28 @@ def differential_texts(rng: random.Random, bases: int, max_depth: int) -> list[s
             for genus in ("0", "inf"):
                 texts.append(f"surface(genus={genus}, boundary=0, ends={nested_endspace_text(kind, depth)})")
     return texts
+
+
+def _shell(radius: int) -> list[tuple[int, int]]:
+    """Cells at sup-norm distance exactly `radius`, ordered along the walk.
+
+    Odd shells run bottom-right, up, across and down to the bottom-left;
+    even shells run the mirror image, so consecutive shells stay adjacent.
+    """
+    r = radius
+    start = r if r % 2 else -r
+    column_up = [(start, y) for y in range(0, r + 1)]
+    top = [(x, r) for x in (range(start - 1, -start - 1, -1) if start > 0 else range(start + 1, -start + 1))]
+    column_down = [(-start, y) for y in range(r - 1, -1, -1)]
+    return column_up + top + column_down
+
+
+def snake_cells(count: int) -> tuple[tuple[int, int], ...]:
+    """The first `count` cells of the snake, walked shell by shell as cell
+    lists: the reference for `constructions.snake_bijection`."""
+    cells: list[tuple[int, int]] = [(0, 0)]
+    radius = 1
+    while len(cells) < count:
+        cells.extend(_shell(radius))
+        radius += 1
+    return tuple(cells[:count])

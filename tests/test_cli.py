@@ -731,6 +731,19 @@ def test_golden_ord_output(capsys):
         assert out.encode("utf-8") == c["stdout"].encode("utf-8"), c["argv"]
 
 
+def test_golden_construct_output(capsys):
+    # `construct snake` (text and --json) at 1, 2, 3, 9, 10, 11 and 100
+    # cells, across the first shells, and refused at 0 and past the bound
+    calls = [json.loads(line) for line in (GOLDEN / "golden_construct.txt").read_text(encoding="utf-8").splitlines()]
+    assert [c["argv"][2] for c in calls if c["exit"]] == ["0", "0", str(MAX_SNAKE_CELLS + 1), str(MAX_SNAKE_CELLS + 1)]
+    for c in calls:
+        code, out, err = run(capsys, *c["argv"])
+        assert code == c["exit"], c["argv"]
+        assert out.encode("utf-8") == c["stdout"].encode("utf-8"), c["argv"]
+        # a refused text call reports on stderr, as every command does
+        assert err.startswith("error (") if code and "--json" not in c["argv"] else err == "", c["argv"]
+
+
 def test_a_live_full_twist_is_refused_under_python_O(tmp_path):
     # with a wrong k the full twist does not vanish in Z/2k; the check must
     # not be an assert, which python -O strips
