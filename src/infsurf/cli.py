@@ -369,12 +369,20 @@ def _cmd_hom_poincare(args) -> int:
 
 def _cmd_construct_snake(args) -> int:
     path = constructions.snake_bijection(args.count)
-    if getattr(args, "json", False):
-        print(json.dumps(path.points))
-        return OK
-    # one line a cell, written 4096 lines at a time, so neither the cells
-    # nor the whole text are held at once
+    # written 4096 cells at a time, so neither the cells nor the whole text
+    # are held at once
     cells, write = path.cells(), sys.stdout.write
+    if getattr(args, "json", False):
+        # the bytes of json.dumps(path.points) and a newline
+        write("[")
+        sep = ""
+        while block := ", ".join([f"[{x}, {y}]" for x, y in islice(cells, 4096)]):
+            write(sep)
+            write(block)
+            sep = ", "
+        write("]\n")
+        return OK
+    # one line a cell
     while block := "".join([f"{x} {y}\n" for x, y in islice(cells, 4096)]):
         write(block)
     return OK

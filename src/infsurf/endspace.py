@@ -43,7 +43,7 @@ from enum import Enum
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union as TUnion
 
 from ._value import Value
-from .ordinal import Kind, ONE, ZERO, Ordinal, _cnf, add, div_omega, from_int, kind, power_str
+from .ordinal import Kind, ONE, ZERO, Ordinal, _cnf, add, div_omega, kind, power_str
 
 INFINITE = math.inf
 
@@ -664,7 +664,7 @@ def _derived_interval(bound: Ordinal, mark: Mark) -> EndSpaceExpr:
         return Interval(q, mark)
     # the derived set is the q limit ordinals in [0, bound], discrete
     n = q.as_int()
-    return EMPTY if n == 0 else TREES.point[mark] if n == 1 else Interval(from_int(n - 1), mark)
+    return EMPTY if n == 0 else TREES.point[mark] if n == 1 else Interval(_cnf(Ordinal, ((ZERO, n - 1),)), mark)
 
 
 # An empty derived set is always EMPTY; the point added to copies that lose

@@ -182,7 +182,8 @@ def div_omega(b: Ordinal) -> Ordinal:
         if exp.is_zero():
             continue
         if exp.is_finite():
-            out.append((from_int(exp.as_int() - 1), coeff))
+            g = exp[0][1]
+            out.append((_cnf(Ordinal, ((ZERO, g - 1),)) if g > 1 else ZERO, coeff))
         else:
             out.append((exp, coeff))
     # g -> g-1 keeps finite exponents >= 1 apart and below the infinite ones

@@ -464,6 +464,47 @@ def ball_size(radius: int) -> int:
     return (2 * radius + 1) * (radius + 1)
 
 
+_STEPS = {"R": (1, 0), "L": (-1, 0), "U": (0, 1), "D": (0, -1)}
+
+
+def grid_path_revisits(moves: str) -> bool:
+    """Whether the walk of `moves` from the origin visits some cell twice,
+    read off a set of its cells one move at a time: the reference for the
+    revisit check of `constructions.GridPath`."""
+    x = y = 0
+    seen = {(0, 0)}
+    for move in moves:
+        dx, dy = _STEPS[move]
+        x, y = x + dx, y + dy
+        if (x, y) in seen:
+            return True
+        seen.add((x, y))
+    return False
+
+
+def grown_walk(rng: random.Random, limit: int) -> str:
+    """A self-avoiding walk of at most `limit` moves, grown by rejection: each
+    run takes a random direction that leads to a free cell and a random
+    length, and stops early at a visited cell.  The walk ends at `limit`
+    moves or when every neighbour of its last cell is visited."""
+    x = y = 0
+    seen = {(0, 0)}
+    moves: list[str] = []
+    while len(moves) < limit:
+        free = [m for m, (dx, dy) in _STEPS.items() if (x + dx, y + dy) not in seen]
+        if not free:
+            break
+        move = rng.choice(free)
+        dx, dy = _STEPS[move]
+        for _ in range(rng.randint(1, 64)):
+            if (x + dx, y + dy) in seen or len(moves) == limit:
+                break
+            x, y = x + dx, y + dy
+            seen.add((x, y))
+            moves.append(move)
+    return "".join(moves)
+
+
 # -- reference parser ------------------------------------------------------------
 #
 # The recursive character scanner the engine parsed with before its

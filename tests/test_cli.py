@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -563,6 +564,48 @@ def test_largest_allowed_parameters_answer(argv):
     assert proc.stdout
 
 
+# Runs `python ARGV` as its only child and writes that child's ru_maxrss
+# (KiB on Linux) on stderr.  On Linux a child starts with the peak RSS of the
+# process it was spawned from, so the test process, far larger than a CLI
+# call, spawns this launcher, and the launcher spawns the measured call.
+_PEAK_RSS_LAUNCHER = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+sys.stderr.write(f"{usage.ru_maxrss}\\n")
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def _sha1_and_peak_rss(*argv):
+    """The sha1 of the stdout of a fresh `python ARGV` and its peak RSS in
+    bytes; stdout is hashed as it arrives, so the test holds none of it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(infsurf.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-S", "-c", _PEAK_RSS_LAUNCHER, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    digest = hashlib.sha1()
+    with proc.stdout:
+        while chunk := proc.stdout.read(1 << 16):
+            digest.update(chunk)
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0, err
+    return digest.hexdigest(), int(err) * 1024
+
+
+def test_a_snake_at_the_bound_prints_the_same_bytes_in_little_memory():
+    # checked through a set of its cells, and printed with --json from a
+    # tuple per cell and the whole JSON text, this call peaked 35 MB (text)
+    # and 69 MB (--json) above the import alone; it now peaks about 2 MB above
+    _, base = _sha1_and_peak_rss("-c", "import infsurf.cli")
+    want = {(): "bfc1188ad15ba6633f5e1e66721e205286cb4839", ("--json",): "ba6adf9b2c1c7464e560242523be9089f439c394"}
+    for flag, sha1 in want.items():
+        digest, peak = _sha1_and_peak_rss("-m", "infsurf", "construct", "snake", str(MAX_SNAKE_CELLS), *flag)
+        assert digest == sha1, flag
+        assert peak - base <= 8_000_000, (flag, peak, base)
+
+
 def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
     import infsurf.cli as cli
     from infsurf.decide import InternalInvariantViolation
@@ -637,7 +680,9 @@ def _python_m_infsurf(argv, **kw):
     return subprocess.Popen([sys.executable, "-m", "infsurf", *argv], env=env, **kw)
 
 
-@pytest.mark.parametrize("argv", [("construct", "snake", "100000"), ("decide", "--jsonl", "{batch}")])
+@pytest.mark.parametrize(
+    "argv", [("construct", "snake", "100000"), ("decide", "--jsonl", "{batch}"), ("construct", "snake", "100000", "--json")],
+)
 def test_a_reader_that_stops_early_ends_the_command_cleanly(tmp_path, argv):
     # the output is far larger than a pipe holds, so the command is still
     # writing when the reader closes its end

@@ -1,9 +1,11 @@
+import random
 import tracemalloc
 
 import pytest
 
-from infsurf.constructions import GridPath, snake_bijection
-from oracles import ball_size, snake_cells
+from infsurf.constructions import MAX_GRID_BOX, GridPath, snake_bijection
+from infsurf.homology import ResourceLimit
+from oracles import ball_size, grid_path_revisits, grown_walk, snake_cells
 
 
 def test_starts_at_the_origin():
@@ -39,6 +41,78 @@ def test_a_path_is_its_moves():
         GridPath("R" * 500 + "U" + "L" * 500 + "D")
 
 
+@pytest.mark.parametrize(
+    "moves, revisits",
+    [
+        ("RRLL", True),  # two runs on one row
+        ("UUDD", True),  # two runs on one column
+        ("RRRUULDDD", True),  # a column run crossing a row run mid-run
+        ("UUURRDLLL", True),  # a row run crossing a column run mid-run
+        ("RULD", True),  # back to the origin
+        ("RL", True),
+        ("LR", True),
+        ("UD", True),
+        ("DU", True),
+        ("RRRUULLDRR", True),  # only the last cell is a revisit
+        ("RRRUULLDR", False),
+        ("RULLDDRRR", False),  # a spiral round the origin
+        ("", False),
+    ],
+)
+def test_each_kind_of_collision_is_a_revisit(moves, revisits):
+    assert grid_path_revisits(moves) is revisits
+    if revisits:
+        with pytest.raises(ValueError, match="grid path revisits a cell"):
+            GridPath(moves)
+    else:
+        assert GridPath(moves).moves == moves
+
+
+def test_the_check_agrees_with_a_set_of_cells():
+    rng = random.Random(2101)
+    paths = ["".join(rng.choices("RLUD", k=rng.randint(0, 40))) for _ in range(2500)]
+    # runs of one to four equal moves, so that more strings avoid themselves
+    paths += ["".join(rng.choice("RLUD") * rng.randint(1, 4) for _ in range(rng.randint(0, 10)))[:40] for _ in range(2500)]
+    for _ in range(60):
+        walk = grown_walk(rng, 2000)
+        paths += [walk] + [walk + move for move in "RLUD"]
+    accepted = 0
+    for moves in paths:
+        if grid_path_revisits(moves):
+            with pytest.raises(ValueError, match="grid path revisits a cell"):
+                GridPath(moves)
+        else:
+            assert GridPath(moves).moves == moves
+            accepted += 1
+    assert 500 < accepted < len(paths) - 500
+    assert max(map(len, paths)) == 2001
+
+
+def test_the_bounding_box_is_bounded():
+    assert MAX_GRID_BOX == 1 << 24
+    # 4096 x 4096 cells, exactly the budget, for 8 190 moves
+    assert len(GridPath("RU" * 4095)) == 8191
+    with pytest.raises(ResourceLimit, match="at most 16777216 cells, got 16785409"):
+        GridPath("R" * 4096 + "U" * 4096)
+    # the type, then the moves, then the box, then the revisits
+    with pytest.raises(TypeError):
+        GridPath(b"RL")
+    with pytest.raises(ValueError, match="not a grid move: 'X'"):
+        GridPath("R" * (1 << 24) + "X")
+    with pytest.raises(ResourceLimit):
+        GridPath("R" * 4096 + "U" * 4096 + "D")
+    # refused with neither a bitmap nor a copy of the moves allocated
+    moves = "R" * (1 << 24)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="got 16777217"):
+            GridPath(moves)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+
+
 def test_points_match_the_shell_walk():
     reference = snake_cells(2000)
     for n in range(1, 2001):
@@ -48,7 +122,8 @@ def test_points_match_the_shell_walk():
 
 def test_a_snake_holds_one_byte_a_cell():
     # 10^5 cells held about 7.2 MB, and peaked at about 14 MB, as a tuple
-    # per cell checked through a set of those tuples
+    # per cell checked through a set of those tuples; the moves checked
+    # through a set of ints per cell peaked at about 9 MB
     tracemalloc.start()
     try:
         path = snake_bijection(10**5)
@@ -56,7 +131,7 @@ def test_a_snake_holds_one_byte_a_cell():
     finally:
         tracemalloc.stop()
     assert len(path) == 10**5
-    assert held < 1_000_000 and peak < 12_000_000, (held, peak)
+    assert held < 1_000_000 and peak < 1_000_000, (held, peak)
 
 
 def test_brute_force_properties_up_to_ten_thousand():
