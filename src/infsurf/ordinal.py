@@ -21,16 +21,33 @@ quotient ``div_omega`` and maximum-with-multiplicity.  General
 multiplication and exponentiation are deliberately absent; single-term
 powers ``w^e * c`` are built directly with :func:`omega_pow`.
 
-``Ordinal(terms)`` is the one place that checks terms; ``omega_pow`` and
-``from_int``, the checked builders of the API, go through it.  Internal
-builders whose terms are in Cantor normal form by construction (the parser,
-``add``, ``div_omega``) call ``_cnf(Ordinal, terms)``, which checks nothing.
+``Ordinal(terms)`` is the one place that checks terms, their nesting
+included (``MAX_NESTING``); ``omega_pow`` and ``from_int``, the checked
+builders of the API, go through it.  Internal builders whose terms are in
+Cantor normal form by construction (the parser, ``add``, ``div_omega``)
+call ``_cnf(Ordinal, terms)``, which checks nothing.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from typing import Iterable
+
+
+MAX_NESTING = 128
+"""Most levels of exponents that ``Ordinal(terms)`` admits: 0 has none, a
+positive natural one (``w^0 * n``), w two and w^w three; each further
+``w^(...)`` adds one.
+
+The parser builds at most ``dsl.MAX_DEPTH`` + 3 = 103 levels, a ``w^w``
+inside its 100 open ``w^(``, so every ordinal it builds is admitted.  The
+printer, the comparison and the hash of an ordinal recurse once or twice
+per level, and CPython's tuple hash has no recursion guard: hashing an
+ordinal nested 10^5 deep overflows the C stack and kills the interpreter.
+Past this bound ``Ordinal(terms)`` raises ``ValueError``, so no ordinal
+built through it nests deep enough for that.  The levels are counted without
+recursion, each distinct exponent once a level, and the count stops one
+level past the bound."""
 
 
 class Kind(Enum):
@@ -52,6 +69,14 @@ class Ordinal(tuple):
         for (hi, _), (lo, _) in zip(terms, terms[1:]):
             if hi <= lo:
                 raise ValueError("exponents must be strictly decreasing")
+        # the terms of each level's distinct exponents are the next level
+        level, depth = terms, 0
+        while level:
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ValueError(f"ordinal nested deeper than {MAX_NESTING} levels of exponents")
+            exps = {id(exp): exp for exp, _ in level}
+            level = [term for exp in exps.values() for term in exp]
         return tuple.__new__(cls, terms)
 
     @property

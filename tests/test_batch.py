@@ -1,12 +1,14 @@
-"""Batch mode: the line cache (token sequence -> output line) and the
-verdict-line cache (surface type -> verdict line) against the uncached
-path, and the streamed batch file against ``str.splitlines()``."""
+"""Batch mode: the line cache (token sequence, or parse-error text ->
+output line) and the verdict-line cache (surface type -> verdict line)
+against the uncached path, and the streamed batch file against
+``str.splitlines()``."""
 
 import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infsurf import cli
 from infsurf import decide as decide_module
@@ -225,6 +227,62 @@ def test_respaced_lines_give_the_uncached_output(tmp_path, capsys, monkeypatch):
     assert len(parsed) < len(lines) - len(bases)
 
 
+def test_every_repeated_line_is_a_hit(tmp_path, capsys, monkeypatch):
+    # more token sequences than 1 024, each spelled two ways and some lines
+    # repeated, with parse errors among them: a token sequence that parses
+    # is parsed once, and so is each parse-error text
+    rng = random.Random(2203)
+    bases = [c.descriptor for c in CATALOG] + ERROR_LINES[:-1]
+    while len(bases) < 2400:
+        text = random_surface_text(rng)
+        bases.append(mutate_text(rng, text) if rng.random() < 0.1 else text)
+    lines = [spelling for base in bases for spelling in (base, respace(base, rng))]
+    lines += rng.sample(lines, 600) + ERROR_LINES * 3
+    rng.shuffle(lines)
+    expected = [uncached(line) for line in lines]
+    outs = {line.strip(): out for line, out in zip(lines, expected)}
+
+    def key(text: str) -> str:
+        return "\n" + text if '"kind": "parse"' in outs[text] else token_key(text)
+
+    keys = {key(text) for text in outs if text}
+    sequences = {k for k in keys if not k.startswith("\n")}
+    assert len(sequences) > 1024 and len(keys) - len(sequences) > 300
+    assert len(keys) <= LINE_CACHE_SIZE
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    parsed = count_parses(monkeypatch)
+    assert run_batch(capsys, f) == (0, expected)
+    assert sorted(key(text) for text in parsed) == sorted(keys)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_a_parse_error_line_keeps_its_own_offset(tmp_path, capsys, first):
+    # the spaced text is its own token join and the join of the tight one,
+    # and both fail at the second natural: a kept parse error is found by
+    # its text, so neither line may print the other's offset
+    tight = "surface(genus=0, boundary=0, ends=I(1 2))"
+    spaced = "surface ( genus = 0 , boundary = 0 , ends = I ( 1 2 ) )"
+    assert token_key(tight) == token_key(spaced) == spaced
+    offsets = {tight: 38, spaced: 50}
+    order = [tight, spaced] if first == 0 else [spaced, tight]
+    lines = [order[0], order[0], order[1], order[1], *order]
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(lines), encoding="utf-8")
+    code, out = run_batch(capsys, f)
+    assert (code, out) == (0, [uncached(line) for line in lines])
+    assert [json.loads(line)["error"]["offset"] for line in out] == [offsets[line] for line in lines]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="()!,;=^*+ wpnI0123456789xU_\t\u0663\u00e9\udcff")))
+def test_the_token_join_has_the_same_tokens(text):
+    # the line cache keys a line by its tokens joined by single spaces, which
+    # names the token sequence only because the join splits back into it
+    toks = _TOKEN.findall(text)
+    assert _TOKEN.findall(" ".join(toks)) == toks
+
+
 @pytest.mark.parametrize(
     "left, right",
     [
@@ -237,12 +295,14 @@ def test_respaced_lines_give_the_uncached_output(tmp_path, capsys, monkeypatch):
 )
 def test_near_collisions_keep_their_own_lines(tmp_path, capsys, left, right):
     # equal once whitespace is dropped, but other token sequences: each line
-    # gets its own output in either order, and the parse error is not kept
+    # gets its own output in either order; the verdict is kept under its
+    # token join and the parse error under its text
     texts = [f"surface(genus=inf, boundary=0, ends=U(cantor!np, {e}))" for e in (left, right)]
     assert token_key(texts[0]) != token_key(texts[1])
     assert texts[0].replace(" ", "") == texts[1].replace(" ", "")
     expected = [uncached(text) for text in texts]
     assert '"error"' not in expected[0] and '"kind": "parse"' in expected[1]
+    keys = {texts[0]: token_key(texts[0]), texts[1]: "\n" + texts[1]}
     for order in (texts, texts[::-1]):
         f = tmp_path / "batch.txt"
         f.write_text("\n".join(order * 2), encoding="utf-8")
@@ -250,7 +310,7 @@ def test_near_collisions_keep_their_own_lines(tmp_path, capsys, left, right):
         kept = {}
         for text in order:
             cli._batch_line(text, kept)
-        assert list(kept) == [token_key(texts[0])]
+        assert list(kept) == [keys[text] for text in order]
 
 
 def test_respaced_operators_share_their_line(tmp_path, capsys, monkeypatch):

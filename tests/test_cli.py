@@ -606,6 +606,18 @@ def test_a_snake_at_the_bound_prints_the_same_bytes_in_little_memory():
         assert peak - base <= 8_000_000, (flag, peak, base)
 
 
+def test_a_smith_normal_form_at_the_bound_streams_its_json():
+    # built whole before it was printed, the JSON of the two 128 x 128
+    # transforms (3.4 MB) peaked about 7 MB above the text output; written a
+    # row at a time, it peaks about as high
+    matrix = json.dumps(_dense_rows(_SNF_SIDE, _SNF_SIDE))
+    digest, text_peak = _sha1_and_peak_rss("-m", "infsurf", "hom", "snf", matrix)
+    assert digest == "d6a4c470449aace91164e98c1c5fbddaeeadae64"
+    digest, peak = _sha1_and_peak_rss("-m", "infsurf", "hom", "snf", matrix, "--json")
+    assert digest == "5f510ddc0cfd2a3f64f4329391cae5f3d62ec3a2"
+    assert peak - text_peak <= 2_000_000, (peak, text_peak)
+
+
 def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
     import infsurf.cli as cli
     from infsurf.decide import InternalInvariantViolation

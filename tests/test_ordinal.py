@@ -1,11 +1,17 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 
+import infsurf
 from infsurf.ordinal import (
+    MAX_NESTING,
     Kind,
     ONE,
     OMEGA,
@@ -18,7 +24,7 @@ from infsurf.ordinal import (
     kind,
     omega_pow,
 )
-from infsurf.dsl import parse_ordinal
+from infsurf.dsl import MAX_DEPTH, parse_ordinal
 from oracles import (
     cnf_compare,
     div_omega_vector,
@@ -301,3 +307,57 @@ def test_copy_and_pickle_keep_an_ordinal(text):
     for twin in (copy.copy(o), copy.deepcopy(o), pickle.loads(pickle.dumps(o))):
         assert type(twin) is Ordinal and twin == o and hash(twin) == hash(o) and str(twin) == str(o)
         assert all(type(e) is Ordinal for e, _ in twin.terms)
+
+
+def nesting(o: Ordinal) -> int:
+    """Levels of exponents, by recursion: 0 has none, a natural one."""
+    return max((1 + nesting(e) for e, _ in o), default=0)
+
+
+def chain(levels: int, innermost: int = 1) -> Ordinal:
+    """w^(w^(...w^0*innermost...)), nested `levels` deep, built through the API."""
+    o = from_int(innermost)
+    for _ in range(levels - 1):
+        o = omega_pow(o)
+    return o
+
+
+def test_the_nesting_budget_admits_every_parsed_ordinal():
+    # the deepest ordinal the parser builds: a w^w inside MAX_DEPTH open w^(
+    deepest = parse_ordinal("w^(" * MAX_DEPTH + "w^w" + ")" * MAX_DEPTH)
+    assert nesting(deepest) == MAX_DEPTH + 3 <= MAX_NESTING
+    assert Ordinal(deepest) == deepest and omega_pow(deepest, 2) > deepest
+
+
+def test_at_the_nesting_bound_an_ordinal_prints_hashes_and_compares():
+    a, b, twin = chain(MAX_NESTING), chain(MAX_NESTING, 2), chain(MAX_NESTING)
+    assert nesting(a) == nesting(b) == MAX_NESTING
+    assert a is not twin and a == twin and hash(a) == hash(twin) and str(a) == str(twin)
+    # they differ only at the innermost level
+    assert a < b and not b < a and a != b and compare(b, a) == 1
+    assert str(b).endswith("w^2" + ")" * (MAX_NESTING - 2))
+    for build in (lambda: omega_pow(a), lambda: Ordinal([(b, 1)]), lambda: omega_pow(a) + ONE):
+        with pytest.raises(ValueError, match=f"deeper than {MAX_NESTING} levels"):
+            build()
+
+
+def test_an_ordinal_nested_100000_deep_is_refused_cleanly():
+    # hashing such an ordinal once crashed the interpreter: CPython's tuple
+    # hash has no recursion guard
+    script = """
+from infsurf.ordinal import ZERO, omega_pow
+e = ZERO
+try:
+    for n in range(10**5):
+        e = omega_pow(e)
+except ValueError as err:
+    print(n, err)
+print(hash(e) != hash(omega_pow(ZERO)), len(str(e)))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(infsurf.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        f"{MAX_NESTING} ordinal nested deeper than {MAX_NESTING} levels of exponents",
+        f"True {len(str(chain(MAX_NESTING)))}",
+    ]
