@@ -29,7 +29,7 @@ from .decide import (
     row_key,
     verdict,
 )
-from .dsl import _SURFACE, _TOKEN, ParseError, _parse, parse_endspace, parse_ordinal, parse_surface, parse_surface_type
+from .dsl import _SURFACE, ParseError, _parse, parse_endspace, parse_ordinal, parse_surface, parse_surface_type
 from .endspace import INFINITE, SUMMARIES, SpaceInvariants, Summary, is_homeomorphic, summarize
 from .ordinal import compare, kind
 from .surface import surface_invariants, surfaces_homeomorphic, validate
@@ -221,16 +221,16 @@ its summary and its line, so a full cache holds about 2.8 MB."""
 LINE_CACHE_SIZE = 8192
 """Lines whose finished output lines one ``decide --jsonl`` run keeps
 (``_batch_line``), so that a repeated line is not parsed again.  Each
-entry holds its key as one string, the tokens joined by spaces or, for a
-parse-error line, its text; a tuple of the tokens would hold a string
-object per token.
+entry's key is one string: the line with all its whitespace deleted or,
+for a parse-error line, "\\n" and its stripped text.
 
 A 10 000-line ``batch_mixed`` file has 4 688-4 741 distinct keys (seeds
 1, 7 and 101), so every repeated line is a hit; at 1 024 the cache
-thrashed and parsed 5 452-5 524 lines.  An entry costs about 250 bytes
-under tracemalloc, its key, its slot and, for an error line, the line
-itself (a verdict line is shared with ``_verdict_line``), so a full cache
-holds about 2 MB."""
+thrashed and parsed 5 452-5 524 lines.  A key there holds about 82
+characters, against about 128 for the tokens joined by spaces.  An entry
+costs about 200 bytes under tracemalloc, its key, its slot and, for an
+error line, the line itself (a verdict line is shared with
+``_verdict_line``), so a full cache holds about 1.6 MB."""
 
 
 def _run_batch(args) -> int:
@@ -258,29 +258,55 @@ def _run_batch(args) -> int:
                 write(_batch_line(line, kept) + "\n")
 
 
+# maps each ASCII word character, [A-Za-z0-9_], to "w" (see _batch_line)
+_WORD_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
+_GLUE = bytes.maketrans(_WORD_BYTES, b"w" * len(_WORD_BYTES))
+
+
 def _batch_line(line: str, kept: dict[str, str]) -> str:
     """The output line of one input line.  `kept` maps keys to the output
     lines of the LINE_CACHE_SIZE most recently seen ones, least recently
     seen first.
 
     A verdict, DecisionError or ResourceLimit line depends on the tokens
-    alone, so it is kept under the tokens joined by single spaces.  Whether
-    a line parses depends on the tokens alone too, but a parse error's
-    offset depends on the text, so a parse-error line is kept under its
-    stripped text after a "\\n".  The two key spaces are disjoint: no token
-    holds whitespace, so a join holds no "\\n", and ``splitlines`` leaves
-    none in a line.  A bare text key would not be exact: the text
-    ``surface ( genus = 0 , boundary = 0 , ends = I ( 1 2 ) )`` is its own
-    token join, and so the key of ``surface(genus=0, boundary=0,
-    ends=I(1 2))``, whose error is at another offset.  An internal error is
-    not an answer, so it is not kept."""
-    line = line.strip()
-    if not line:
+    alone, and so does whether a line parses.  The tokenizer skips the
+    characters of ``str.isspace``, which ``str.split`` splits on.  A
+    glue-free line is looked up under its text with all whitespace deleted,
+    and kept there unless it is a parse error.  A line is glue-free when
+    its words, ``" ".join(line.split())``, are ASCII and no space in them
+    stands between a character of ``[A-Za-z0-9_!]`` and one of
+    ``[A-Za-z0-9_]``.  Deleting any other space cannot join two tokens: a
+    token that would span it is a run of digits, a word, ``!np`` or
+    ``!p``, whose first character is one of ``[A-Za-z0-9_!]`` and whose
+    later ones are in ``[A-Za-z0-9_]``.  So glue-free lines with one key
+    have one token sequence.  Every line that parses is glue-free: the
+    grammar's words are ASCII, its numbers are ASCII digits, no word or
+    number follows a word, a number or a mark, and ``!`` only opens
+    ``!np`` or ``!p``.  So every line that does not give a parse error
+    takes the whitespace-free key and finds the lines of its token
+    sequence, as a key on the tokens would.  A line that is not glue-free,
+    such as ``I(1 2)``, ``pt ! np`` or one with a non-ASCII letter or an
+    undecodable byte, is a parse error.
+
+    A parse error's offset depends on the text, so a parse-error line is
+    kept under its stripped text after a "\\n", and so is every line
+    looked up that is not glue-free.  A whitespace-free key holds no
+    "\\n", and ``splitlines`` leaves none in a line, so the two key spaces
+    are disjoint.  The tokens are read only on a miss, by the parse.  An
+    internal error is not an answer, so it is not kept."""
+    words = line.split()
+    if not words:
         return json.dumps({"error": {"kind": "empty_line"}})
-    toks = _TOKEN.findall(line)
-    key = " ".join(toks)
+    line = line.strip()
+    spaced = " ".join(words)
+    if spaced.isascii():
+        t = spaced.encode().translate(_GLUE)
+        glued = b"w w" in t or b"! w" in t
+    else:
+        glued = True
+    key = "\n" + line if glued else "".join(words)
     out = kept.pop(key, None)
-    if out is None:
+    if out is None and not glued:
         out = kept.pop("\n" + line, None)
         if out is not None:
             key = "\n" + line
@@ -288,7 +314,7 @@ def _batch_line(line: str, kept: dict[str, str]) -> str:
         kept[key] = out  # back at the end, as the most recently seen
         return out
     try:
-        out = _verdict_line(*_parse(line, _SURFACE, SUMMARIES, toks))
+        out = _verdict_line(*_parse(line, _SURFACE, SUMMARIES))
     except ParseError as err:
         key = "\n" + line
         out = json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}})

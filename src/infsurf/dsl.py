@@ -177,12 +177,10 @@ def _surface_head(text: str, toks: list[str]) -> tuple[int | float, int]:
     return genus, boundary
 
 
-def _parse(text: str, goal: int, fold: Fold = TREES, toks: list[str] | None = None):
+def _parse(text: str, goal: int, fold: Fold = TREES):
     """Parse `text` as an ordinal, an end space or a surface; `fold` says
-    what an end space is built into.  A caller that has already split the
-    text passes ``toks = _TOKEN.findall(text)``, which the parse extends."""
-    if toks is None:
-        toks = _TOKEN.findall(text)
+    what an end space is built into."""
+    toks = _TOKEN.findall(text)
     toks.append("")  # end of input; equal to no token the grammar expects
     i = 0
     if goal == _SURFACE:

@@ -10,7 +10,7 @@ the decision engine.
 from __future__ import annotations
 
 from math import comb, fsum, gcd, log10
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._value import Value
 
@@ -279,9 +279,12 @@ MAX_GENERATORS = 128
 """Most generators of a ``FinitePresentation``, and so of a ``preset``.
 
 Abelianization is dense: every exponent row is ``ngens`` wide, and the
-braid presets have about n^2/2 relators.  At this bound ``spherical_braid``
-abelianizes in about 0.16 s and 31 MB peak RSS (Python 3.11, shared 2-vCPU
-VM); at twice the bound it takes 1.2 s and 150 MB.
+braid presets have about n^2/2 relators, all but about n of them
+commutators whose zero rows are dropped as they are built.  At this bound
+``spherical_braid`` abelianizes in about 0.06 s, and ``hom abelianize
+--preset spherical_braid -n 129`` peaks at 17 MB of RSS, 3 MB above
+importing ``infsurf.cli`` (Python 3.11, shared 2-vCPU VM); at twice the
+bound it takes 0.18 s and 20 MB.
 """
 
 
@@ -307,13 +310,7 @@ class FinitePresentation(Value):
         object.__setattr__(self, "relators", relators)
 
     def exponent_matrix(self) -> IntegerMatrix:
-        rows = []
-        for w in self.relators:
-            row = [0] * self.ngens
-            for letter in w:
-                row[abs(letter) - 1] += 1 if letter > 0 else -1
-            rows.append(row)
-        return IntegerMatrix(tuple(map(tuple, rows)))
+        return IntegerMatrix(tuple(_exponent_rows(self)))
 
     def __str__(self) -> str:
         parts = [f"gens={self.ngens}"]
@@ -351,14 +348,23 @@ class AbelianGroup(Value):
         return " + ".join(parts) if parts else "0"
 
 
+def _exponent_rows(p: FinitePresentation) -> Iterator[tuple[int, ...]]:
+    """The exponent-sum row of each relator of `p`, built one at a time."""
+    for w in p.relators:
+        row = [0] * p.ngens
+        for letter in w:
+            row[abs(letter) - 1] += 1 if letter > 0 else -1
+        yield tuple(row)
+
+
 def abelianize(p: FinitePresentation) -> AbelianGroup:
     """Cokernel of the exponent-sum matrix, via the Smith diagonal.
 
-    Zero rows (commutator relators, for instance) are dropped first: they
-    do not change the cokernel.  Only the diagonal is read, so the Hermite
-    passes carry no transforms.
+    Zero rows (commutator relators, for instance) are dropped as they are
+    built: they do not change the cokernel.  Only the diagonal is read, so
+    the Hermite passes carry no transforms.
     """
-    rows = tuple(r for r in p.exponent_matrix().entries if any(r))
+    rows = tuple(r for r in _exponent_rows(p) if any(r))
     diag, _, _ = _diagonalize(IntegerMatrix(rows), transforms=False)
     nonzero = [x for x in diag if x]
     return AbelianGroup(rank=p.ngens - len(nonzero), torsion=tuple(x for x in nonzero if x > 1))

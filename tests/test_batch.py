@@ -1,17 +1,21 @@
-"""Batch mode: the line cache (token sequence, or parse-error text ->
-output line) and the verdict-line cache (surface type -> verdict line)
+"""Batch mode: the line cache (whitespace-free text, or parse-error text
+-> output line) and the verdict-line cache (surface type -> verdict line)
 against the uncached path, and the streamed batch file against
 ``str.splitlines()``."""
 
 import io
 import json
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from infsurf import cli
 from infsurf import decide as decide_module
+from infsurf import dsl
 from infsurf.catalog import CATALOG
 from infsurf.cli import LINE_CACHE_SIZE, main, verdict_json
 from infsurf.decide import DecisionError, InternalInvariantViolation, decide
@@ -60,9 +64,31 @@ def run_batch(capsys, path):
     return code, out.out.split("\n")[:-1]
 
 
-def token_key(line: str) -> str:
-    """The token sequence of a line, as the line cache names it."""
-    return " ".join(_TOKEN.findall(line.strip()))
+def squeeze(line: str) -> str:
+    """The line with all its whitespace deleted: the line cache's key for a
+    line that does not give a parse error."""
+    return "".join(line.split())
+
+
+def glue_free(text: str) -> bool:
+    """Whether deleting the whitespace of `text` cannot join two tokens, by
+    the rule the line cache states: its words are ASCII, and no space
+    between them follows a word character or "!" and precedes a word
+    character."""
+    spaced = " ".join(text.split())
+    return spaced.isascii() and re.search(r"[\w!] \w", spaced, re.ASCII) is None
+
+
+class Lookups(dict):
+    """A line cache that records the keys it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def pop(self, key, *default):
+        self.asked.append(key)
+        return super().pop(key, *default)
 
 
 def count_parses(monkeypatch) -> list:
@@ -145,15 +171,15 @@ def test_cached_batch_equals_the_uncached_path(tmp_path, capsys, monkeypatch):
     cli._verdict_line.cache_clear()
     assert run_batch(capsys, f) == (0, expected)
     cold = cli._verdict_line.cache_info()
-    # every repeat of a kept token sequence (not empty, not a parse error) is
-    # a hit of the line cache, so it is not parsed again
-    kept = [token_key(line) for line, out in zip(lines, expected) if line.strip() and '"kind": "parse"' not in out]
+    # every repeat of a kept whitespace-free text (not empty, not a parse
+    # error) is a hit of the line cache, so it is not parsed again
+    kept = [squeeze(line) for line, out in zip(lines, expected) if line.strip() and '"kind": "parse"' not in out]
     line_hits = sum(1 for line in lines if line.strip()) - len(parsed)
     assert line_hits >= len(kept) - len(set(kept)) > 0
-    # distinct token sequences of one surface type still share a verdict line
+    # distinct texts of one surface type still share a verdict line
     verdicts = [line for line, out in zip(lines, expected) if '"error"' not in out]
     types = {parse_surface_type(line) for line in verdicts}
-    assert cold.hits >= len({token_key(line) for line in verdicts}) - len(types) > 0
+    assert cold.hits >= len({squeeze(line) for line in verdicts}) - len(types) > 0
     assert 0 < cold.currsize <= cold.maxsize
     assert run_batch(capsys, f) == (0, expected)
     warm = cli._verdict_line.cache_info()
@@ -198,7 +224,7 @@ def test_line_cache_stays_bounded_past_its_size(tmp_path, capsys, monkeypatch):
     for line in lines:
         cli._batch_line(line, kept)
     assert len(kept) == LINE_CACHE_SIZE
-    assert list(kept)[-11:] == [token_key(line) for line in [fresh] + distinct[-10:]]
+    assert list(kept)[-11:] == [squeeze(line) for line in [fresh] + distinct[-10:]]
 
 
 def test_respaced_lines_give_the_uncached_output(tmp_path, capsys, monkeypatch):
@@ -243,7 +269,7 @@ def test_every_repeated_line_is_a_hit(tmp_path, capsys, monkeypatch):
     outs = {line.strip(): out for line, out in zip(lines, expected)}
 
     def key(text: str) -> str:
-        return "\n" + text if '"kind": "parse"' in outs[text] else token_key(text)
+        return "\n" + text if '"kind": "parse"' in outs[text] else squeeze(text)
 
     keys = {key(text) for text in outs if text}
     sequences = {k for k in keys if not k.startswith("\n")}
@@ -258,12 +284,14 @@ def test_every_repeated_line_is_a_hit(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("first", [0, 1])
 def test_a_parse_error_line_keeps_its_own_offset(tmp_path, capsys, first):
-    # the spaced text is its own token join and the join of the tight one,
-    # and both fail at the second natural: a kept parse error is found by
-    # its text, so neither line may print the other's offset
+    # the two texts have one token sequence, and without whitespace both
+    # are the valid I(12); both fail at the second natural: a kept parse
+    # error is found by its text, so neither line may print the other's offset
     tight = "surface(genus=0, boundary=0, ends=I(1 2))"
     spaced = "surface ( genus = 0 , boundary = 0 , ends = I ( 1 2 ) )"
-    assert token_key(tight) == token_key(spaced) == spaced
+    assert _TOKEN.findall(tight) == _TOKEN.findall(spaced)
+    assert squeeze(tight) == squeeze(spaced) == squeeze(tight.replace("1 2", "12"))
+    assert not glue_free(tight) and not glue_free(spaced)
     offsets = {tight: 38, spaced: 50}
     order = [tight, spaced] if first == 0 else [spaced, tight]
     lines = [order[0], order[0], order[1], order[1], *order]
@@ -274,13 +302,76 @@ def test_a_parse_error_line_keeps_its_own_offset(tmp_path, capsys, first):
     assert [json.loads(line)["error"]["offset"] for line in out] == [offsets[line] for line in lines]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(st.text(), st.text(alphabet="()!,;=^*+ wpnI0123456789xU_\t\u0663\u00e9\udcff")))
-def test_the_token_join_has_the_same_tokens(text):
-    # the line cache keys a line by its tokens joined by single spaces, which
-    # names the token sequence only because the join splits back into it
-    toks = _TOKEN.findall(text)
-    assert _TOKEN.findall(" ".join(toks)) == toks
+def test_re_whitespace_is_str_isspace():
+    # the tokenizer skips what re's \s matches and the line cache deletes
+    # what str.split splits on; over every code point they are one set
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+# the grammar's punctuation, letters and digits (ASCII and not), an
+# undecodable byte and whitespace (ASCII and not)
+_SPACING = "()!,;=^*+_wpnI0123456789xU" + "\u00e9\uff11\u0663\udcff" + " \t\x1f\u00a0\u3000"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=_SPACING, max_size=40)))
+def test_a_glue_free_text_has_the_tokens_of_its_whitespace_free_text(text):
+    # the line cache keys a glue-free line by its whitespace-free text,
+    # which names the token sequence only because it splits into it
+    if glue_free(text):
+        assert _TOKEN.findall(squeeze(text)) == _TOKEN.findall(text)
+    # and the cache looks a line up under that key exactly when it is glue-free
+    kept = Lookups()
+    cli._batch_line(text, kept)
+    if text.strip():
+        assert kept.asked[0] == (squeeze(text) if glue_free(text) else "\n" + text.strip())
+
+
+def test_every_line_that_parses_takes_the_whitespace_free_key():
+    # the golden lines, each respaced and respelled: a line without a parse
+    # error is kept under its whitespace-free text, a parse error under its text
+    rng = random.Random(2311)
+    golden = (Path(__file__).parent / "data" / "golden_batch.txt").read_text(encoding="utf-8").splitlines()
+    lines = golden + [respace(text, rng) for text in golden if text.strip()]
+    lines += [rewrite(c.descriptor, rng) for c in CATALOG for _ in range(4)]
+    kinds = set()
+    for line in lines:
+        kept = {}
+        out = json.loads(cli._batch_line(line, kept))
+        kind = out["error"]["kind"] if "error" in out else "verdict"
+        kinds.add(kind)
+        if kind == "parse":
+            assert list(kept) == ["\n" + line.strip()], line
+        elif kind != "empty_line":
+            assert glue_free(line) and list(kept) == [squeeze(line)], line
+    assert {"verdict", "parse", "empty_line", "ResourceLimit", "HasBoundary"} <= kinds
+
+
+def test_tokens_are_read_only_by_the_parse(tmp_path, capsys, monkeypatch):
+    # a hit reads no tokens: the tokenizer runs once per parse, and cli has none
+    class Counting:
+        def __init__(self, pattern):
+            self.pattern, self.calls = pattern, 0
+
+        def findall(self, text):
+            self.calls += 1
+            return self.pattern.findall(text)
+
+        def __getattr__(self, name):
+            return getattr(self.pattern, name)
+
+    assert not hasattr(cli, "_TOKEN")
+    tokens = Counting(dsl._TOKEN)
+    monkeypatch.setattr(dsl, "_TOKEN", tokens)
+    data = Path(__file__).parent / "data"
+    text = "".join((data / name).read_text(encoding="utf-8") for name in ("golden_batch.txt", "golden_batch_spacing.txt"))
+    f = tmp_path / "batch.txt"
+    f.write_text(text * 2, encoding="utf-8")
+    parsed = count_parses(monkeypatch)
+    code, out = run_batch(capsys, f)
+    assert code == 0 and len(out) == len((text * 2).splitlines())
+    assert 0 < tokens.calls == len(parsed) < len(out) // 2
 
 
 @pytest.mark.parametrize(
@@ -296,13 +387,15 @@ def test_the_token_join_has_the_same_tokens(text):
 def test_near_collisions_keep_their_own_lines(tmp_path, capsys, left, right):
     # equal once whitespace is dropped, but other token sequences: each line
     # gets its own output in either order; the verdict is kept under its
-    # token join and the parse error under its text
+    # whitespace-free text and the parse error, whose whitespace joins
+    # tokens, under its text
     texts = [f"surface(genus=inf, boundary=0, ends=U(cantor!np, {e}))" for e in (left, right)]
-    assert token_key(texts[0]) != token_key(texts[1])
-    assert texts[0].replace(" ", "") == texts[1].replace(" ", "")
+    assert _TOKEN.findall(texts[0]) != _TOKEN.findall(texts[1])
+    assert squeeze(texts[0]) == squeeze(texts[1])
+    assert glue_free(texts[0]) and not glue_free(texts[1])
     expected = [uncached(text) for text in texts]
     assert '"error"' not in expected[0] and '"kind": "parse"' in expected[1]
-    keys = {texts[0]: token_key(texts[0]), texts[1]: "\n" + texts[1]}
+    keys = {texts[0]: squeeze(texts[0]), texts[1]: "\n" + texts[1]}
     for order in (texts, texts[::-1]):
         f = tmp_path / "batch.txt"
         f.write_text("\n".join(order * 2), encoding="utf-8")
@@ -314,9 +407,9 @@ def test_near_collisions_keep_their_own_lines(tmp_path, capsys, left, right):
 
 
 def test_respaced_operators_share_their_line(tmp_path, capsys, monkeypatch):
-    # "w^2" and "w ^ 2" are one token sequence: the second line is a hit
+    # "w^2" and "w ^ 2" are one whitespace-free text: the second line is a hit
     texts = [f"surface(genus=1, boundary=0, ends=I({w}))" for w in ("w^2", "w ^ 2")]
-    assert token_key(texts[0]) == token_key(texts[1])
+    assert squeeze(texts[0]) == squeeze(texts[1]) and glue_free(texts[1])
     f = tmp_path / "batch.txt"
     f.write_text("\n".join(texts), encoding="utf-8")
     parsed = count_parses(monkeypatch)

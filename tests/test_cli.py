@@ -618,6 +618,22 @@ def test_a_smith_normal_form_at_the_bound_streams_its_json():
     assert peak - text_peak <= 2_000_000, (peak, text_peak)
 
 
+def test_the_witness_at_its_bound_keeps_only_nonzero_rows():
+    # 8 001 of the 8 129 exponent rows of spherical_braid(129) are zero;
+    # built whole before the zero rows were dropped, the matrix took either
+    # call about 17 MB above the import alone; it now takes about 2 MB
+    _, base = _sha1_and_peak_rss("-c", "import infsurf.cli")
+    n = str(MAX_GENERATORS + 1)
+    want = {
+        ("hom", "abelianize", "--preset", "spherical_braid", "-n", n, "--json"): "b2a66fcbd5126f3ade33781a43497edc48c97a8c",
+        ("decide", f"surface(genus=0, boundary=0, ends=U(cantor, I({MAX_GENERATORS})))", "--json"): "b70f634c7d45bacb802800b4c959cc9c1863873d",
+    }
+    for argv, sha1 in want.items():
+        digest, peak = _sha1_and_peak_rss("-m", "infsurf", *argv)
+        assert digest == sha1, argv
+        assert peak - base <= 6_000_000, (argv, peak, base)
+
+
 def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
     import infsurf.cli as cli
     from infsurf.decide import InternalInvariantViolation
@@ -749,6 +765,19 @@ def test_golden_batch_output(capsys):
     code, out, err = run(capsys, "decide", "--jsonl", str(GOLDEN / "golden_batch.txt"))
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / "golden_batch.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_golden_batch_spacing_output(capsys, tmp_path, copies):
+    # the golden lines respaced, the near collisions, non-ASCII letters and
+    # parse errors whose offset moves with the spacing, recorded before the
+    # line cache keyed lines by their whitespace-free text; a second copy
+    # comes from kept lines
+    f = tmp_path / "batch.txt"
+    f.write_bytes((GOLDEN / "golden_batch_spacing.txt").read_bytes() * copies)
+    code, out, err = run(capsys, "decide", "--jsonl", str(f))
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "golden_batch_spacing.jsonl").read_bytes() * copies
 
 
 @pytest.mark.parametrize("command", ["normalize", "invariants"])
