@@ -215,8 +215,10 @@ VERDICT_CACHE_SIZE = 2048
 
 A 10 000-line ``batch_mixed`` file has 1 712-1 781 distinct types (seeds
 1, 7 and 101), so each is decided once; at 1 024 the cache thrashed and
-decided 1 922-2 057.  A kept type costs about 1.4 kB under tracemalloc,
-its summary and its line, so a full cache holds about 2.8 MB."""
+decided 1 922-2 057.  A kept type costs about 0.86 kB under tracemalloc,
+its summary, the head of its line and the pair that refers to the tail,
+so a full cache holds about 1.8 MB.  The tail, the answers, is one string
+per table row (``_answers_text``), not one per type."""
 
 LINE_CACHE_SIZE = 8192
 """Lines whose finished output lines one ``decide --jsonl`` run keeps
@@ -229,17 +231,20 @@ A 10 000-line ``batch_mixed`` file has 4 688-4 741 distinct keys (seeds
 thrashed and parsed 5 452-5 524 lines.  A key there holds about 82
 characters, against about 128 for the tokens joined by spaces.  An entry
 costs about 200 bytes under tracemalloc, its key, its slot and, for an
-error line, the line itself (a verdict line is shared with
-``_verdict_line``), so a full cache holds about 1.6 MB."""
+error line, the line itself (a verdict line's pair is shared with
+``_verdict_line``), so a full cache holds about 1.6 MB.  An entry whose
+type has dropped out of ``_verdict_line`` keeps its pair alone, about
+350 bytes an entry on a batch that overflows both caches."""
 
 
 def _run_batch(args) -> int:
     try:
-        fh = open(args.jsonl, "r", encoding="utf-8", errors="surrogateescape")
+        # utf-8-sig drops a byte-order mark at the start of the file only
+        fh = open(args.jsonl, "r", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as err:
         _report_error(args, type(err).__name__, f"cannot read batch file: {err}")
         return VALIDATION_ERROR
-    kept: dict[str, str] = {}
+    kept: dict[str, str | tuple[str, str]] = {}
     # one write per output line; print would make two
     write = sys.stdout.write
     with fh:
@@ -255,7 +260,7 @@ def _run_batch(args) -> int:
             # splitting chunk by chunk gives the lines of str.splitlines()
             # on the whole text
             for line in chunk.splitlines():
-                write(_batch_line(line, kept) + "\n")
+                write(_batch_line(line, kept))
 
 
 # maps each ASCII word character, [A-Za-z0-9_], to "w" (see _batch_line)
@@ -263,10 +268,14 @@ _WORD_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 _GLUE = bytes.maketrans(_WORD_BYTES, b"w" * len(_WORD_BYTES))
 
 
-def _batch_line(line: str, kept: dict[str, str]) -> str:
-    """The output line of one input line.  `kept` maps keys to the output
-    lines of the LINE_CACHE_SIZE most recently seen ones, least recently
-    seen first.
+_EMPTY_LINE = json.dumps({"error": {"kind": "empty_line"}}) + "\n"
+
+
+def _batch_line(line: str, kept: dict[str, str | tuple[str, str]]) -> str:
+    """The output line of one input line, with its newline.  `kept` maps
+    keys to the output lines of the LINE_CACHE_SIZE most recently seen
+    ones, least recently seen first: an error line as the string itself,
+    a verdict line as the ``(head, tail)`` pair of ``_verdict_line``.
 
     A verdict, DecisionError or ResourceLimit line depends on the tokens
     alone, and so does whether a line parses.  The tokenizer skips the
@@ -296,7 +305,7 @@ def _batch_line(line: str, kept: dict[str, str]) -> str:
     internal error is not an answer, so it is not kept."""
     words = line.split()
     if not words:
-        return json.dumps({"error": {"kind": "empty_line"}})
+        return _EMPTY_LINE
     line = line.strip()
     spaced = " ".join(words)
     if spaced.isascii():
@@ -312,43 +321,45 @@ def _batch_line(line: str, kept: dict[str, str]) -> str:
             key = "\n" + line
     if out is not None:
         kept[key] = out  # back at the end, as the most recently seen
-        return out
-    try:
-        out = _verdict_line(*_parse(line, _SURFACE, SUMMARIES))
-    except ParseError as err:
-        key = "\n" + line
-        out = json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}})
-    except ValueError as err:
-        # a DecisionError or a ResourceLimit, as the single call reports it
-        out = json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}})
-    except _INTERNAL as err:
-        return json.dumps({"error": {"kind": "internal", "message": str(err)}})
-    kept[key] = out
-    if len(kept) > LINE_CACHE_SIZE:
-        del kept[next(iter(kept))]
-    return out
+    else:
+        try:
+            out = _verdict_line(*_parse(line, _SURFACE, SUMMARIES))
+        except ParseError as err:
+            key = "\n" + line
+            out = json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}}) + "\n"
+        except ValueError as err:
+            # a DecisionError or a ResourceLimit, as the single call reports it
+            out = json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}}) + "\n"
+        except _INTERNAL as err:
+            return json.dumps({"error": {"kind": "internal", "message": str(err)}}) + "\n"
+        kept[key] = out
+        if len(kept) > LINE_CACHE_SIZE:
+            del kept[next(iter(kept))]
+    return out if type(out) is str else out[0] + out[1]
 
 
 @lru_cache(maxsize=VERDICT_CACHE_SIZE)
-def _verdict_line(genus: int | float, boundary: int, s: Summary) -> str:
-    """The JSON line of the verdict on one surface type; batch lines of the
-    same type share it.  Errors are raised, not kept.  Validity depends on
+def _verdict_line(genus: int | float, boundary: int, s: Summary) -> tuple[str, str]:
+    """The JSON line of the verdict on one surface type, with its newline,
+    as a head and a tail whose concatenation it is; batch lines of the same
+    type share the pair.  Errors are raised, not kept.  Validity depends on
     the key alone, so a hit skips the validation as well.
 
     The line is ``json.dumps(verdict_json(v), sort_keys=True)``: "derived"
-    sorts first, so the type's derived facts come before the answers, which
-    are serialized once per table row."""
+    sorts first, so the head holds the type's derived facts and the tail
+    its answers, the ``_answers_text`` of its table row, one string that
+    every type of the row refers to."""
     derived = _dumps_sorted(_derived_json(verdict(genus, boundary, s).derived))
-    return f'{{"derived": {derived}, {_answers_text(row_key(genus, s))}}}'
+    return f'{{"derived": {derived}, ', _answers_text(row_key(genus, s))
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _answers_text(key: tuple) -> str:
     """The "qI", "qII" and "qIII" members of a verdict line in the table row
-    `key`, without the braces around them."""
+    `key`, then the closing brace and the newline."""
     qI, qII, qIII = row(key)[:3]
     answers = {"qI": _answer_json(qI), "qII": _answer_json(qII), "qIII": _answer_json(qIII)}
-    return _dumps_sorted(answers)[1:-1]
+    return _dumps_sorted(answers)[1:] + "\n"
 
 
 def _cmd_hom_snf(args) -> int:

@@ -462,6 +462,25 @@ def test_read_failure_midway_keeps_the_lines_written(tmp_path, capsys, monkeypat
     assert out.err.startswith("error (OSError): cannot read batch file")
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    # only a mark at the start of the file is dropped; a U+FEFF anywhere
+    # else stays in its line, which is then a parse error
+    bom = "\ufeff"
+    inner = f"{VERDICT[:8]}{bom}{VERDICT[8:]}"
+    cases = {
+        bom + VERDICT: [VERDICT],
+        f"{bom}{ERROR_LINES[4]}\n{VERDICT}": [ERROR_LINES[4], VERDICT],
+        f"{VERDICT}\n{bom}{VERDICT}\n{inner}": [VERDICT, bom + VERDICT, inner],
+        bom * 2 + VERDICT: [bom + VERDICT],
+    }
+    for text, lines in cases.items():
+        f = tmp_path / "batch.txt"
+        f.write_bytes(text.encode("utf-8"))
+        assert run_batch(capsys, f) == (0, [uncached(line) for line in lines])
+    assert json.loads(uncached(ERROR_LINES[4]))["error"]["offset"] > 0
+    assert [json.loads(uncached(line))["error"]["offset"] for line in (bom + VERDICT, inner)] == [0, 8]
+
+
 def test_undecodable_line_is_a_parse_error_line(tmp_path, capsys):
     f = tmp_path / "batch.txt"
     f.write_bytes(f"{VERDICT}\n".encode() + b"\xff\n" + f"{VERDICT}".encode())
@@ -536,6 +555,31 @@ def test_answers_are_serialized_once_per_row(tmp_path, capsys, monkeypatch):
     assert cli._verdict_line.cache_info().misses == len(lines)
     assert len(calls) == 2 * 3
     assert decide_module.row.cache_info().misses == 2
+
+
+def test_types_of_one_row_share_one_answers_text():
+    # closed genus 2 next to a Cantor set and one interval: two surface
+    # types on one table row, so two heads and one tail
+    lines = [f"surface(genus=2, boundary=0, ends=U(cantor, I(w^{k})))" for k in (1, 2)]
+    kept = {}
+    for line in lines * 2:
+        assert cli._batch_line(line, kept) == uncached(line) + "\n"
+    (head_a, tail_a), (head_b, tail_b) = kept[squeeze(lines[0])], kept[squeeze(lines[1])]
+    assert head_a != head_b and tail_a is tail_b
+    genus, boundary, summary = parse_surface_type(lines[0])
+    assert kept[squeeze(lines[0])] is cli._verdict_line(genus, boundary, summary)
+    assert tail_a is cli._answers_text(decide_module.row_key(genus, summary))
+
+
+def test_a_kept_error_line_is_the_output_line_itself():
+    # an error line is kept as the string written, with no wrapper around it
+    for line in ERROR_LINES[:-1]:
+        kept = {}
+        out = cli._batch_line(line, kept)
+        assert out == uncached(line) + "\n"
+        (value,) = kept.values()
+        assert value is out
+        assert cli._batch_line(line, kept) is out
 
 
 def test_internal_error_is_one_error_line(tmp_path, capsys, monkeypatch):
