@@ -213,12 +213,14 @@ VERDICT_CACHE_SIZE = 2048
 """Surface types whose verdict lines ``decide --jsonl`` keeps
 (``_verdict_line``), so that lines of one type are decided once.
 
-A 10 000-line ``batch_mixed`` file has 1 712-1 781 distinct types (seeds
-1, 7 and 101), so each is decided once; at 1 024 the cache thrashed and
-decided 1 922-2 057.  A kept type costs about 0.86 kB under tracemalloc,
-its summary, the head of its line and the pair that refers to the tail,
-so a full cache holds about 1.8 MB.  The tail, the answers, is one string
-per table row (``_answers_text``), not one per type."""
+A 10 000-line ``batch_mixed`` file has 1 124-1 160 distinct valid types
+(seeds 1, 7 and 101), so each is decided once; with the invalid types,
+whose errors are raised, not kept, the cache misses 1 712-1 781 times.  At
+1 024 it thrashed and missed 1 922-2 057 times.  A kept type costs about
+0.86 kB under tracemalloc, its summary, the head of its line and the pair
+that refers to the tail, so a full cache holds about 1.8 MB.  The tail,
+the answers, is one string per table row (``_answers_text``), not one per
+type."""
 
 LINE_CACHE_SIZE = 8192
 """Lines whose finished output lines one ``decide --jsonl`` run keeps
