@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import lru_cache
 from itertools import islice
@@ -29,7 +30,7 @@ from .decide import (
     row_key,
     verdict,
 )
-from .dsl import _SURFACE, ParseError, _parse, parse_endspace, parse_ordinal, parse_surface, parse_surface_type
+from .dsl import _SURFACE, MAX_CHARS, ParseError, _parse, parse_endspace, parse_ordinal, parse_surface, parse_surface_type
 from .endspace import INFINITE, SUMMARIES, SpaceInvariants, Summary, is_homeomorphic, summarize
 from .ordinal import compare, kind
 from .surface import surface_invariants, surfaces_homeomorphic, validate
@@ -225,18 +226,19 @@ type."""
 LINE_CACHE_SIZE = 8192
 """Lines whose finished output lines one ``decide --jsonl`` run keeps
 (``_batch_line``), so that a repeated line is not parsed again.  Each
-entry's key is one string: the line with all its whitespace deleted or,
-for a parse-error line, "\\n" and its stripped text.
+entry's key is the line's words joined by a space only where deleting it
+could join two tokens: for a line that parses, the line with all its
+whitespace deleted.
 
-A 10 000-line ``batch_mixed`` file has 4 688-4 741 distinct keys (seeds
-1, 7 and 101), so every repeated line is a hit; at 1 024 the cache
-thrashed and parsed 5 452-5 524 lines.  A key there holds about 82
-characters, against about 128 for the tokens joined by spaces.  An entry
+A 10 000-line ``batch_mixed`` file has 4 648-4 705 distinct keys (seeds
+1, 7 and 101); a pass parses 4 736-4 773 lines, for parse-error lines of
+one key but other texts.  At 1 024 the cache thrashed and parsed
+5 452-5 524 lines.  A key there holds about 82 characters.  An entry
 costs about 200 bytes under tracemalloc, its key, its slot and, for an
 error line, the line itself (a verdict line's pair is shared with
 ``_verdict_line``), so a full cache holds about 1.6 MB.  An entry whose
 type has dropped out of ``_verdict_line`` keeps its pair alone, about
-350 bytes an entry on a batch that overflows both caches."""
+330 bytes an entry on a batch that overflows both caches."""
 
 
 def _run_batch(args) -> int:
@@ -265,79 +267,65 @@ def _run_batch(args) -> int:
                 write(_batch_line(line, kept))
 
 
-# maps each ASCII word character, [A-Za-z0-9_], to "w" (see _batch_line)
-_WORD_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
-_GLUE = bytes.maketrans(_WORD_BYTES, b"w" * len(_WORD_BYTES))
+# a space that would join two tokens if deleted (see _batch_line)
+_GLUE = re.compile(r" (?<=[\w!] )(?=\w)")
 
 
 _EMPTY_LINE = json.dumps({"error": {"kind": "empty_line"}}) + "\n"
 
 
-def _batch_line(line: str, kept: dict[str, str | tuple[str, str]]) -> str:
+def _batch_line(line: str, kept: dict[str, str | tuple[str, str] | list[str]]) -> str:
     """The output line of one input line, with its newline.  `kept` maps
     keys to the output lines of the LINE_CACHE_SIZE most recently seen
-    ones, least recently seen first: an error line as the string itself,
-    a verdict line as the ``(head, tail)`` pair of ``_verdict_line``.
+    ones, least recently seen first: a verdict line as the ``(head, tail)``
+    pair of ``_verdict_line``, a parse-error line as a list of it and the
+    stripped text it answers, and any other error line as the string itself.
 
-    A verdict, DecisionError or ResourceLimit line depends on the tokens
-    alone, and so does whether a line parses.  The tokenizer skips the
-    characters of ``str.isspace``, which ``str.split`` splits on.  A
-    glue-free line is looked up under its text with all whitespace deleted,
-    and kept there unless it is a parse error.  A line is glue-free when
-    its words, ``" ".join(line.split())``, are ASCII and no space in them
-    stands between a character of ``[A-Za-z0-9_!]`` and one of
-    ``[A-Za-z0-9_]``.  Deleting any other space cannot join two tokens: a
-    token that would span it is a run of digits, a word, ``!np`` or
-    ``!p``, whose first character is one of ``[A-Za-z0-9_!]`` and whose
-    later ones are in ``[A-Za-z0-9_]``.  So glue-free lines with one key
-    have one token sequence.  Every line that parses is glue-free: the
-    grammar's words are ASCII, its numbers are ASCII digits, no word or
-    number follows a word, a number or a mark, and ``!`` only opens
-    ``!np`` or ``!p``.  So every line that does not give a parse error
-    takes the whitespace-free key and finds the lines of its token
-    sequence, as a key on the tokens would.  A line that is not glue-free,
-    such as ``I(1 2)``, ``pt ! np`` or one with a non-ASCII letter or an
-    undecodable byte, is a parse error.
-
-    A parse error's offset depends on the text, so a parse-error line is
-    kept under its stripped text after a "\\n", and so is every line
-    looked up that is not glue-free.  A whitespace-free key holds no
-    "\\n", and ``splitlines`` leaves none in a line, so the two key spaces
-    are disjoint.  The tokens are read only on a miss, by the parse.  An
-    internal error is not an answer, so it is not kept."""
-    words = line.split()
-    if not words:
+    The key joins the line's words (``str.split`` splits on what the
+    tokenizer skips) with a space where it stands between a character of
+    ``[\\w!]`` and one of ``\\w``, and with nothing elsewhere.  A token of
+    more than one character is a digit run, a word, ``!np`` or ``!p``: it
+    begins with ``[\\w!]`` and goes on with ``\\w``, so no other space can
+    join two tokens, and lines with one key have one token sequence.  A
+    verdict, DecisionError or ResourceLimit line depends on the tokens
+    alone; a parse error's offset on the text too, so a kept one answers
+    its own stripped text only.  Internal errors, and lines longer than
+    ``MAX_CHARS``, which are not split, are not kept."""
+    key = out = None
+    if len(line) <= MAX_CHARS:
+        words = line.split()
+        if not words:
+            return _EMPTY_LINE
+        spaced = " ".join(words)
+        if _GLUE.search(spaced) is None:
+            key = "".join(words)
+        else:
+            key = " ".join(part.replace(" ", "") for part in _GLUE.split(spaced))
+        out = kept.pop(key, None)
+        if type(out) is list and out[1] != line.strip():
+            out = None
+    elif line.isspace():
         return _EMPTY_LINE
-    line = line.strip()
-    spaced = " ".join(words)
-    if spaced.isascii():
-        t = spaced.encode().translate(_GLUE)
-        glued = b"w w" in t or b"! w" in t
-    else:
-        glued = True
-    key = "\n" + line if glued else "".join(words)
-    out = kept.pop(key, None)
-    if out is None and not glued:
-        out = kept.pop("\n" + line, None)
-        if out is not None:
-            key = "\n" + line
     if out is not None:
         kept[key] = out  # back at the end, as the most recently seen
     else:
+        text = line.strip()
         try:
-            out = _verdict_line(*_parse(line, _SURFACE, SUMMARIES))
+            out = _verdict_line(*_parse(text, _SURFACE, SUMMARIES))
         except ParseError as err:
-            key = "\n" + line
-            out = json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}}) + "\n"
+            out = [json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}}) + "\n", text]
         except ValueError as err:
             # a DecisionError or a ResourceLimit, as the single call reports it
             out = json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}}) + "\n"
         except _INTERNAL as err:
             return json.dumps({"error": {"kind": "internal", "message": str(err)}}) + "\n"
-        kept[key] = out
-        if len(kept) > LINE_CACHE_SIZE:
-            del kept[next(iter(kept))]
-    return out if type(out) is str else out[0] + out[1]
+        if key is not None:
+            kept[key] = out
+            if len(kept) > LINE_CACHE_SIZE:
+                del kept[next(iter(kept))]
+    if type(out) is tuple:
+        return out[0] + out[1]
+    return out if type(out) is str else out[0]
 
 
 @lru_cache(maxsize=VERDICT_CACHE_SIZE)

@@ -13,9 +13,9 @@ canonical form, and print/parse round-trips are exact.
 
 One regular expression splits the text into tokens and one loop reads
 them, keeping the open ``U(``, ``seq1pc(``, ``I(``, ``lim1pc(`` and ``w^(``
-constructs on an explicit stack.  At most ``MAX_DEPTH`` of them may be
-open at once, and a natural has at most ``MAX_DIGITS`` digits; deeper or
-longer input is a parse error.
+constructs on an explicit stack.  A text has at most ``MAX_CHARS``
+characters, at most ``MAX_DEPTH`` constructs may be open at once, and a
+natural has at most ``MAX_DIGITS`` digits; more is a parse error.
 
 The loop is one of the three drivers that run an end-space fold
 (``endspace.Fold``); ``endspace.fold_tree`` over an expression tree and
@@ -35,6 +35,12 @@ import re
 from .endspace import EndSpaceExpr, Fold, INFINITE, NONPLANAR, PLANAR, SUMMARIES, Summary, TREES
 from .ordinal import ONE, OMEGA, ZERO, Ordinal, _cnf, add, from_int
 from .surface import SurfaceDescriptor
+
+MAX_CHARS = 2**17
+"""Most characters in one text, whitespace included; longer text is
+refused before it is split into tokens, which take many times its size.
+This is Linux's cap on one argument with its NUL, so only a
+``decide --jsonl`` line can pass it."""
 
 MAX_DEPTH = 100
 """Most ``U``/``seq1pc``/``I``/``lim1pc``/``w^`` parentheses open at once.
@@ -180,6 +186,8 @@ def _surface_head(text: str, toks: list[str]) -> tuple[int | float, int]:
 def _parse(text: str, goal: int, fold: Fold = TREES):
     """Parse `text` as an ordinal, an end space or a surface; `fold` says
     what an end space is built into."""
+    if len(text) > MAX_CHARS:
+        raise ParseError(MAX_CHARS, (f"at most {MAX_CHARS} characters",), "text too long")
     toks = _TOKEN.findall(text)
     toks.append("")  # end of input; equal to no token the grammar expects
     i = 0

@@ -1,9 +1,11 @@
-"""Batch mode: the line cache (whitespace-free text, or parse-error text
--> output line) and the verdict-line cache (surface type -> verdict line)
-against the uncached path, and the streamed batch file against
-``str.splitlines()``."""
+"""Batch mode: the line cache (a line's words, joined by a space only
+where deleting it could join two tokens -> output line, and for a parse
+error the text it answers) and the verdict-line cache (surface type ->
+verdict line) against the uncached path, and the streamed batch file
+against ``str.splitlines()``."""
 
 import io
+import itertools
 import json
 import random
 import re
@@ -19,7 +21,7 @@ from infsurf import dsl
 from infsurf.catalog import CATALOG
 from infsurf.cli import LINE_CACHE_SIZE, main, verdict_json
 from infsurf.decide import DecisionError, InternalInvariantViolation, decide
-from infsurf.dsl import _TOKEN, MAX_DEPTH, MAX_DIGITS, ParseError, parse_surface, parse_surface_type
+from infsurf.dsl import _TOKEN, MAX_CHARS, MAX_DEPTH, MAX_DIGITS, ParseError, parse_surface, parse_surface_type
 from infsurf.endspace import (
     INFINITE,
     NONPLANAR,
@@ -66,17 +68,34 @@ def run_batch(capsys, path):
 
 def squeeze(line: str) -> str:
     """The line with all its whitespace deleted: the line cache's key for a
-    line that does not give a parse error."""
+    glue-free line, which every line that parses is."""
     return "".join(line.split())
 
 
+def token_exact(text: str) -> str:
+    """The line cache's key for `text`, by the rule it states: the words
+    joined by a space where it stands between a character of ``[\\w!]``
+    and one of ``\\w``, and by nothing elsewhere."""
+    words = text.split()
+    key = words[0] if words else ""
+    for word in words[1:]:
+        glue = re.fullmatch(r"[\w!]", key[-1]) and re.match(r"\w", word)
+        key += (" " if glue else "") + word
+    return key
+
+
 def glue_free(text: str) -> bool:
-    """Whether deleting the whitespace of `text` cannot join two tokens, by
-    the rule the line cache states: its words are ASCII, and no space
-    between them follows a word character or "!" and precedes a word
-    character."""
-    spaced = " ".join(text.split())
-    return spaced.isascii() and re.search(r"[\w!] \w", spaced, re.ASCII) is None
+    """Whether deleting the whitespace of `text` cannot join two tokens:
+    no space between its words follows a word character or "!" and
+    precedes a word character."""
+    return " " not in token_exact(text)
+
+
+def looked_up(text: str) -> list:
+    """The keys the line cache is asked for on `text`, from an empty cache."""
+    kept = Lookups()
+    cli._batch_line(text, kept)
+    return kept.asked
 
 
 class Lookups(dict):
@@ -89,6 +108,22 @@ class Lookups(dict):
     def pop(self, key, *default):
         self.asked.append(key)
         return super().pop(key, *default)
+
+
+def misses(lines: list, outs: list) -> list:
+    """The stripped lines the line cache parses, by the rule it states, when
+    no key drops out of it: a line whose key is new, and a parse-error line
+    whose key last answered another text."""
+    kept, parsed = {}, []
+    for line, out in zip(lines, outs):
+        text = line.strip()
+        if text:
+            key = token_exact(text)
+            answers = text if '"kind": "parse"' in out else None
+            if key not in kept or kept[key] != answers:
+                parsed.append(text)
+            kept[key] = answers
+    return parsed
 
 
 def count_parses(monkeypatch) -> list:
@@ -256,7 +291,8 @@ def test_respaced_lines_give_the_uncached_output(tmp_path, capsys, monkeypatch):
 def test_every_repeated_line_is_a_hit(tmp_path, capsys, monkeypatch):
     # more token sequences than 1 024, each spelled two ways and some lines
     # repeated, with parse errors among them: a token sequence that parses
-    # is parsed once, and so is each parse-error text
+    # is parsed once, and a parse-error text again only when another text
+    # of its key came in between
     rng = random.Random(2203)
     bases = [c.descriptor for c in CATALOG] + ERROR_LINES[:-1]
     while len(bases) < 2400:
@@ -268,30 +304,32 @@ def test_every_repeated_line_is_a_hit(tmp_path, capsys, monkeypatch):
     expected = [uncached(line) for line in lines]
     outs = {line.strip(): out for line, out in zip(lines, expected)}
 
-    def key(text: str) -> str:
-        return "\n" + text if '"kind": "parse"' in outs[text] else squeeze(text)
+    def fails(text: str) -> bool:
+        return '"kind": "parse"' in outs[text]
 
-    keys = {key(text) for text in outs if text}
-    sequences = {k for k in keys if not k.startswith("\n")}
-    assert len(sequences) > 1024 and len(keys) - len(sequences) > 300
-    assert len(keys) <= LINE_CACHE_SIZE
+    sequences = {tuple(_TOKEN.findall(text)) for text in outs if text and not fails(text)}
+    errors = [text for text in map(str.strip, lines) if text and fails(text)]
+    reparsed = [text for text in misses(lines, expected) if fails(text)]
+    assert len(sequences) > 1024 and len(errors) > len(reparsed) > len(set(errors)) > 300
+    assert len(sequences) + len(set(errors)) <= LINE_CACHE_SIZE
     f = tmp_path / "batch.txt"
     f.write_text("\n".join(lines) + "\n", encoding="utf-8")
     parsed = count_parses(monkeypatch)
     assert run_batch(capsys, f) == (0, expected)
-    assert sorted(key(text) for text in parsed) == sorted(keys)
+    assert sorted(tuple(_TOKEN.findall(text)) for text in parsed if not fails(text)) == sorted(sequences)
+    assert parsed == misses(lines, expected)
 
 
 @pytest.mark.parametrize("first", [0, 1])
 def test_a_parse_error_line_keeps_its_own_offset(tmp_path, capsys, first):
-    # the two texts have one token sequence, and without whitespace both
-    # are the valid I(12); both fail at the second natural: a kept parse
-    # error is found by its text, so neither line may print the other's offset
+    # the two texts have one key, and without whitespace both are the
+    # valid I(12); both fail at the second natural: a kept parse error
+    # answers its own text, so neither line may print the other's offset
     tight = "surface(genus=0, boundary=0, ends=I(1 2))"
     spaced = "surface ( genus = 0 , boundary = 0 , ends = I ( 1 2 ) )"
     assert _TOKEN.findall(tight) == _TOKEN.findall(spaced)
     assert squeeze(tight) == squeeze(spaced) == squeeze(tight.replace("1 2", "12"))
-    assert not glue_free(tight) and not glue_free(spaced)
+    assert not glue_free(tight) and token_exact(tight) == token_exact(spaced)
     offsets = {tight: 38, spaced: 50}
     order = [tight, spaced] if first == 0 else [spaced, tight]
     lines = [order[0], order[0], order[1], order[1], *order]
@@ -303,8 +341,8 @@ def test_a_parse_error_line_keeps_its_own_offset(tmp_path, capsys, first):
 
 
 def test_re_whitespace_is_str_isspace():
-    # the tokenizer skips what re's \s matches and the line cache deletes
-    # what str.split splits on; over every code point they are one set
+    # the tokenizer skips what re's \s matches and the line cache's key
+    # drops what str.split splits on; over every code point they are one set
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
@@ -317,20 +355,47 @@ _SPACING = "()!,;=^*+_wpnI0123456789xU" + "\u00e9\uff11\u0663\udcff" + " \t\x1f\
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.text(), st.text(alphabet=_SPACING, max_size=40)))
 def test_a_glue_free_text_has_the_tokens_of_its_whitespace_free_text(text):
-    # the line cache keys a glue-free line by its whitespace-free text,
-    # which names the token sequence only because it splits into it
+    # the line cache keys a glue-free line by its whitespace-free text, and
+    # any other line by that text with the spaces kept that would join two
+    # tokens; either key names the token sequence because it splits into it
     if glue_free(text):
         assert _TOKEN.findall(squeeze(text)) == _TOKEN.findall(text)
-    # and the cache looks a line up under that key exactly when it is glue-free
-    kept = Lookups()
-    cli._batch_line(text, kept)
-    if text.strip():
-        assert kept.asked[0] == (squeeze(text) if glue_free(text) else "\n" + text.strip())
+    assert_token_exact_key(text)
+
+
+def assert_token_exact_key(text: str) -> None:
+    """The line cache looks `text` up under the key it states, one that
+    splits into the tokens of `text` and holds a space exactly when `text`
+    is not glue-free."""
+    if not text.strip():
+        assert looked_up(text) == [], repr(text)
+        return
+    key = token_exact(text)
+    assert looked_up(text) == [key], repr(text)
+    assert _TOKEN.findall(key) == _TOKEN.findall(text), repr(text)
+    assert (key == squeeze(text)) == glue_free(text), repr(text)
+
+
+# the grammar's punctuation, letters and digit, a non-ASCII letter and
+# digit, and whitespace: ASCII, U+3000, and \x1f, which str.split splits
+# on and str.splitlines does not
+_SHORT = "(,!wpn1\u00e9\u0663" + " \t\x1f\u3000"
+
+
+def test_every_short_text_has_a_token_exact_key():
+    # every text of at most 4 of these characters, no randomness
+    count = 0
+    for n in range(5):
+        for chars in itertools.product(_SHORT, repeat=n):
+            assert_token_exact_key("".join(chars))
+            count += 1
+    assert count == sum(len(_SHORT) ** n for n in range(5))
 
 
 def test_every_line_that_parses_takes_the_whitespace_free_key():
     # the golden lines, each respaced and respelled: a line without a parse
-    # error is kept under its whitespace-free text, a parse error under its text
+    # error is kept under its whitespace-free text, and a parse error under
+    # its key, with its text
     rng = random.Random(2311)
     golden = (Path(__file__).parent / "data" / "golden_batch.txt").read_text(encoding="utf-8").splitlines()
     lines = golden + [respace(text, rng) for text in golden if text.strip()]
@@ -338,11 +403,12 @@ def test_every_line_that_parses_takes_the_whitespace_free_key():
     kinds = set()
     for line in lines:
         kept = {}
-        out = json.loads(cli._batch_line(line, kept))
+        out_line = cli._batch_line(line, kept)
+        out = json.loads(out_line)
         kind = out["error"]["kind"] if "error" in out else "verdict"
         kinds.add(kind)
         if kind == "parse":
-            assert list(kept) == ["\n" + line.strip()], line
+            assert kept == {token_exact(line): [out_line, line.strip()]}, line
         elif kind != "empty_line":
             assert glue_free(line) and list(kept) == [squeeze(line)], line
     assert {"verdict", "parse", "empty_line", "ResourceLimit", "HasBoundary"} <= kinds
@@ -370,8 +436,10 @@ def test_tokens_are_read_only_by_the_parse(tmp_path, capsys, monkeypatch):
     f.write_text(text * 2, encoding="utf-8")
     parsed = count_parses(monkeypatch)
     code, out = run_batch(capsys, f)
-    assert code == 0 and len(out) == len((text * 2).splitlines())
+    lines = (text * 2).splitlines()
+    assert code == 0 and len(out) == len(lines)
     assert 0 < tokens.calls == len(parsed) < len(out) // 2
+    assert parsed == misses(lines, out)
 
 
 @pytest.mark.parametrize(
@@ -387,23 +455,42 @@ def test_tokens_are_read_only_by_the_parse(tmp_path, capsys, monkeypatch):
 def test_near_collisions_keep_their_own_lines(tmp_path, capsys, left, right):
     # equal once whitespace is dropped, but other token sequences: each line
     # gets its own output in either order; the verdict is kept under its
-    # whitespace-free text and the parse error, whose whitespace joins
-    # tokens, under its text
+    # whitespace-free text, and the parse error under a key that keeps the
+    # space joining its tokens
     texts = [f"surface(genus=inf, boundary=0, ends=U(cantor!np, {e}))" for e in (left, right)]
     assert _TOKEN.findall(texts[0]) != _TOKEN.findall(texts[1])
     assert squeeze(texts[0]) == squeeze(texts[1])
     assert glue_free(texts[0]) and not glue_free(texts[1])
     expected = [uncached(text) for text in texts]
     assert '"error"' not in expected[0] and '"kind": "parse"' in expected[1]
-    keys = {texts[0]: squeeze(texts[0]), texts[1]: "\n" + texts[1]}
+    keys = {texts[0]: squeeze(texts[0]), texts[1]: token_exact(texts[1])}
+    assert keys[texts[1]] != keys[texts[0]] == keys[texts[1]].replace(" ", "")
     for order in (texts, texts[::-1]):
         f = tmp_path / "batch.txt"
         f.write_text("\n".join(order * 2), encoding="utf-8")
         assert run_batch(capsys, f) == (0, [uncached(text) for text in order * 2])
-        kept = {}
+        kept = Lookups()
         for text in order:
             cli._batch_line(text, kept)
-        assert list(kept) == [keys[text] for text in order]
+        assert kept.asked == list(kept) == [keys[text] for text in order]
+
+
+def test_a_line_past_the_text_budget_is_not_kept(tmp_path, capsys):
+    # the middle line has the words of the first, so its key, but is too
+    # long once stripped and so a parse error; whitespace at the ends of a
+    # line does not count, and a line of whitespace alone is empty
+    pad = " " * MAX_CHARS
+    lines = [VERDICT, VERDICT.replace(" ", pad), pad + VERDICT + pad, pad, VERDICT]
+    expected = [uncached(line) for line in lines]
+    assert json.loads(expected[1]) == {"error": {"kind": "parse", "offset": MAX_CHARS, "message": "text too long"}}
+    assert expected[0] == expected[2] == expected[4] and json.loads(expected[3])["error"]["kind"] == "empty_line"
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(lines), encoding="utf-8")
+    assert run_batch(capsys, f) == (0, expected)
+    kept = {}
+    for line in lines:
+        cli._batch_line(line, kept)
+    assert list(kept) == [squeeze(VERDICT)]
 
 
 def test_respaced_operators_share_their_line(tmp_path, capsys, monkeypatch):
@@ -572,12 +659,17 @@ def test_types_of_one_row_share_one_answers_text():
 
 
 def test_a_kept_error_line_is_the_output_line_itself():
-    # an error line is kept as the string written, with no wrapper around it
+    # an error line is kept as the string written, with no wrapper around
+    # it but, for a parse error, the text whose offset it gives
     for line in ERROR_LINES[:-1]:
         kept = {}
         out = cli._batch_line(line, kept)
         assert out == uncached(line) + "\n"
         (value,) = kept.values()
+        if '"kind": "parse"' in out:
+            assert value == [out, line] and value[0] is out
+            assert cli._batch_line(line, kept) is out
+            continue
         assert value is out
         assert cli._batch_line(line, kept) is out
 

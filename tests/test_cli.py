@@ -13,7 +13,7 @@ import pytest
 import infsurf
 from infsurf.catalog import CATALOG
 from infsurf.cli import LINE_CACHE_SIZE, VERDICT_CACHE_SIZE, main
-from infsurf.dsl import MAX_DEPTH, MAX_DIGITS, ParseError, parse_endspace, parse_surface
+from infsurf.dsl import MAX_CHARS, MAX_DEPTH, MAX_DIGITS, ParseError, parse_endspace, parse_surface
 from infsurf.constructions import MAX_SNAKE_CELLS
 from infsurf.decide import CITATIONS, MAX_WITNESS_ENDS
 from infsurf.homology import (
@@ -654,6 +654,21 @@ def test_a_batch_past_both_caches_keeps_one_answers_text_per_row(tmp_path):
     digest, peak = _sha1_and_peak_rss("-m", "infsurf", "decide", "--jsonl", str(f))
     assert digest == "0da2d9159c638283deb315b324bc2b3af05abb6c"
     assert peak - base <= 7_000_000, (peak, base)
+
+
+def test_a_batch_line_past_the_text_budget_is_refused_in_little_memory(tmp_path):
+    # a 4 MB line of a million points, refused before it is split into
+    # tokens: it takes 8-13 MB above the import alone, the line and its
+    # copies.  Split whole, a line of a quarter of its size took 54 MB
+    line = "surface(genus=inf, boundary=0, ends=U(cantor" + ", pt" * (1 << 20) + "))"
+    assert len(line) > 4_000_000 > MAX_CHARS
+    f = tmp_path / "batch.txt"
+    f.write_text(line + "\n", encoding="utf-8")
+    want = json.dumps({"error": {"kind": "parse", "offset": MAX_CHARS, "message": "text too long"}}) + "\n"
+    _, base = _sha1_and_peak_rss("-c", "import infsurf.cli")
+    digest, peak = _sha1_and_peak_rss("-m", "infsurf", "decide", "--jsonl", str(f))
+    assert digest == hashlib.sha1(want.encode()).hexdigest()
+    assert peak - base <= 20_000_000, (peak, base)
 
 
 def test_internal_invariant_violation_exit_code(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from infsurf.catalog import CATALOG
 from infsurf.dsl import (
+    MAX_CHARS,
     MAX_DEPTH,
     MAX_DIGITS,
     ParseError,
@@ -331,6 +332,25 @@ def test_natural_length_budget(parse, before, after):
     assert exc.value.offset == len(before)
     with pytest.raises(ParseError):
         parse(before + "0" * (MAX_DIGITS + 1) + after)
+
+
+def test_text_length_budget():
+    # whitespace counts: a text is refused before it is split into tokens
+    text = "surface(genus=1, boundary=0, ends=cantor)"
+    padded = text + " " * (MAX_CHARS - len(text))
+    assert parse_surface(padded) == parse_surface(text)
+    assert parse_surface_type(padded) == parse_surface_type(text)
+    longer = [
+        (parse_surface, padded + " "),
+        (parse_surface_type, "surface(genus=inf, boundary=0, ends=U(cantor" + ", pt" * (MAX_CHARS // 4) + "))"),
+        (parse_endspace, "U(" + "cantor, " * (MAX_CHARS // 8) + "pt)"),
+        (parse_ordinal, "1 + " * (MAX_CHARS // 4) + "1"),
+    ]
+    for parse, long_text in longer:
+        assert len(long_text) > MAX_CHARS
+        with pytest.raises(ParseError) as exc:
+            parse(long_text)
+        assert (exc.value.offset, exc.value.message) == (MAX_CHARS, "text too long"), parse
 
 
 # -- the summary fold run by the parser ---------------------------------------
