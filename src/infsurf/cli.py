@@ -30,8 +30,8 @@ from .decide import (
     row_key,
     verdict,
 )
-from .dsl import _SURFACE, MAX_CHARS, ParseError, _parse, parse_endspace, parse_ordinal, parse_surface, parse_surface_type
-from .endspace import INFINITE, SUMMARIES, SpaceInvariants, Summary, is_homeomorphic, summarize
+from .dsl import MAX_CHARS, ParseError, parse_endspace, parse_ordinal, parse_surface, parse_surface_type
+from .endspace import INFINITE, SpaceInvariants, Summary, is_homeomorphic, summarize
 from .ordinal import compare, kind
 from .surface import surface_invariants, surfaces_homeomorphic, validate
 
@@ -231,12 +231,12 @@ could join two tokens: for a line that parses, the line with all its
 whitespace deleted.
 
 A 10 000-line ``batch_mixed`` file has 4 648-4 705 distinct keys (seeds
-1, 7 and 101); a pass parses 4 736-4 773 lines, for parse-error lines of
+1, 7 and 101); a pass parses 4 731-4 773 lines, for parse-error lines of
 one key but other texts.  At 1 024 the cache thrashed and parsed
 5 452-5 524 lines.  A key there holds about 82 characters.  An entry
 costs about 200 bytes under tracemalloc, its key, its slot and, for an
-error line, the line itself (a verdict line's pair is shared with
-``_verdict_line``), so a full cache holds about 1.6 MB.  An entry whose
+error line, the line itself in its pair or list (a verdict line's pair is
+shared with ``_verdict_line``), so a full cache holds about 1.6 MB.  An entry whose
 type has dropped out of ``_verdict_line`` keeps its pair alone, about
 330 bytes an entry on a batch that overflows both caches."""
 
@@ -248,7 +248,7 @@ def _run_batch(args) -> int:
     except OSError as err:
         _report_error(args, type(err).__name__, f"cannot read batch file: {err}")
         return VALIDATION_ERROR
-    kept: dict[str, str | tuple[str, str]] = {}
+    kept: dict[str, tuple[str, str] | list[str]] = {}
     # one write per output line; print would make two
     write = sys.stdout.write
     with fh:
@@ -274,12 +274,14 @@ _GLUE = re.compile(r" (?<=[\w!] )(?=\w)")
 _EMPTY_LINE = json.dumps({"error": {"kind": "empty_line"}}) + "\n"
 
 
-def _batch_line(line: str, kept: dict[str, str | tuple[str, str] | list[str]]) -> str:
+def _batch_line(line: str, kept: dict[str, tuple[str, str] | list[str]]) -> str:
     """The output line of one input line, with its newline.  `kept` maps
     keys to the output lines of the LINE_CACHE_SIZE most recently seen
-    ones, least recently seen first: a verdict line as the ``(head, tail)``
-    pair of ``_verdict_line``, a parse-error line as a list of it and the
-    stripped text it answers, and any other error line as the string itself.
+    ones, least recently seen first, in one of two shapes: a pair whose
+    concatenation is the line, which is the ``(head, tail)`` of
+    ``_verdict_line`` for a verdict and ``(line, "")`` for a DecisionError
+    or a ResourceLimit, or, for a parse error, a list of the line and the
+    stripped text it answers.
 
     The key joins the line's words (``str.split`` splits on what the
     tokenizer skips) with a space where it stands between a character of
@@ -311,21 +313,19 @@ def _batch_line(line: str, kept: dict[str, str | tuple[str, str] | list[str]]) -
     else:
         text = line.strip()
         try:
-            out = _verdict_line(*_parse(text, _SURFACE, SUMMARIES))
+            out = _verdict_line(*parse_surface_type(text))
         except ParseError as err:
             out = [json.dumps({"error": {"kind": "parse", "offset": err.offset, "message": err.message}}) + "\n", text]
         except ValueError as err:
             # a DecisionError or a ResourceLimit, as the single call reports it
-            out = json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}}) + "\n"
+            out = json.dumps({"error": {"kind": type(err).__name__, "message": str(err)}}) + "\n", ""
         except _INTERNAL as err:
             return json.dumps({"error": {"kind": "internal", "message": str(err)}}) + "\n"
         if key is not None:
             kept[key] = out
             if len(kept) > LINE_CACHE_SIZE:
                 del kept[next(iter(kept))]
-    if type(out) is tuple:
-        return out[0] + out[1]
-    return out if type(out) is str else out[0]
+    return out[0] if type(out) is list else out[0] + out[1]
 
 
 @lru_cache(maxsize=VERDICT_CACHE_SIZE)

@@ -56,7 +56,6 @@ peaks at 30 MB of RSS in a fresh process.
 
 _DX = {"R": 1, "L": -1, "U": 0, "D": 0}
 _DY = {"R": 0, "L": 0, "U": 1, "D": -1}
-_MOVE_OF = {(dx, _DY[m]): m for m, dx in _DX.items()}
 _RUNS = re.compile("R+|L+|U+|D+")
 
 
@@ -116,21 +115,6 @@ class GridPath(Value):
             seen[cells] = b"\1" * (stop - start)
             i = j
         object.__setattr__(self, "moves", moves)
-
-    @classmethod
-    def from_points(cls, points) -> GridPath:
-        """The path through ``points``, a sequence of (x, y) cells."""
-        if not points:
-            raise ValueError("a grid path has at least one cell")
-        if points[0] != (0, 0):
-            raise ValueError("a grid path starts at the origin")
-        moves = []
-        for (x0, y0), (x1, y1) in zip(points, points[1:]):
-            move = _MOVE_OF.get((x1 - x0, y1 - y0))
-            if move is None:
-                raise ValueError(f"non-adjacent step {(x0, y0)} -> {(x1, y1)}")
-            moves.append(move)
-        return cls("".join(moves))
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """The (x, y) cells of the path, in order, from the origin."""

@@ -194,13 +194,6 @@ class Verdict(Value):
         return (self.qI.result, self.qII.result, self.qIII.result)
 
 
-def _check_chain(v: Verdict) -> Verdict:
-    a, b, c = v.triple()
-    if (a == YES and b != YES) or (b == YES and c != YES):
-        raise InternalInvariantViolation(f"implication chain broken: {a}, {b}, {c}")
-    return v
-
-
 # -- executed witnesses -----------------------------------------------------
 
 MAX_WITNESS_ENDS = homology.MAX_GENERATORS + 1
@@ -328,7 +321,7 @@ def verdict(genus: int | float, boundary: int, s: Summary) -> Verdict:
         witness_set=witness_set,
         notes=notes,
     )
-    return _check_chain(Verdict(qI, qII, qIII, derived))
+    return Verdict(qI, qII, qIII, derived)
 
 
 _Row = tuple[Answer, Answer, Answer, Optional[TdMax], Optional[str], tuple[str, ...]]
@@ -362,10 +355,18 @@ def row_key(genus: int | float, s: Summary) -> tuple:
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def row(key: tuple) -> _Row:
-    """The row `key` names (see `row_key`), its witnesses executed.  Equal
-    keys give equal rows, so the rows, and with them the witnesses, are kept."""
+    """The row `key` names (see `row_key`), its witnesses executed and its
+    answers checked against I => II => III.  Equal keys give equal rows, so
+    the rows, and with them the witnesses, are kept."""
     rule, *inputs = key
-    return _RULES[rule](*inputs)
+    return _check_chain(_RULES[rule](*inputs))
+
+
+def _check_chain(r: _Row) -> _Row:
+    a, b, c = (answer.result for answer in r[:3])
+    if (a == YES and b != YES) or (b == YES and c != YES):
+        raise InternalInvariantViolation(f"implication chain broken: {a}, {b}, {c}")
+    return r
 
 
 def _yes_from_I(

@@ -26,11 +26,13 @@ part next to irreducible atoms, and each atom is the plain pair
 holds no expression tree.
 
 The summary rules (the point, Cantor, interval and ``lim1pc`` leaves,
-``join`` for unions and the compactification rule) are one bottom-up fold,
-``SUMMARIES``.  Three drivers run a fold, each on an explicit stack:
-``fold_tree`` over an expression tree, ``fold_reduced`` over a reduced form
-and the parser in ``dsl`` over descriptor text, which it folds straight
-into a summary (``dsl.parse_surface_type``).  ``summarize``,
+``join`` for unions, where one summand is its own union, and the
+compactification rule) are one bottom-up fold, ``SUMMARIES``; the surface
+layer joins top-level summands with the same ``join``.  Three drivers
+run a fold, each on an explicit stack: ``fold_tree`` over an expression
+tree, ``fold_reduced`` over a reduced form and the parser in ``dsl`` over
+descriptor text, which it folds straight into a summary
+(``dsl.parse_surface_type``).  ``summarize``,
 ``strip_marks``, ``cb_derivative`` and the ``str`` of an expression are
 each one ``fold_tree`` call; ``embed``, ``normalize``, ``normal_text``, the
 ``str`` of a canonical form and the ranks are ``fold_reduced`` calls.
@@ -466,13 +468,16 @@ def _count_sum(a: int | float, b: int | float) -> int | float:
     return INFINITE if a == INFINITE or b == INFINITE else a + b
 
 
-def join(parts: Sequence[Summary]) -> Summary:
-    """Summary of the disjoint union of the summarized spaces, in order."""
-    if not parts:
-        return _EMPTY_SUMMARY
-    _, atoms, planar, marks, mixed, violation = parts[0]
+def join(*parts: Summary) -> Summary:
+    """Summary of the disjoint union of the summarized spaces, in order: a
+    single summand is the union, and the empty space is the union of none."""
+    if len(parts) < 2:
+        return parts[0] if parts else _EMPTY_SUMMARY
+    _, first, planar, marks, mixed, violation = parts[0]
     if violation is not None:
         violation = ".children[0]" + violation
+    # one list, so a union of n atoms copies them once, not once a summand
+    atoms = list(first)
     for i in range(1, len(parts)):
         p = parts[i]
         if p.atoms:
@@ -484,7 +489,7 @@ def join(parts: Sequence[Summary]) -> Summary:
         if violation is None and p.violation is not None:
             violation = f".children[{i}]{p.violation}"
     canon = _union_canon([p.canon for p in parts])
-    return Summary(canon, atoms, planar, marks, mixed, violation)
+    return Summary(canon, tuple(atoms), planar, marks, mixed, violation)
 
 
 def _compactify(r: Summary, point: Mark) -> Summary:
@@ -532,10 +537,6 @@ class Fold(NamedTuple):
     lim: Callable[[Ordinal, Mark], Any]
 
 
-def _summary_union(*parts: Summary) -> Summary:
-    return parts[0] if len(parts) == 1 else join(parts)
-
-
 TREES = Fold(
     {m: Pt(m) for m in Mark},
     {m: Cantor(m) for m in Mark},
@@ -546,7 +547,7 @@ TREES = Fold(
 )
 """Builds the expression; its point and Cantor leaves are shared, one per mark."""
 
-SUMMARIES = Fold(_PT_SUMMARY, _CANTOR_SUMMARY, _interval_summary, _summary_union, _compactify, _limit_summary)
+SUMMARIES = Fold(_PT_SUMMARY, _CANTOR_SUMMARY, _interval_summary, join, _compactify, _limit_summary)
 """Builds the summary of the expression, as ``summarize`` does."""
 
 UNMARKED = Fold(

@@ -142,7 +142,7 @@ def _summands(d: SurfaceDescriptor) -> tuple[Summary, list[Summary]]:
     e = d.ends
     summands = e.children if isinstance(e, DisjointUnion) else () if isinstance(e, Empty) else (e,)
     parts = [summarize(c) for c in summands]
-    return validate_type(d.genus, parts[0] if len(parts) == 1 else join(parts)), parts
+    return validate_type(d.genus, join(*parts)), parts
 
 
 def _split(parts: list[Summary]) -> Optional[tuple[Summary, Summary]]:
@@ -151,7 +151,7 @@ def _split(parts: list[Summary]) -> Optional[tuple[Summary, Summary]]:
     clopen); None otherwise."""
     if any(s.marks not in (PLANAR_BIT, NONPLANAR_BIT) for s in parts):
         return None
-    return join([s for s in parts if s.marks & NONPLANAR_BIT]), join([s for s in parts if not s.marks & NONPLANAR_BIT])
+    return join(*[s for s in parts if s.marks & NONPLANAR_BIT]), join(*[s for s in parts if not s.marks & NONPLANAR_BIT])
 
 
 def surfaces_homeomorphic(d1: SurfaceDescriptor, d2: SurfaceDescriptor) -> Homeo:

@@ -8,11 +8,14 @@ elimination and their minor gcds by enumerating minors.  The end-space
 facts that `endspace.summarize` gathers in one pass are recomputed here by
 one recursion per fact, and descriptors are parsed by the character
 scanner the engine's tokenizer replaced.  The few helpers only the tests
-need (`max_of`, `full_twist_image`, `ball_size`) live here too.
+need (`max_of`, `full_twist_image`, `ball_size`, `moves_through`) live
+here too, as does `check_verdict_line`, which reads a batch output line
+without infsurf.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from itertools import combinations
@@ -456,6 +459,56 @@ def full_twist_image(n: int) -> int:
     return r
 
 
+# -- verdict lines -----------------------------------------------------------------
+
+
+def _distinguished_square(n: int) -> dict:
+    """The computation of the witness for n distinguished ends, in closed form:
+    the class 2 in Z/2k, k = n - 1 for even n and (n - 1)/2 for odd n, is
+    nonzero exactly when n >= 4, and the spherical braid group on n strands
+    abelianizes to Z/(2n - 2)."""
+    k = n - 1 if n % 2 == 0 else (n - 1) // 2
+    return {
+        "kind": "distinguished_square",
+        "n": n,
+        "k": k,
+        "modulus": 2 * k,
+        "element": 2,
+        "element_nonzero": n >= 4,
+        "square_commutes": True,
+        "full_twist_residue": 0,
+        "spherical_braid_abelianization": f"Z/{2 * n - 2}",
+    }
+
+
+def check_verdict_line(line: str) -> list[str]:
+    """What is wrong with one ``decide --jsonl`` output line, read alone and
+    without infsurf: a yes to I or II must be a yes to the next question,
+    and each ``distinguished_square`` witness must equal its closed form,
+    its n the line's ``td_max.value`` for the witness set "distinguished
+    end set" and its punctures for "punctures".  An error line has nothing
+    to check."""
+    v = json.loads(line)
+    if "error" in v:
+        return []
+    problems = []
+    a, b, c = (v[q]["answer"] for q in ("qI", "qII", "qIII"))
+    if (a == "yes" and b != "yes") or (b == "yes" and c != "yes"):
+        problems.append(f"implication chain broken: {a}, {b}, {c}")
+    derived = v["derived"]
+    counted = {"distinguished end set": derived.get("td_max", {}).get("value"), "punctures": derived["punctures"]}
+    for q in ("qI", "qII", "qIII"):
+        witness = v[q]["witness"]
+        if witness is None or witness["computation"]["kind"] != "distinguished_square":
+            continue
+        n = counted.get(derived.get("witness_set"))
+        if not isinstance(n, int):
+            problems.append(f"{q}: no distinguished count for witness set {derived.get('witness_set')!r}")
+        elif witness["computation"] != _distinguished_square(n):
+            problems.append(f"{q}: witness {witness['computation']} is not the closed form for n={n}")
+    return problems
+
+
 # -- grid paths ------------------------------------------------------------------
 
 
@@ -465,6 +518,25 @@ def ball_size(radius: int) -> int:
 
 
 _STEPS = {"R": (1, 0), "L": (-1, 0), "U": (0, 1), "D": (0, -1)}
+
+
+_MOVE_OF = {step: move for move, step in _STEPS.items()}
+
+
+def moves_through(points) -> str:
+    """The moves of the grid path through ``points``, a sequence of (x, y)
+    cells from the origin, one unit step apart."""
+    if not points:
+        raise ValueError("a grid path has at least one cell")
+    if points[0] != (0, 0):
+        raise ValueError("a grid path starts at the origin")
+    moves = []
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        move = _MOVE_OF.get((x1 - x0, y1 - y0))
+        if move is None:
+            raise ValueError(f"non-adjacent step {(x0, y0)} -> {(x1, y1)}")
+        moves.append(move)
+    return "".join(moves)
 
 
 def grid_path_revisits(moves: str) -> bool:

@@ -4,6 +4,7 @@ error the text it answers) and the verdict-line cache (surface type ->
 verdict line) against the uncached path, and the streamed batch file
 against ``str.splitlines()``."""
 
+import importlib.util
 import io
 import itertools
 import json
@@ -33,7 +34,7 @@ from infsurf.endspace import (
     SeqCompactification,
 )
 from infsurf.surface import ValidationError
-from oracles import differential_texts, huge_natural_texts, mutate_text, random_surface_text
+from oracles import check_verdict_line, differential_texts, huge_natural_texts, mutate_text, random_surface_text
 
 VERDICT = "surface(genus=1, boundary=0, ends=I(w))"
 ERROR_LINES = [
@@ -130,8 +131,8 @@ def count_parses(monkeypatch) -> list:
     """The lines batch mode parses from now on, which are the misses of its
     line cache, in order."""
     parsed = []
-    parse = cli._parse
-    monkeypatch.setattr(cli, "_parse", lambda text, *args: parsed.append(text) or parse(text, *args))
+    parse = cli.parse_surface_type
+    monkeypatch.setattr(cli, "parse_surface_type", lambda text: parsed.append(text) or parse(text))
     return parsed
 
 
@@ -478,12 +479,14 @@ def test_near_collisions_keep_their_own_lines(tmp_path, capsys, left, right):
 def test_a_line_past_the_text_budget_is_not_kept(tmp_path, capsys):
     # the middle line has the words of the first, so its key, but is too
     # long once stripped and so a parse error; whitespace at the ends of a
-    # line does not count, and a line of whitespace alone is empty
+    # line does not count, and a line of whitespace alone is empty, at the
+    # budget and past it
     pad = " " * MAX_CHARS
-    lines = [VERDICT, VERDICT.replace(" ", pad), pad + VERDICT + pad, pad, VERDICT]
+    lines = [VERDICT, VERDICT.replace(" ", pad), pad + VERDICT + pad, pad, pad + "\t", VERDICT]
     expected = [uncached(line) for line in lines]
     assert json.loads(expected[1]) == {"error": {"kind": "parse", "offset": MAX_CHARS, "message": "text too long"}}
-    assert expected[0] == expected[2] == expected[4] and json.loads(expected[3])["error"]["kind"] == "empty_line"
+    assert expected[0] == expected[2] == expected[5] and expected[3] == expected[4]
+    assert json.loads(expected[3])["error"]["kind"] == "empty_line"
     f = tmp_path / "batch.txt"
     f.write_text("\n".join(lines), encoding="utf-8")
     assert run_batch(capsys, f) == (0, expected)
@@ -659,8 +662,8 @@ def test_types_of_one_row_share_one_answers_text():
 
 
 def test_a_kept_error_line_is_the_output_line_itself():
-    # an error line is kept as the string written, with no wrapper around
-    # it but, for a parse error, the text whose offset it gives
+    # an error line is kept as the string written, in a pair with the empty
+    # tail or, for a parse error, in a list with the text whose offset it gives
     for line in ERROR_LINES[:-1]:
         kept = {}
         out = cli._batch_line(line, kept)
@@ -668,10 +671,9 @@ def test_a_kept_error_line_is_the_output_line_itself():
         (value,) = kept.values()
         if '"kind": "parse"' in out:
             assert value == [out, line] and value[0] is out
-            assert cli._batch_line(line, kept) is out
-            continue
-        assert value is out
-        assert cli._batch_line(line, kept) is out
+        else:
+            assert value == (out, "") and value[0] is out
+        assert cli._batch_line(line, kept) == out
 
 
 def test_internal_error_is_one_error_line(tmp_path, capsys, monkeypatch):
@@ -694,3 +696,44 @@ def test_internal_error_is_one_error_line(tmp_path, capsys, monkeypatch):
     # a single call still exits 4
     assert main(["decide", torus]) == 4
     assert "witness self-check failed" in capsys.readouterr().err
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def perfbench_gen():
+    """The benchmark's generator, ``perfbench/gen.py``, read only: no
+    bytecode is written under ``perfbench/``.  It imports perfbench's
+    ``oracles``, whose name this directory's takes, so that entry of
+    ``sys.modules`` is swapped while it loads."""
+    dont_write, ours = sys.dont_write_bytecode, sys.modules["oracles"]
+    sys.dont_write_bytecode = True
+    try:
+        sys.modules["oracles"] = _perfbench_module("oracles")
+        return _perfbench_module("gen")
+    finally:
+        sys.dont_write_bytecode, sys.modules["oracles"] = dont_write, ours
+
+
+def test_every_batch_line_passes_the_verdict_line_checker(tmp_path, capsys, perfbench_gen):
+    data = Path(__file__).parent / "data"
+    lines = []
+    for name in ("golden_batch.jsonl", "golden_batch_spacing.jsonl"):
+        lines += (data / name).read_text(encoding="utf-8").splitlines()
+    catalog = [{"descriptor": c.descriptor, "expected": list(c.expected)} for c in CATALOG]
+    for seed in (1, 7, 101):
+        f = tmp_path / f"batch_mixed_{seed}.txt"
+        f.write_text("".join(text + "\n" for text, _ in perfbench_gen.batch_mixed(seed, catalog)), encoding="utf-8")
+        code, out = run_batch(capsys, f)
+        assert code == 0
+        lines += out
+    assert [(line, p) for line in lines for p in check_verdict_line(line)] == []
+    assert sum(line.count('"kind": "distinguished_square"') for line in lines) == 5553 + 108

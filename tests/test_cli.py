@@ -179,6 +179,7 @@ def test_hom_snf(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["diagonal"] == [2, 4]
+    assert run(capsys, "hom", "snf", "[[2,4],[6,8]]") == (0, "diagonal: 2 4\n", "")
 
 
 def test_hom_snf_64x64_json(capsys):

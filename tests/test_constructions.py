@@ -5,7 +5,7 @@ import pytest
 
 from infsurf.constructions import MAX_GRID_BOX, GridPath, snake_bijection
 from infsurf.homology import ResourceLimit
-from oracles import ball_size, grid_path_revisits, grown_walk, snake_cells
+from oracles import ball_size, grid_path_revisits, grown_walk, moves_through, snake_cells
 
 
 def test_starts_at_the_origin():
@@ -20,17 +20,17 @@ def test_first_cells_stay_in_the_unit_ball():
 
 def test_path_invariants_are_enforced():
     with pytest.raises(ValueError):
-        GridPath.from_points(((1, 0), (0, 0)))
+        GridPath(moves_through(((1, 0), (0, 0))))
     with pytest.raises(ValueError):
-        GridPath.from_points(((0, 0), (1, 1)))
+        GridPath(moves_through(((0, 0), (1, 1))))
     with pytest.raises(ValueError):
-        GridPath.from_points(((0, 0), (1, 0), (0, 0)))
+        GridPath(moves_through(((0, 0), (1, 0), (0, 0))))
     with pytest.raises(ValueError):
         snake_bijection(0)
 
 
 def test_a_path_is_its_moves():
-    path = GridPath.from_points(((0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (-1, 2), (-1, 1)))
+    path = GridPath(moves_through(((0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (-1, 2), (-1, 1))))
     assert path == GridPath("RULULD")
     assert path.moves == "RULULD" and len(path) == 7
     assert list(path.cells()) == list(path.points) == [(0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (-1, 2), (-1, 1)]

@@ -194,11 +194,15 @@ def test_every_possible_verdict_respects_the_implication_chain():
             assert a == NO
 
 
-def test_a_broken_implication_chain_is_an_internal_error():
-    v = D("surface(genus=1, boundary=0, ends=I(w))")
+def test_a_broken_implication_chain_is_an_internal_error(monkeypatch):
+    # a rule whose row answers yes to I but no to II and III
+    torus = "surface(genus=1, boundary=0, ends=I(w))"
+    qI = D(torus).qI
     no = decide_module.Answer(NO, "infinite-genus-no-punctures-vanishing", coefficients=ANY_FIELD)
+    monkeypatch.setitem(decide_module._RULES, "finite_genus", lambda g: (qI, no, no, None, None, ()))
+    decide_module.row.cache_clear()
     with pytest.raises(InternalInvariantViolation) as info:
-        decide_module._check_chain(decide_module.Verdict(v.qI, no, no, v.derived))
+        D(torus)
     assert str(info.value) == "implication chain broken: yes, no, no"
 
 

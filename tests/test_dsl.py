@@ -1,4 +1,6 @@
+import gc
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -351,6 +353,28 @@ def test_text_length_budget():
         with pytest.raises(ParseError) as exc:
             parse(long_text)
         assert (exc.value.offset, exc.value.message) == (MAX_CHARS, "text too long"), parse
+
+
+def test_a_union_of_atoms_is_summarized_in_linear_time():
+    # a guard: n and 8n irreducible summands take about 8 times as long, and
+    # toward 64 times if each summand copied the atoms before it; best of 3
+    # interleaved process_time runs, with the collector off while they run
+    def text(n):
+        return "surface(genus=0, boundary=0, ends=U(" + ", ".join(["seq1pc(U(cantor, pt))"] * n) + "))"
+
+    texts = [text(700), text(5600)]
+    assert len(texts[1]) <= MAX_CHARS and len(parse_surface_type(texts[1])[2].atoms) == 5600
+    best = [INFINITE, INFINITE]
+    for _ in range(3):
+        for i, t in enumerate(texts):
+            gc.disable()
+            try:
+                start = time.process_time()
+                parse_surface_type(t)
+                best[i] = min(best[i], time.process_time() - start)
+            finally:
+                gc.enable()
+    assert best[1] <= 12 * best[0], best
 
 
 # -- the summary fold run by the parser ---------------------------------------

@@ -606,7 +606,10 @@ def test_golden_tree_walks():
 def test_the_empty_space_is_the_union_of_no_summands():
     assert fold_tree(TREES, Empty()) is EMPTY
     assert str(Empty()) == "empty"
-    assert summarize(Empty()) == endspace.join(()) == SUMMARIES.union()
+    assert summarize(Empty()) == endspace.join() == SUMMARIES.union()
+    # and a single summand is its own union
+    cantor = summarize(Cantor())
+    assert endspace.join(cantor) is SUMMARIES.union(cantor) is cantor
     assert strip_marks(Empty()) is EMPTY and cb_derivative(Empty()) is EMPTY
     empty = CanonicalEndSpace(False, None)
     assert empty.describe() == "empty space" and str(empty) == "empty" and embed(empty) is EMPTY
