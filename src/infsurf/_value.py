@@ -5,11 +5,14 @@ one once in its ``__init__`` with ``object.__setattr__``.  The base makes
 the instances frozen and gives them value semantics: ``repr`` is
 ``Name(field=value, ...)``, two instances are equal when they are of the
 same class and their field tuples are equal, and the hash is the hash of
-the field tuple.  A class whose instances are hashed or compared in bulk
-writes ``__eq__`` and ``__hash__`` out with the same results.
+the field tuple.
 
-Ordinals are not values of this kind: ``ordinal.Ordinal`` is a tuple of
-its terms and takes its order, equality and hash from the tuple.
+Three types whose instances are built, hashed or compared in bulk are not
+values of this kind but tuples, which do all three in C:
+``ordinal.Ordinal`` is the tuple of its terms, and the canonical forms
+``endspace.Scattered`` and ``endspace.CanonicalEndSpace``, parts of every
+summary, are the tuples of their fields.  Each takes its equality and hash
+from the tuple, so it also equals the plain tuple of its contents.
 """
 
 from __future__ import annotations

@@ -190,9 +190,6 @@ class Verdict(Value):
     def answers(self) -> tuple[Answer, Answer, Answer]:
         return (self.qI, self.qII, self.qIII)
 
-    def triple(self) -> tuple[str, str, str]:
-        return (self.qI.result, self.qII.result, self.qIII.result)
-
 
 # -- executed witnesses -----------------------------------------------------
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 
 from .endspace import EndSpaceExpr, Fold, INFINITE, NONPLANAR, PLANAR, SUMMARIES, Summary, TREES
-from .ordinal import ONE, OMEGA, ZERO, Ordinal, _cnf, add, from_int
+from .ordinal import ONE, OMEGA, ZERO, Ordinal, _cnf, from_int
 from .surface import SurfaceDescriptor
 
 MAX_CHARS = 2**17
@@ -76,9 +76,10 @@ _TOKEN = re.compile(r"[(),=^+*;]|[0-9]+|[^\W0-9]\w*|!np|!p|\S")
 _WORD_RUN = re.compile(r"\w*")
 _DIGITS = frozenset("0123456789")
 
-# ordinals are immutable, so the small naturals are built once and shared:
-# parsing skips building them, and the summaries a batch keeps share them;
-# genus, boundary and coefficient tokens are looked up the same way
+# ordinals are immutable, so the small natural exponents of w^n are built
+# once and shared: parsing skips building them, and the summaries a batch
+# keeps share them; genus, boundary, coefficient and natural-term tokens
+# are looked up the same way, as ints
 _SMALL = {str(n): from_int(n) for n in range(100)}
 _SMALL_INT = {str(n): n for n in range(100)}
 
@@ -142,6 +143,19 @@ def _natural(text: str, toks: list[str], i: int) -> int:
     return _int(text, toks, i)
 
 
+def _add_term(terms: list[tuple[Ordinal, int]], exp: Ordinal, coeff: int) -> None:
+    """Add the term w^exp*coeff, coeff >= 1, to the sum whose Cantor normal
+    form is `terms`, in place: as ``ordinal.add`` does, it absorbs the
+    smaller terms before it and merges with an equal one.  Each term is
+    appended and popped at most once, so a sum is read in linear time."""
+    while terms and terms[-1][0] < exp:
+        terms.pop()
+    if terms and terms[-1][0] == exp:
+        terms[-1] = (exp, terms[-1][1] + coeff)
+    else:
+        terms.append((exp, coeff))
+
+
 def _coefficient(text: str, toks: list[str], i: int) -> tuple[int, int]:
     """The optional ``*n`` after a power of w, and the index after it."""
     if toks[i] != "*":
@@ -195,15 +209,20 @@ def _parse(text: str, goal: int, fold: Fold = TREES):
         genus, boundary = _surface_head(text, toks)
         i = 12
     # (tag, index of the head token, the union's summands, which a splice
-    # shares, or the sum of the ordinal terms before a w^( exponent)
+    # shares, or the terms of the sum before a w^( exponent)
     stack: list[tuple] = []
     want_ordinal = goal == _ORDINAL
-    total = None  # sum of the terms read so far of the innermost ordinal
+    # the Cantor normal form of the terms read so far of the innermost sum;
+    # its Ordinal is built once, when the sum ends
+    terms: list[tuple[Ordinal, int]] = []
     while True:
         tok = toks[i]
         if want_ordinal:
             if tok[:1] in _DIGITS:
-                term = _finite(text, toks, i)
+                exp = ZERO
+                coeff = _SMALL_INT.get(tok)
+                if coeff is None:
+                    coeff = _int(text, toks, i)
                 i += 1
             elif tok == "w":
                 exp = ONE
@@ -213,9 +232,9 @@ def _parse(text: str, goal: int, fold: Fold = TREES):
                     if tok == "(":
                         if len(stack) == MAX_DEPTH:
                             raise _too_deep(text, i)
-                        stack.append((_POWER, i, total))
+                        stack.append((_POWER, i, terms))
                         i += 1
-                        total = None
+                        terms = []
                         continue
                     if tok[:1] == "w":
                         if tok != "w":
@@ -226,15 +245,15 @@ def _parse(text: str, goal: int, fold: Fold = TREES):
                     else:
                         raise _fail(text, i, ("'('", "'w'", "natural number"), "malformed exponent")
                 coeff, i = _coefficient(text, toks, i + 1)
-                # the grammar gives an Ordinal exponent and a natural coefficient
-                term = _cnf(Ordinal, ((exp, coeff),)) if coeff else ZERO
             else:
                 raise _fail(text, i, ("'w'", "natural number"))
-            total = term if total is None else add(total, term)
+            # a zero term adds nothing, and absorbs nothing either
+            if coeff:
+                _add_term(terms, exp, coeff)
             if toks[i] == "+":
                 i += 1
                 continue
-            value = total
+            value = _cnf(Ordinal, terms) if terms else ZERO
         else:
             leaf = fold.point if tok == "pt" else fold.cantor if tok == "cantor" else None
             if leaf is not None:
@@ -261,7 +280,7 @@ def _parse(text: str, goal: int, fold: Fold = TREES):
                     stack.append((_UNION, i, []))
                 i += 2
                 want_ordinal = tag == _INTERVAL or tag == _LIMIT
-                total = None
+                terms = []
                 continue
         # ``value`` is complete: close the constructs it finishes, up to the
         # first one that reads more input; an empty stack ends the parse
@@ -285,14 +304,15 @@ def _parse(text: str, goal: int, fold: Fold = TREES):
                 if tok != ")":
                     raise _fail(text, i, ("')'",))
                 coeff, i = _coefficient(text, toks, i + 1)
-                term = _cnf(Ordinal, ((value, coeff),)) if coeff else ZERO
-                total = term if data is None else add(data, term)
+                terms = data
+                if coeff:
+                    _add_term(terms, value, coeff)
                 if toks[i] == "+":
                     stack.pop()
                     i += 1
                     want_ordinal = True
                     break
-                value = total
+                value = _cnf(Ordinal, terms) if terms else ZERO
             elif tag == _INTERVAL:
                 if tok != ")":
                     raise _fail(text, i, ("')'",))

@@ -23,7 +23,10 @@ layer: the marks present as two bits, the planar isolated points, mixed
 ends and the first closedness violation.  The reduced form is a canonical
 part next to irreducible atoms, and each atom is the plain pair
 ``(canon, atoms)`` of the space whose copies it compactifies, so a summary
-holds no expression tree.
+holds no expression tree.  Everything in a summary is a tuple: ``Summary``
+is a named tuple, and the canonical forms ``CanonicalEndSpace`` and
+``Scattered`` are the tuples of their fields, as an ``Ordinal`` is the
+tuple of its terms, so a summary is built, compared and hashed in C.
 
 The summary rules (the point, Cantor, interval and ``lim1pc`` leaves,
 ``join`` for unions, where one summand is its own union, and the
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union as TUnion
 
 from ._value import Value
@@ -190,53 +194,71 @@ def strip_marks(e: EndSpaceExpr) -> EndSpaceExpr:
 # canonical forms
 
 
-class Scattered(Value):
+class _Form(tuple):
+    """The base of the canonical-form classes, each the tuple of its fields
+    (named in ``_names``), as an ``Ordinal`` is the tuple of its terms.
+
+    Construction, ``==`` and ``hash`` are the tuple's and run in C, so a
+    form is also equal to, and hashes as, the plain tuple of its fields.
+    The public constructors keep their checks (a ``Scattered`` has a copy);
+    the fold rules, whose fields hold by construction, build a form with
+    ``_form``, which checks nothing.  ``repr`` is ``Name(field=value, ...)``
+    and ``__getnewargs__`` gives copy and pickle the fields, as for a
+    ``Value``."""
+
+    __slots__ = ()
+    _names: tuple[str, ...] = ()
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._names, self))
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ``_form(cls, fields)`` builds a form or a Summary in C and checks nothing,
+# as ``ordinal._cnf`` builds an Ordinal
+_form = tuple.__new__
+
+
+class Scattered(_Form):
     """`copies` disjoint copies of the ordinal interval [0, w^exponent];
     exponent 0 makes it `copies` points."""
 
-    __slots__ = ("copies", "exponent")
+    __slots__ = ()
+    _names = ("copies", "exponent")
 
-    def __init__(self, copies: int, exponent: Ordinal) -> None:
+    def __new__(cls, copies: int, exponent: Ordinal) -> "Scattered":
         if copies < 1:
             raise ValueError("need at least one copy")
-        object.__setattr__(self, "copies", copies)
-        object.__setattr__(self, "exponent", exponent)
+        return _form(cls, (copies, exponent))
 
-    # summaries are batch cache keys, so equality and hashing are written out
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Scattered:
-            return self.copies == other.copies and self.exponent == other.exponent
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.copies, self.exponent))
+    copies = property(itemgetter(0))
+    exponent = property(itemgetter(1))
 
     def describe(self) -> str:
-        if self.exponent.is_zero():
-            return "1 isolated point" if self.copies == 1 else f"{self.copies} isolated points"
-        noun = "copy" if self.copies == 1 else "copies"
-        return f"{self.copies} {noun} of [0,{power_str(self.exponent)}]"
+        copies, exponent = self
+        if not exponent:
+            return "1 isolated point" if copies == 1 else f"{copies} isolated points"
+        noun = "copy" if copies == 1 else "copies"
+        return f"{copies} {noun} of [0,{power_str(exponent)}]"
 
 
-class CanonicalEndSpace(Value):
+class CanonicalEndSpace(_Form):
     """Normal form: an optional Cantor kernel next to an optional scattered part."""
 
-    __slots__ = ("has_kernel", "scattered")
+    __slots__ = ()
+    _names = ("has_kernel", "scattered")
 
-    def __init__(self, has_kernel: bool, scattered: Optional[Scattered]) -> None:
-        object.__setattr__(self, "has_kernel", has_kernel)
-        object.__setattr__(self, "scattered", scattered)
+    def __new__(cls, has_kernel: bool, scattered: Optional[Scattered]) -> "CanonicalEndSpace":
+        return _form(cls, (has_kernel, scattered))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is CanonicalEndSpace:
-            return self.has_kernel == other.has_kernel and self.scattered == other.scattered
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.has_kernel, self.scattered))
+    has_kernel = property(itemgetter(0))
+    scattered = property(itemgetter(1))
 
     def is_empty(self) -> bool:
-        return not self.has_kernel and self.scattered is None
+        return not self[0] and self[1] is None
 
     def describe(self) -> str:
         if self.is_empty():
@@ -296,38 +318,38 @@ _DISCRETE = (EMPTY_CANON, *(CanonicalEndSpace(False, Scattered(n, ZERO)) for n i
 
 
 def _discrete(n: int) -> CanonicalEndSpace:
-    return _DISCRETE[n] if n < len(_DISCRETE) else CanonicalEndSpace(False, Scattered(n, ZERO))
+    return _DISCRETE[n] if n < len(_DISCRETE) else _form(CanonicalEndSpace, (False, _form(Scattered, (n, ZERO))))
 
 
 def _union_canon(canons: Sequence[CanonicalEndSpace]) -> CanonicalEndSpace:
     """Normal form of the disjoint union of canonical spaces."""
     kernel = False
+    # a Scattered s is the pair (copies, exponent), read as s[0] and s[1]
     top: Optional[Scattered] = None
     copies = 0
-    for c in canons:
-        if c.has_kernel:
+    for has_kernel, s in canons:
+        if has_kernel:
             kernel = True
-        s = c.scattered
         if s is None:
             continue
         # only the copies of maximal rank survive; they absorb the others
-        if top is None or s.exponent > top.exponent:
-            top, copies = s, s.copies
-        elif s.exponent == top.exponent:
-            copies += s.copies
+        if top is None or s[1] > top[1]:
+            top, copies = s, s[0]
+        elif s[1] == top[1]:
+            copies += s[0]
     if top is None:
         return CANTOR_CANON if kernel else EMPTY_CANON
-    if copies == top.copies:
+    if copies == top[0]:
         scattered = top
-    elif kernel or not top.exponent.is_zero():
-        scattered = Scattered(copies, top.exponent)
+    elif kernel or top[1]:
+        scattered = _form(Scattered, (copies, top[1]))
     else:
         return _discrete(copies)
     # a union often has the form of one summand; reuse it instead of a copy
     for c in canons:
-        if c.scattered is scattered and c.has_kernel == kernel:
+        if c[1] is scattered and c[0] == kernel:
             return c
-    return CanonicalEndSpace(kernel, scattered)
+    return _form(CanonicalEndSpace, (kernel, scattered))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +457,7 @@ def summarize(e: EndSpaceExpr) -> Summary:
 
 def _scattered_leaf(canon: CanonicalEndSpace, n: int | float, mark: Mark) -> Summary:
     """Summary of a leaf with `n` isolated points, all marked `mark`."""
-    return Summary(canon, (), n if mark is PLANAR else 0, _BIT[mark], False, None)
+    return _form(Summary, (canon, (), n if mark is PLANAR else 0, _BIT[mark], False, None))
 
 
 # [0, n] for n < 100 is summarized once and shared, as dsl shares the small naturals
@@ -444,15 +466,15 @@ _SMALL_INTERVALS = {m: tuple(_scattered_leaf(_DISCRETE[n + 1], n + 1, m) for n i
 
 def _interval_summary(bound: Ordinal, mark: Mark) -> Summary:
     """Summary of the closed interval [0, bound]."""
-    if bound.is_finite():
-        n = bound.as_int()
-        if n < 100:
-            return _SMALL_INTERVALS[mark][n]
-        return _scattered_leaf(_discrete(n + 1), n + 1, mark)
-    exp, coeff = bound.leading()
+    # a natural n > 0 is the one term w^0*n, and 0 has no terms
+    exp, coeff = bound[0] if bound else (ZERO, 0)
+    if not exp:
+        if coeff < 100:
+            return _SMALL_INTERVALS[mark][coeff]
+        return _scattered_leaf(_discrete(coeff + 1), coeff + 1, mark)
     # [0, w^g*n + rest] splits off n copies of [0, w^g]; the tail has
     # strictly smaller rank and is absorbed by them
-    return _scattered_leaf(CanonicalEndSpace(False, Scattered(coeff, exp)), INFINITE, mark)
+    return _scattered_leaf(_form(CanonicalEndSpace, (False, _form(Scattered, (coeff, exp)))), INFINITE, mark)
 
 
 def _limit_summary(sup: Ordinal, point: Mark) -> Summary:
@@ -461,11 +483,8 @@ def _limit_summary(sup: Ordinal, point: Mark) -> Summary:
     _require_limit(sup)
     # the interval pieces are planar
     marks = PLANAR_BIT | _BIT[point]
-    return Summary(CanonicalEndSpace(False, Scattered(1, sup)), (), INFINITE, marks, point is NONPLANAR, None)
-
-
-def _count_sum(a: int | float, b: int | float) -> int | float:
-    return INFINITE if a == INFINITE or b == INFINITE else a + b
+    canon = _form(CanonicalEndSpace, (False, _form(Scattered, (1, sup))))
+    return _form(Summary, (canon, (), INFINITE, marks, point is NONPLANAR, None))
 
 
 def join(*parts: Summary) -> Summary:
@@ -473,51 +492,52 @@ def join(*parts: Summary) -> Summary:
     single summand is the union, and the empty space is the union of none."""
     if len(parts) < 2:
         return parts[0] if parts else _EMPTY_SUMMARY
-    _, first, planar, marks, mixed, violation = parts[0]
-    if violation is not None:
-        violation = ".children[0]" + violation
+    canons = []
     # one list, so a union of n atoms copies them once, not once a summand
-    atoms = list(first)
-    for i in range(1, len(parts)):
-        p = parts[i]
-        if p.atoms:
-            atoms += p.atoms
+    atoms: list = []
+    planar: int | float = 0
+    marks, mixed, violation = 0, False, None
+    for i, (canon, more, p_planar, p_marks, p_mixed, p_violation) in enumerate(parts):
+        canons.append(canon)
+        if more:
+            atoms += more
         # INFINITE plus an int past the float range would overflow
-        planar = _count_sum(planar, p.planar_isolated)
-        marks |= p.marks
-        mixed = mixed or p.mixed
-        if violation is None and p.violation is not None:
-            violation = f".children[{i}]{p.violation}"
-    canon = _union_canon([p.canon for p in parts])
-    return Summary(canon, tuple(atoms), planar, marks, mixed, violation)
+        if p_planar and planar != INFINITE:
+            planar = INFINITE if p_planar == INFINITE else planar + p_planar
+        marks |= p_marks
+        mixed = mixed or p_mixed
+        if violation is None and p_violation is not None:
+            violation = f".children[{i}]{p_violation}"
+    return _form(Summary, (_union_canon(canons), tuple(atoms), planar, marks, mixed, violation))
 
 
 def _compactify(r: Summary, point: Mark) -> Summary:
     """Summary of the one-point compactification of countably many copies
     of the non-empty space `r` summarizes, the added point marked `point`."""
+    c, inner, planar, marks, mixed, violation = r
     # a planar limit of non-planar ends would leave the non-planar set open
-    if point is PLANAR and r.marks & NONPLANAR_BIT:
-        violation: Optional[str] = ""
-    else:
-        violation = None if r.violation is None else ".child" + r.violation
+    if point is PLANAR and marks & NONPLANAR_BIT:
+        violation = ""
+    elif violation is not None:
+        violation = ".child" + violation
     atoms: tuple = ()
-    c = r.canon
-    if r.atoms:
+    has_kernel, s = c
+    if inner:
         canon = EMPTY_CANON
-        atoms = ((c, r.atoms),)
-    elif c.has_kernel and c.scattered is None:
+        atoms = ((c, inner),)
+    elif has_kernel and s is None:
         # countably many Cantor sets plus a limit point: compact, perfect,
         # totally disconnected and metrizable, hence a Cantor set again
         canon = CANTOR_CANON
-    elif c.has_kernel:
+    elif has_kernel:
         # the added point is accumulated by kernel and scattered material
         canon = EMPTY_CANON
         atoms = ((c, ()),)
     else:
-        canon = CanonicalEndSpace(False, Scattered(1, add(c.scattered.exponent, ONE)))
-    planar = INFINITE if r.planar_isolated > 0 else 0
-    mixed = (point is NONPLANAR and r.planar_isolated > 0) or r.mixed
-    return Summary(canon, atoms, planar, r.marks | _BIT[point], mixed, violation)
+        canon = _form(CanonicalEndSpace, (False, _form(Scattered, (1, add(s[1], ONE)))))
+    mixed = (point is NONPLANAR and planar > 0) or mixed
+    planar = INFINITE if planar > 0 else 0
+    return _form(Summary, (canon, atoms, planar, marks | _BIT[point], mixed, violation))
 
 
 class Fold(NamedTuple):

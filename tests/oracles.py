@@ -8,9 +8,9 @@ elimination and their minor gcds by enumerating minors.  The end-space
 facts that `endspace.summarize` gathers in one pass are recomputed here by
 one recursion per fact, and descriptors are parsed by the character
 scanner the engine's tokenizer replaced.  The few helpers only the tests
-need (`max_of`, `full_twist_image`, `ball_size`, `moves_through`) live
-here too, as does `check_verdict_line`, which reads a batch output line
-without infsurf.
+need (`max_of`, `full_twist_image`, `triple`, `ball_size`,
+`moves_through`) live here too, as does `check_verdict_line`, which reads
+a batch output line without infsurf.
 """
 
 from __future__ import annotations
@@ -459,7 +459,12 @@ def full_twist_image(n: int) -> int:
     return r
 
 
-# -- verdict lines -----------------------------------------------------------------
+# -- verdicts and verdict lines -------------------------------------------------
+
+
+def triple(v) -> tuple[str, str, str]:
+    """The answers of a ``decide.Verdict`` to I, II and III."""
+    return (v.qI.result, v.qII.result, v.qIII.result)
 
 
 def _distinguished_square(n: int) -> dict:

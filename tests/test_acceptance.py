@@ -45,6 +45,7 @@ from oracles import (
     matmul,
     partitions_with_max_part,
     top_rank_profile,
+    triple,
 )
 
 EXPECTED_CODES = {
@@ -260,7 +261,7 @@ def test_criterion_09_flute_end_to_end():
     assert isinstance(nf, Canonical)
     assert nf.form.scattered == Scattered(1, ONE) and not nf.form.has_kernel
     verdict = decide(descriptor)
-    assert verdict.triple() == (NO, NO, NO)
+    assert triple(verdict) == (NO, NO, NO)
     assert all(a.coefficients == ANY_FIELD for a in verdict.answers())
     _report(9, "plane-minus-a-lattice descriptor parses, normalizes to one interval copy, gets three field noes")
 
@@ -272,7 +273,7 @@ def test_criterion_10_implication_chain_fuzz():
     total = 100_000
     for _ in range(total):
         v = decide(_random_valid_descriptor(rng))
-        a, b, c = v.triple()
+        a, b, c = triple(v)
         assert not (a == YES and b != YES)
         assert not (b == YES and c != YES)
         assert not (c == NO and b != NO)

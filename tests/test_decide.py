@@ -23,7 +23,7 @@ from infsurf.decide import (
     witness_for,
 )
 from infsurf.dsl import ParseError, parse_surface
-from oracles import random_surface_text
+from oracles import random_surface_text, triple
 
 
 def D(text):
@@ -32,14 +32,14 @@ def D(text):
 
 def test_one_nonplanar_end_gets_three_field_noes():
     v = D("surface(genus=inf, boundary=0, ends=pt!np)")
-    assert v.triple() == (NO, NO, NO)
+    assert triple(v) == (NO, NO, NO)
     assert all(a.coefficients == ANY_FIELD for a in v.answers())
     assert "coincide" in (v.qI.note or "")
 
 
 def test_infinite_genus_with_two_punctures():
     v = D("surface(genus=inf, boundary=0, ends=U(pt!np, pt, pt))")
-    assert v.triple() == (NO, YES, YES)
+    assert triple(v) == (NO, YES, YES)
     assert v.qI.coefficients == ANY_FIELD
     assert v.qII.coefficients == INTEGRAL
     assert v.qII.witness.degree == EVERY_EVEN_DEGREE
@@ -47,13 +47,13 @@ def test_infinite_genus_with_two_punctures():
 
 def test_flute_is_negative_for_fields():
     v = D("surface(genus=0, boundary=0, ends=I(w))")
-    assert v.triple() == (NO, NO, NO)
+    assert triple(v) == (NO, NO, NO)
     assert all(a.coefficients == ANY_FIELD for a in v.answers())
 
 
 def test_kernel_with_five_punctures_is_positive():
     v = D("surface(genus=0, boundary=0, ends=U(cantor, pt, pt, pt, pt, pt))")
-    assert v.triple() == (YES, YES, YES)
+    assert triple(v) == (YES, YES, YES)
     assert v.qI.witness.computation["n"] == 5
     assert v.qI.witness.computation["k"] == 2
     assert v.derived.witness_set == "punctures"
@@ -61,13 +61,13 @@ def test_kernel_with_five_punctures_is_positive():
 
 def test_two_interval_stacks_are_open():
     v = D("surface(genus=0, boundary=0, ends=U(I(w^w), I(w^w)))")
-    assert v.triple() == (UNKNOWN, UNKNOWN, UNKNOWN)
+    assert triple(v) == (UNKNOWN, UNKNOWN, UNKNOWN)
     assert v.qI.coefficients is None and v.qI.witness is None
 
 
 def test_finite_genus_is_always_positive():
     v = D("surface(genus=3, boundary=0, ends=cantor)")
-    assert v.triple() == (YES, YES, YES)
+    assert triple(v) == (YES, YES, YES)
     assert v.qI.witness.degree == 2
     v = D("surface(genus=1, boundary=0, ends=I(w))")
     assert v.qI.witness.degree == 1
@@ -76,30 +76,30 @@ def test_finite_genus_is_always_positive():
 
 def test_mixed_and_unmixed_infinite_rows():
     mixed = D("surface(genus=inf, boundary=0, ends=seq1pc(U(pt, pt!np); np))")
-    assert mixed.triple() == (NO, NO, NO)
+    assert triple(mixed) == (NO, NO, NO)
     assert mixed.derived.mixed_end
     unmixed = D("surface(genus=inf, boundary=0, ends=U(pt!np, seq1pc(pt)))")
-    assert unmixed.triple() == (NO, UNKNOWN, UNKNOWN)
+    assert triple(unmixed) == (NO, UNKNOWN, UNKNOWN)
     assert not unmixed.derived.mixed_end
 
 
 def test_cantor_tree_rows_hold_for_any_coefficients():
     for ends in ("cantor", "U(cantor, pt)"):
         v = D(f"surface(genus=0, boundary=0, ends={ends})")
-        assert v.triple() == (NO, NO, NO)
+        assert triple(v) == (NO, NO, NO)
         assert all(a.coefficients == ANY_COEFFICIENTS for a in v.answers())
 
 
 def test_braid_sign_row():
     v = D("surface(genus=0, boundary=0, ends=U(cantor, pt, pt))")
-    assert v.triple() == (UNKNOWN, UNKNOWN, YES)
+    assert triple(v) == (UNKNOWN, UNKNOWN, YES)
     assert v.qIII.witness.degree == 1
     assert v.qIII.witness.computation["h1_symmetric"] == "Z/2"
 
 
 def test_distinguished_row_with_infinitely_many_punctures():
     v = D("surface(genus=0, boundary=0, ends=I(w^2*4))")
-    assert v.triple() == (YES, YES, YES)
+    assert triple(v) == (YES, YES, YES)
     assert v.derived.witness_set == "distinguished end set"
     assert v.derived.td is not None and v.derived.td.value == 4 and v.derived.td.exact
 
@@ -109,14 +109,14 @@ def test_certified_lower_bound_yields_yes():
     # form a certified distinguished set
     atom = "seq1pc(U(cantor, pt))"
     v = D(f"surface(genus=0, boundary=0, ends=U({atom}, {atom}, {atom}, {atom}))")
-    assert v.triple() == (YES, YES, YES)
+    assert triple(v) == (YES, YES, YES)
     assert v.derived.td is not None and not v.derived.td.exact and v.derived.td.value == 4
     assert v.qI.note is not None and "lower bound" in v.qI.note
 
 
 def test_uncertified_lower_bound_stays_unknown_with_a_note():
     v = D("surface(genus=0, boundary=0, ends=seq1pc(U(cantor, pt)))")
-    assert v.triple() == (UNKNOWN, UNKNOWN, UNKNOWN)
+    assert triple(v) == (UNKNOWN, UNKNOWN, UNKNOWN)
     assert any("indeterminate" in n for n in v.derived.notes)
 
 
@@ -172,8 +172,8 @@ def test_verdicts_depend_only_on_derived_facts():
         td = (dd.td.value, dd.td.exact) if dd.td else None
         key = (dd.genus_class, dd.genus, dd.punctures, dd.mixed_end, dd.end_space, td)
         if key in seen:
-            assert seen[key] == v.triple()
-        seen[key] = v.triple()
+            assert seen[key] == triple(v)
+        seen[key] = triple(v)
 
 
 def test_every_possible_verdict_respects_the_implication_chain():
@@ -183,7 +183,7 @@ def test_every_possible_verdict_respects_the_implication_chain():
     for _ in range(800):
         d = _random_valid_descriptor(rng)
         v = decide(d)
-        a, b, c = v.triple()
+        a, b, c = triple(v)
         if a == YES:
             assert b == YES
         if b == YES:

@@ -30,7 +30,7 @@ from infsurf.endspace import (
     summarize,
     union,
 )
-from infsurf.ordinal import OMEGA, ZERO, Ordinal, from_int, omega_pow
+from infsurf.ordinal import OMEGA, ZERO, Ordinal, add, from_int, omega_pow
 from infsurf.surface import ValidationError, validate, validate_type
 from oracles import (
     differential_texts,
@@ -375,6 +375,70 @@ def test_a_union_of_atoms_is_summarized_in_linear_time():
             finally:
                 gc.enable()
     assert best[1] <= 12 * best[0], best
+
+
+def test_an_ordinal_sum_is_read_in_linear_time():
+    # a guard: n and 8n decreasing terms take about 8 times as long, and
+    # toward 64 times if each term copied the sum before it; best of 3
+    # interleaved process_time runs, with the collector off while they run
+    def text(n):
+        return " + ".join(f"w^{k}" for k in range(n, 0, -1))
+
+    texts = [text(1000), text(8000)]
+    assert len(texts[1]) <= MAX_CHARS and len(parse_ordinal(texts[1])) == 8000
+    best = [INFINITE, INFINITE]
+    for _ in range(3):
+        for i, t in enumerate(texts):
+            gc.disable()
+            try:
+                start = time.process_time()
+                parse_ordinal(t)
+                best[i] = min(best[i], time.process_time() - start)
+            finally:
+                gc.enable()
+    assert best[1] <= 20 * best[0], best
+
+
+def _random_sum(rng: random.Random, depth: int) -> tuple[str, Ordinal, list[Ordinal]]:
+    """The text of a sum of random terms, in any order, with equal exponents,
+    zero coefficients and w^(...) exponents, the ordinal that folding its
+    terms with ``ordinal.add`` gives, and the exponents of its nonzero terms."""
+    pieces, total, exps = [], ZERO, []
+    for _ in range(rng.randint(1, 6)):
+        coeff = rng.choice((0, 1, 1, 2, 3, 150))
+        roll = rng.random()
+        if roll < 0.25:
+            exp, piece = ZERO, str(coeff)
+        else:
+            if roll < 0.55 or depth == 0:
+                exp = from_int(rng.randint(0, 3))
+                head = f"w^{exp}"
+            elif roll < 0.65:
+                exp, head = OMEGA, "w^w"
+            else:
+                inner, exp, _ = _random_sum(rng, depth - 1)
+                head = f"w^({inner})"
+            piece = head if coeff == 1 and rng.random() < 0.5 else f"{head}*{coeff}"
+        pieces.append(piece)
+        total = add(total, omega_pow(exp, coeff))
+        if coeff:
+            exps.append(exp)
+    return " + ".join(pieces), total, exps
+
+
+def test_the_one_list_sum_agrees_with_folding_the_terms_by_add():
+    rng = random.Random(20261020)
+    shapes = {"absorbed": 0, "merged": 0, "nested": 0}
+    for _ in range(3000):
+        text, want, exps = _random_sum(rng, 2)
+        got = parse_ordinal(text)
+        assert got == want and type(got) is Ordinal and Ordinal(got) == got, text
+        # a term below a later one is absorbed by it
+        shapes["absorbed"] += any(a < b for a, b in zip(exps, exps[1:]))
+        # no term's coefficient is drawn as one of these, so it is a merge
+        shapes["merged"] += any(c not in (1, 2, 3, 150) for _, c in got)
+        shapes["nested"] += "w^(" in text
+    assert min(shapes.values()) >= 300, shapes
 
 
 # -- the summary fold run by the parser ---------------------------------------

@@ -3,7 +3,10 @@
 Every class below is compared, hashed, printed and copied by its fields:
 equal fields give equal objects with the hash of the field tuple, objects
 of different classes are never equal, fields cannot be reassigned, and
-``repr`` is ``Name(field=value, ...)``.
+``repr`` is ``Name(field=value, ...)``.  The canonical forms ``Scattered``
+and ``CanonicalEndSpace`` are the tuples of their fields, as an ``Ordinal``
+is the tuple of its terms, so each also equals the plain tuple of its
+fields.
 """
 
 import copy
@@ -188,7 +191,8 @@ def test_fields_are_frozen(cls, names, values, text):
 @pytest.mark.parametrize("cls, names, values, text", VALUES, ids=IDS)
 def test_copy_and_pickle_keep_the_value(cls, names, values, text):
     obj = cls(*values)
-    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+    pickled = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (copy.copy(obj), copy.deepcopy(obj), *pickled):
         assert type(twin) is cls and twin == obj
 
 
@@ -197,7 +201,8 @@ def test_equal_fields_across_classes_are_unequal():
     assert not (Pt(PLANAR) == Cantor(PLANAR))
     form = CanonicalEndSpace(True, None)
     assert Canonical(form) != Irreducible(form)
-    assert Scattered(1, ZERO) != (1, ZERO)
+    # a canonical form is the tuple of its fields, as an Ordinal is of its terms
+    assert Scattered(1, ZERO) == (1, ZERO) and hash(Scattered(1, ZERO)) == hash((1, ZERO))
     assert Empty() == Empty() == EMPTY
     assert Empty() != Scattered(1, ZERO)
 
