@@ -11,8 +11,8 @@ Three types whose instances are built, hashed or compared in bulk are not
 values of this kind but tuples, which do all three in C:
 ``ordinal.Ordinal`` is the tuple of its terms, and the canonical forms
 ``endspace.Scattered`` and ``endspace.CanonicalEndSpace``, parts of every
-summary, are the tuples of their fields.  Each takes its equality and hash
-from the tuple, so it also equals the plain tuple of its contents.
+summary, are named tuples.  Each takes its equality and hash from the
+tuple, so it also equals the plain tuple of its contents.
 """
 
 from __future__ import annotations

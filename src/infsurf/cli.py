@@ -122,7 +122,7 @@ def _verdict_text(v: Verdict) -> str:
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> int:
-    if getattr(args, "json", False):
+    if args.json:
         print(_dumps_sorted(payload))
     else:
         print(text)
@@ -361,10 +361,10 @@ def _cmd_hom_snf(args) -> int:
         ):
             raise ValueError("every matrix entry must be an integer")
         matrix = homology.IntegerMatrix.from_rows(rows)
-    except (json.JSONDecodeError, RecursionError, TypeError, ValueError) as err:
+    except (RecursionError, TypeError, ValueError) as err:
         raise ParseError(0, ("JSON matrix, e.g. [[2,4],[6,8]]",), str(err)) from err
     res = homology.smith_normal_form(matrix)
-    if not getattr(args, "json", False):
+    if not args.json:
         print("diagonal: " + " ".join(str(x) for x in res.diagonal))
         return OK
     # the bytes of json.dumps({"diagonal": ..., "left": ..., "right": ...},
@@ -435,7 +435,7 @@ def _cmd_construct_snake(args) -> int:
     # written 4096 cells at a time, so neither the cells nor the whole text
     # are held at once
     cells, write = path.cells(), sys.stdout.write
-    if getattr(args, "json", False):
+    if args.json:
         # the bytes of json.dumps(path.points) and a newline
         write("[")
         sep = ""
@@ -535,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _report_error(args, kind_name: str, message: str, extra: Optional[dict] = None) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         payload = {"error": {"kind": kind_name, "message": message, **(extra or {})}}
         print(_dumps_sorted(payload))
     else:
@@ -559,7 +559,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _main(argv: Optional[list[str]]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "decide" and bool(args.jsonl) == bool(args.surface):
+    if args.command == "decide" and bool(args.jsonl) == bool(args.surface):
         parser.error("decide needs a descriptor or --jsonl FILE")
     try:
         return args.func(args)

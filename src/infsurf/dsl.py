@@ -163,37 +163,32 @@ def _coefficient(text: str, toks: list[str], i: int) -> tuple[int, int]:
     return _natural(text, toks, i + 1), i + 2
 
 
+# the head's twelve tokens, ``surface(genus=G, boundary=B, ends=``, each
+# with what an error there expects; None stands for G and for B
+_HEAD = (
+    ("surface", "'surface'"), ("(", "'('"), ("genus", "'genus='"), ("=", "'='"), (None, None), (",", "','"),
+    ("boundary", "'boundary='"), ("=", "'='"), (None, None), (",", "','"), ("ends", "'ends='"), ("=", "'='"),
+)
+
+
 def _surface_head(text: str, toks: list[str]) -> tuple[int | float, int]:
-    """Genus and boundary from the first twelve tokens,
-    ``surface(genus=G, boundary=B, ends=``."""
-    if toks[0] != "surface":
-        raise _fail(text, 0, ("'surface'",), word=True)
-    if toks[1] != "(":
-        raise _fail(text, 1, ("'('",))
-    if toks[2] != "genus":
-        raise _fail(text, 2, ("'genus='",), word=True)
-    if toks[3] != "=":
-        raise _fail(text, 3, ("'='",))
-    if toks[4] == "inf":
-        genus: int | float = INFINITE
-    elif toks[4].startswith("inf"):
-        # "inf" is read as a prefix of the word; the ',' must follow it
-        raise ParseError(_offset(text, 4) + 3, ("','",), "unexpected input")
-    else:
-        genus = _natural(text, toks, 4)
-    if toks[5] != ",":
-        raise _fail(text, 5, ("','",))
-    if toks[6] != "boundary":
-        raise _fail(text, 6, ("'boundary='",), word=True)
-    if toks[7] != "=":
-        raise _fail(text, 7, ("'='",))
-    boundary = _natural(text, toks, 8)
-    if toks[9] != ",":
-        raise _fail(text, 9, ("','",))
-    if toks[10] != "ends":
-        raise _fail(text, 10, ("'ends='",), word=True)
-    if toks[11] != "=":
-        raise _fail(text, 11, ("'='",))
+    """Genus and boundary from the first twelve tokens, ``_HEAD``."""
+    naturals: list[int | float] = []
+    for i, (want, expected) in enumerate(_HEAD):
+        tok = toks[i]
+        if tok == want:
+            continue
+        if want is not None:
+            # a keyword is read as one word
+            raise _fail(text, i, (expected,), word=want.isalpha())
+        if not naturals and tok.startswith("inf"):
+            if tok != "inf":
+                # "inf" is read as a prefix of the word; the ',' must follow it
+                raise ParseError(_offset(text, i) + 3, ("','",), "unexpected input")
+            naturals.append(INFINITE)
+        else:
+            naturals.append(_natural(text, toks, i))
+    genus, boundary = naturals
     return genus, boundary
 
 

@@ -24,9 +24,9 @@ ends and the first closedness violation.  The reduced form is a canonical
 part next to irreducible atoms, and each atom is the plain pair
 ``(canon, atoms)`` of the space whose copies it compactifies, so a summary
 holds no expression tree.  Everything in a summary is a tuple: ``Summary``
-is a named tuple, and the canonical forms ``CanonicalEndSpace`` and
-``Scattered`` are the tuples of their fields, as an ``Ordinal`` is the
-tuple of its terms, so a summary is built, compared and hashed in C.
+and the canonical forms ``CanonicalEndSpace`` and ``Scattered`` are named
+tuples, and an ``Ordinal`` is the tuple of its terms, so a summary is
+built, compared and hashed in C.
 
 The summary rules (the point, Cantor, interval and ``lim1pc`` leaves,
 ``join`` for unions, where one summand is its own union, and the
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from operator import itemgetter
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union as TUnion
 
 from ._value import Value
@@ -194,48 +193,32 @@ def strip_marks(e: EndSpaceExpr) -> EndSpaceExpr:
 # canonical forms
 
 
-class _Form(tuple):
-    """The base of the canonical-form classes, each the tuple of its fields
-    (named in ``_names``), as an ``Ordinal`` is the tuple of its terms.
-
-    Construction, ``==`` and ``hash`` are the tuple's and run in C, so a
-    form is also equal to, and hashes as, the plain tuple of its fields.
-    The public constructors keep their checks (a ``Scattered`` has a copy);
-    the fold rules, whose fields hold by construction, build a form with
-    ``_form``, which checks nothing.  ``repr`` is ``Name(field=value, ...)``
-    and ``__getnewargs__`` gives copy and pickle the fields, as for a
-    ``Value``."""
-
-    __slots__ = ()
-    _names: tuple[str, ...] = ()
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._names, self))
-        return f"{type(self).__qualname__}({fields})"
-
-
 # ``_form(cls, fields)`` builds a form or a Summary in C and checks nothing,
-# as ``ordinal._cnf`` builds an Ordinal
+# as ``ordinal._cnf`` builds an Ordinal; the fold rules build every form
+# with it, since their fields hold by construction
 _form = tuple.__new__
 
 
-class Scattered(_Form):
+class _ScatteredFields(NamedTuple):
+    copies: int
+    exponent: Ordinal
+
+
+class Scattered(_ScatteredFields):
     """`copies` disjoint copies of the ordinal interval [0, w^exponent];
     exponent 0 makes it `copies` points."""
 
     __slots__ = ()
-    _names = ("copies", "exponent")
 
     def __new__(cls, copies: int, exponent: Ordinal) -> "Scattered":
         if copies < 1:
             raise ValueError("need at least one copy")
         return _form(cls, (copies, exponent))
 
-    copies = property(itemgetter(0))
-    exponent = property(itemgetter(1))
+    @classmethod
+    def _make(cls, iterable) -> "Scattered":
+        # through the constructor's check, as ``_replace`` builds with it
+        return cls(*iterable)
 
     def describe(self) -> str:
         copies, exponent = self
@@ -245,20 +228,14 @@ class Scattered(_Form):
         return f"{copies} {noun} of [0,{power_str(exponent)}]"
 
 
-class CanonicalEndSpace(_Form):
+class CanonicalEndSpace(NamedTuple):
     """Normal form: an optional Cantor kernel next to an optional scattered part."""
 
-    __slots__ = ()
-    _names = ("has_kernel", "scattered")
-
-    def __new__(cls, has_kernel: bool, scattered: Optional[Scattered]) -> "CanonicalEndSpace":
-        return _form(cls, (has_kernel, scattered))
-
-    has_kernel = property(itemgetter(0))
-    scattered = property(itemgetter(1))
+    has_kernel: bool
+    scattered: Optional[Scattered]
 
     def is_empty(self) -> bool:
-        return not self[0] and self[1] is None
+        return not self.has_kernel and self.scattered is None
 
     def describe(self) -> str:
         if self.is_empty():
@@ -313,18 +290,14 @@ def embed(c: CanonicalEndSpace) -> EndSpaceExpr:
     return fold_reduced(TREES, c, ())
 
 
-# the finite discrete spaces of up to 100 points, built once and shared
-_DISCRETE = (EMPTY_CANON, *(CanonicalEndSpace(False, Scattered(n, ZERO)) for n in range(1, 101)))
-
-
 def _discrete(n: int) -> CanonicalEndSpace:
-    return _DISCRETE[n] if n < len(_DISCRETE) else _form(CanonicalEndSpace, (False, _form(Scattered, (n, ZERO))))
+    """The discrete space of n >= 1 points."""
+    return _form(CanonicalEndSpace, (False, _form(Scattered, (n, ZERO))))
 
 
 def _union_canon(canons: Sequence[CanonicalEndSpace]) -> CanonicalEndSpace:
     """Normal form of the disjoint union of canonical spaces."""
     kernel = False
-    # a Scattered s is the pair (copies, exponent), read as s[0] and s[1]
     top: Optional[Scattered] = None
     copies = 0
     for has_kernel, s in canons:
@@ -333,22 +306,13 @@ def _union_canon(canons: Sequence[CanonicalEndSpace]) -> CanonicalEndSpace:
         if s is None:
             continue
         # only the copies of maximal rank survive; they absorb the others
-        if top is None or s[1] > top[1]:
-            top, copies = s, s[0]
-        elif s[1] == top[1]:
-            copies += s[0]
+        if top is None or s.exponent > top.exponent:
+            top, copies = s, s.copies
+        elif s.exponent == top.exponent:
+            copies += s.copies
     if top is None:
         return CANTOR_CANON if kernel else EMPTY_CANON
-    if copies == top[0]:
-        scattered = top
-    elif kernel or top[1]:
-        scattered = _form(Scattered, (copies, top[1]))
-    else:
-        return _discrete(copies)
-    # a union often has the form of one summand; reuse it instead of a copy
-    for c in canons:
-        if c[1] is scattered and c[0] == kernel:
-            return c
+    scattered = top if copies == top.copies else _form(Scattered, (copies, top.exponent))
     return _form(CanonicalEndSpace, (kernel, scattered))
 
 
@@ -443,10 +407,7 @@ def _atom_rank(atoms: tuple) -> Ordinal:
     return max((fold_reduced(RANKS, c, inner) for c, inner in atoms), default=ZERO)
 
 
-_ONE_POINT = _DISCRETE[1]
-
 _EMPTY_SUMMARY = Summary(EMPTY_CANON, (), 0, 0, False, None)
-_PT_SUMMARY = {m: Summary(_ONE_POINT, (), int(m is PLANAR), _BIT[m], False, None) for m in Mark}
 _CANTOR_SUMMARY = {m: Summary(CANTOR_CANON, (), 0, _BIT[m], False, None) for m in Mark}
 
 
@@ -461,7 +422,9 @@ def _scattered_leaf(canon: CanonicalEndSpace, n: int | float, mark: Mark) -> Sum
 
 
 # [0, n] for n < 100 is summarized once and shared, as dsl shares the small naturals
-_SMALL_INTERVALS = {m: tuple(_scattered_leaf(_DISCRETE[n + 1], n + 1, m) for n in range(100)) for m in Mark}
+_SMALL_INTERVALS = {m: tuple(_scattered_leaf(_discrete(n + 1), n + 1, m) for n in range(100)) for m in Mark}
+# a point is the interval [0, 0]
+_PT_SUMMARY = {m: _SMALL_INTERVALS[m][0] for m in Mark}
 
 
 def _interval_summary(bound: Ordinal, mark: Mark) -> Summary:
@@ -534,7 +497,7 @@ def _compactify(r: Summary, point: Mark) -> Summary:
         canon = EMPTY_CANON
         atoms = ((c, ()),)
     else:
-        canon = _form(CanonicalEndSpace, (False, _form(Scattered, (1, add(s[1], ONE)))))
+        canon = _form(CanonicalEndSpace, (False, _form(Scattered, (1, add(s.exponent, ONE)))))
     mixed = (point is NONPLANAR and planar > 0) or mixed
     planar = INFINITE if planar > 0 else 0
     return _form(Summary, (canon, atoms, planar, marks | _BIT[point], mixed, violation))

@@ -4,9 +4,8 @@ Every class below is compared, hashed, printed and copied by its fields:
 equal fields give equal objects with the hash of the field tuple, objects
 of different classes are never equal, fields cannot be reassigned, and
 ``repr`` is ``Name(field=value, ...)``.  The canonical forms ``Scattered``
-and ``CanonicalEndSpace`` are the tuples of their fields, as an ``Ordinal``
-is the tuple of its terms, so each also equals the plain tuple of its
-fields.
+and ``CanonicalEndSpace`` are named tuples, as an ``Ordinal`` is the tuple
+of its terms, so each also equals the plain tuple of its fields.
 """
 
 import copy
@@ -201,7 +200,7 @@ def test_equal_fields_across_classes_are_unequal():
     assert not (Pt(PLANAR) == Cantor(PLANAR))
     form = CanonicalEndSpace(True, None)
     assert Canonical(form) != Irreducible(form)
-    # a canonical form is the tuple of its fields, as an Ordinal is of its terms
+    # a canonical form is a named tuple, so it equals the plain tuple of its fields
     assert Scattered(1, ZERO) == (1, ZERO) and hash(Scattered(1, ZERO)) == hash((1, ZERO))
     assert Empty() == Empty() == EMPTY
     assert Empty() != Scattered(1, ZERO)
@@ -215,6 +214,11 @@ def test_equal_fields_across_classes_are_unequal():
         (lambda: SeqCompactification(EMPTY), ValueError, "cannot compactify copies of the empty space"),
         (lambda: LimitCompactification(ONE), ValueError, "limit compactification needs a limit ordinal, got 1"),
         (lambda: Scattered(0, ONE), ValueError, "need at least one copy"),
+        # _replace builds through _make, and _make through the constructor
+        pytest.param(
+            lambda: Scattered(1, ONE)._replace(copies=0), ValueError, "need at least one copy", id="Scattered-_replace"
+        ),
+        pytest.param(lambda: Scattered._make((0, ONE)), ValueError, "need at least one copy", id="Scattered-_make"),
         (lambda: ZERO.leading(), ValueError, "0 has no leading term"),
         (lambda: OMEGA.as_int(), ValueError, "w is not a natural number"),
         (lambda: from_int(-1), ValueError, "ordinals are non-negative"),
