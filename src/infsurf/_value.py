@@ -7,12 +7,21 @@ the instances frozen and gives them value semantics: ``repr`` is
 same class and their field tuples are equal, and the hash is the hash of
 the field tuple.
 
-Three types whose instances are built, hashed or compared in bulk are not
-values of this kind but tuples, which do all three in C:
+A class whose fields are only stored is a tuple instead, which builds,
+compares and hashes in C and equals the plain tuple of its contents:
 ``ordinal.Ordinal`` is the tuple of its terms, and the canonical forms
-``endspace.Scattered`` and ``endspace.CanonicalEndSpace``, parts of every
-summary, are named tuples.  Each takes its equality and hash from the
-tuple, so it also equals the plain tuple of its contents.
+(``endspace.Scattered``, ``endspace.CanonicalEndSpace``) and the result
+records (the verdicts, invariants, witness reports and catalog entries)
+are named tuples.  A class stays a ``Value`` when one of three things
+holds:
+
+* it nests without a fixed bound: an expression tree built through the
+  API may be 10^5 levels deep, and a C tuple hash has no recursion guard;
+* it must differ from a class with the same fields, as ``Canonical`` and
+  ``Irreducible`` do;
+* its constructor checks its arguments (``Answer``, ``IntegerMatrix``,
+  ``FinitePresentation``, ``AbelianGroup``, ``SurfaceDescriptor``,
+  ``GridPath``).
 """
 
 from __future__ import annotations

@@ -7,17 +7,14 @@ where an expected answer is one of "yes" (integral coefficients),
 
 from __future__ import annotations
 
-from ._value import Value
+from typing import NamedTuple
 
 
-class CatalogEntry(Value):
-    __slots__ = ("name", "cell", "descriptor", "expected")
-
-    def __init__(self, name: str, cell: str, descriptor: str, expected: tuple[str, str, str]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "cell", cell)
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "expected", expected)
+class CatalogEntry(NamedTuple):
+    name: str
+    cell: str
+    descriptor: str
+    expected: tuple[str, str, str]
 
 
 CATALOG: tuple[CatalogEntry, ...] = (

@@ -13,7 +13,7 @@ are reported as unknown, which is a successful outcome, not an error.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import homology
 from ._value import Value
@@ -114,18 +114,10 @@ CITATIONS = {
 }
 
 
-class WitnessRef(Value):
-    __slots__ = ("degree", "description", "computation")
-
-    def __init__(
-        self,
-        degree: int | str,  # a positive degree, or EVERY_EVEN_DEGREE
-        description: str,
-        computation: dict,
-    ) -> None:
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "computation", computation)
+class WitnessRef(NamedTuple):
+    degree: int | str  # a positive degree, or EVERY_EVEN_DEGREE
+    description: str
+    computation: dict
 
 
 class Answer(Value):
@@ -154,38 +146,22 @@ class Answer(Value):
         object.__setattr__(self, "note", note)
 
 
-class DerivedFacts(Value):
-    __slots__ = ("genus", "genus_class", "punctures", "mixed_end", "end_space", "td", "witness_set", "notes")
-
-    def __init__(
-        self,
-        genus: int | float,
-        genus_class: str,  # "zero" | "finite_positive" | "infinite"
-        punctures: int | float,
-        mixed_end: bool,
-        end_space: str,
-        td: Optional[TdMax] = None,
-        witness_set: Optional[str] = None,
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "genus_class", genus_class)
-        object.__setattr__(self, "punctures", punctures)
-        object.__setattr__(self, "mixed_end", mixed_end)
-        object.__setattr__(self, "end_space", end_space)
-        object.__setattr__(self, "td", td)
-        object.__setattr__(self, "witness_set", witness_set)
-        object.__setattr__(self, "notes", notes)
+class DerivedFacts(NamedTuple):
+    genus: int | float
+    genus_class: str  # "zero" | "finite_positive" | "infinite"
+    punctures: int | float
+    mixed_end: bool
+    end_space: str
+    td: Optional[TdMax] = None
+    witness_set: Optional[str] = None
+    notes: tuple[str, ...] = ()
 
 
-class Verdict(Value):
-    __slots__ = ("qI", "qII", "qIII", "derived")
-
-    def __init__(self, qI: Answer, qII: Answer, qIII: Answer, derived: DerivedFacts) -> None:
-        object.__setattr__(self, "qI", qI)
-        object.__setattr__(self, "qII", qII)
-        object.__setattr__(self, "qIII", qIII)
-        object.__setattr__(self, "derived", derived)
+class Verdict(NamedTuple):
+    qI: Answer
+    qII: Answer
+    qIII: Answer
+    derived: DerivedFacts
 
     def answers(self) -> tuple[Answer, Answer, Answer]:
         return (self.qI, self.qII, self.qIII)

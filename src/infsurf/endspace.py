@@ -37,8 +37,8 @@ tree, ``fold_reduced`` over a reduced form and the parser in ``dsl`` over
 descriptor text, which it folds straight into a summary
 (``dsl.parse_surface_type``).  ``summarize``,
 ``strip_marks``, ``cb_derivative`` and the ``str`` of an expression are
-each one ``fold_tree`` call; ``embed``, ``normalize``, ``normal_text``, the
-``str`` of a canonical form and the ranks are ``fold_reduced`` calls.
+each one ``fold_tree`` call; ``normalize``, ``normal_text``, the ``str`` of
+a canonical form and the ranks are ``fold_reduced`` calls.
 """
 
 from __future__ import annotations
@@ -283,11 +283,6 @@ NormalForm = TUnion[Canonical, Irreducible]
 
 class RankUndecidable(ValueError):
     """Raised when a Cantor-Bendixson rank is requested outside the canonical fragment."""
-
-
-def embed(c: CanonicalEndSpace) -> EndSpaceExpr:
-    """A (planar-marked) expression denoting the canonical space."""
-    return fold_reduced(TREES, c, ())
 
 
 def _discrete(n: int) -> CanonicalEndSpace:
@@ -593,7 +588,7 @@ def fold_tree(f: Fold, e: EndSpaceExpr) -> Any:
 
 
 def _canonical_summands(f: Fold, c: CanonicalEndSpace) -> list:
-    """The values `f` builds for the summands of ``embed(c)``."""
+    """The values `f` builds for the summands of the canonical space `c`."""
     out = [f.cantor[PLANAR]] if c.has_kernel else []
     s = c.scattered
     if s is not None and s.exponent.is_zero():
@@ -605,7 +600,7 @@ def _canonical_summands(f: Fold, c: CanonicalEndSpace) -> list:
 
 def fold_reduced(f: Fold, canon: CanonicalEndSpace, atoms: tuple) -> Any:
     """The value `f` builds for the unmarked expression of the reduced form
-    ``(canon, atoms)``: the union of the summands of ``embed(canon)`` and of
+    ``(canon, atoms)``: the union of the summands of ``canon`` and of
     the atoms' values passed through ``f.seq``, sorted by ``str``.  Like
     ``fold_tree`` it keeps its stack in a list, so no depth recurses, and
     closes a form without atoms on first visit, as ``fold_tree`` a leaf."""
@@ -678,18 +673,15 @@ def isolated_count(e: EndSpaceExpr) -> int | float:
 # topologically distinguished subsets
 
 
-class TdMax(Value):
+class TdMax(NamedTuple):
     """Size of the largest finite topologically distinguished subset.
 
     ``exact`` is False when only a certified lower bound is known (this
     happens exactly on irreducible forms).
     """
 
-    __slots__ = ("value", "exact")
-
-    def __init__(self, value: int, exact: bool = True) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "exact", exact)
+    value: int
+    exact: bool = True
 
     def at_least(self, n: int) -> bool:
         return self.value >= n
@@ -719,22 +711,12 @@ def td_max(e: EndSpaceExpr) -> TdMax:
 # invariants and the homeomorphism decision
 
 
-class SpaceInvariants(Value):
-    __slots__ = ("countable", "isolated_count", "scattered_rank", "has_kernel", "td_max")
-
-    def __init__(
-        self,
-        countable: bool,
-        isolated_count: int | float,
-        scattered_rank: Optional[Ordinal],
-        has_kernel: bool,
-        td_max: TdMax,
-    ) -> None:
-        object.__setattr__(self, "countable", countable)
-        object.__setattr__(self, "isolated_count", isolated_count)
-        object.__setattr__(self, "scattered_rank", scattered_rank)
-        object.__setattr__(self, "has_kernel", has_kernel)
-        object.__setattr__(self, "td_max", td_max)
+class SpaceInvariants(NamedTuple):
+    countable: bool
+    isolated_count: int | float
+    scattered_rank: Optional[Ordinal]
+    has_kernel: bool
+    td_max: TdMax
 
 
 def invariants(e: EndSpaceExpr) -> SpaceInvariants:

@@ -10,7 +10,7 @@ the decision engine.
 from __future__ import annotations
 
 from math import comb, fsum, gcd, log10
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ._value import Value
 
@@ -57,13 +57,10 @@ class IntegerMatrix(Value):
         return len(self.entries[0]) if self.entries else 0
 
 
-class SNFResult(Value):
-    __slots__ = ("diagonal", "left", "right")
-
-    def __init__(self, diagonal: tuple[int, ...], left: IntegerMatrix, right: IntegerMatrix) -> None:
-        object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+class SNFResult(NamedTuple):
+    diagonal: tuple[int, ...]
+    left: IntegerMatrix
+    right: IntegerMatrix
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -411,28 +408,16 @@ def k_of(n: int) -> int:
     return n - 1 if n % 2 == 0 else (n - 1) // 2
 
 
-class SquareReport(Value):
+class SquareReport(NamedTuple):
     """The checked multiplication-by-2 square from Z/k into Z/2k."""
 
-    __slots__ = ("n", "k", "modulus", "element", "element_nonzero", "square_commutes", "full_twist_residue")
-
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        modulus: int,  # 2k
-        element: int,  # the class of 2 in Z/2k
-        element_nonzero: bool,
-        square_commutes: bool,
-        full_twist_residue: int,  # image of the full twist in Z/2k
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "element_nonzero", element_nonzero)
-        object.__setattr__(self, "square_commutes", square_commutes)
-        object.__setattr__(self, "full_twist_residue", full_twist_residue)
+    n: int
+    k: int
+    modulus: int  # 2k
+    element: int  # the class of 2 in Z/2k
+    element_nonzero: bool
+    square_commutes: bool
+    full_twist_residue: int  # image of the full twist in Z/2k
 
 
 def prop74_square(n: int) -> SquareReport:

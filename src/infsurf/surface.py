@@ -9,7 +9,7 @@ infinite exactly when a non-planar mark is present.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._value import Value
 from .endspace import (
@@ -66,22 +66,12 @@ class SurfaceDescriptor(Value):
         return f"surface(genus={g}, boundary={self.boundary}, ends={self.ends})"
 
 
-class SurfaceInvariants(Value):
-    __slots__ = ("genus", "boundary", "punctures", "mixed_end", "ends_invariants")
-
-    def __init__(
-        self,
-        genus: int | float,
-        boundary: int,
-        punctures: int | float,
-        mixed_end: bool,
-        ends_invariants: SpaceInvariants,
-    ) -> None:
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "punctures", punctures)
-        object.__setattr__(self, "mixed_end", mixed_end)
-        object.__setattr__(self, "ends_invariants", ends_invariants)
+class SurfaceInvariants(NamedTuple):
+    genus: int | float
+    boundary: int
+    punctures: int | float
+    mixed_end: bool
+    ends_invariants: SpaceInvariants
 
 
 def validate(d: SurfaceDescriptor) -> Summary:

@@ -8,16 +8,19 @@ elimination and their minor gcds by enumerating minors.  The end-space
 facts that `endspace.summarize` gathers in one pass are recomputed here by
 one recursion per fact, and descriptors are parsed by the character
 scanner the engine's tokenizer replaced.  The few helpers only the tests
-need (`max_of`, `full_twist_image`, `triple`, `ball_size`,
-`moves_through`) live here too, as does `check_verdict_line`, which reads
-a batch output line without infsurf.
+need (`max_of`, `embed`, `full_twist_image`, `triple`, `ball_size`,
+`moves_through`, `best_times`) live here too, as does
+`check_verdict_line`, which reads a batch output line without infsurf.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
+import time
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -41,7 +44,6 @@ from infsurf.endspace import (
     Scattered,
     SeqCompactification,
     TdMax,
-    embed,
     strip_marks,
     union,
 )
@@ -392,6 +394,19 @@ def _reduce(e: EndSpaceExpr) -> tuple[CanonicalEndSpace, tuple[EndSpaceExpr, ...
     raise TypeError(f"not an end-space expression: {e!r}")
 
 
+def embed(c: CanonicalEndSpace) -> EndSpaceExpr:
+    """A (planar-marked) expression denoting the canonical space: a Cantor
+    set for the kernel next to [0, w^a * n] for n copies of [0, w^a], which
+    is [0, n - 1] when a = 0 and a single point when also n = 1."""
+    parts = [Cantor()] if c.has_kernel else []
+    s = c.scattered
+    if s is not None and s.exponent.is_zero():
+        parts.append(Pt() if s.copies == 1 else Interval(from_int(s.copies - 1)))
+    elif s is not None:
+        parts.append(Interval(omega_pow(s.exponent, s.copies)))
+    return union(*parts)
+
+
 def assemble(canon: CanonicalEndSpace, atoms: tuple[EndSpaceExpr, ...]) -> EndSpaceExpr:
     parts = [] if canon.is_empty() else [embed(canon)]
     return union(*parts, *sorted(atoms, key=str))
@@ -486,13 +501,55 @@ def _distinguished_square(n: int) -> dict:
     }
 
 
+# H2 of the closed genus-g mapping class group, g >= 2 (Korkmaz-Stipsicz,
+# Math. Proc. Camb. Phil. Soc. 134, 2003): Z/2, then Z + Z/2, then Z
+_H2_CLOSED = {2: "Z/2", 3: "Z + Z/2"}
+
+# the even-degree witness writes its series through this degree
+_SERIES_DEGREE = 20
+
+
+@lru_cache(maxsize=None)
+def _wreath_series(p: int) -> tuple[int, ...]:
+    """Coefficients of prod_{i=1..p} 1/(1-t^(2i)) through ``_SERIES_DEGREE``:
+    the coefficient of t^(2d) counts the partitions of d into parts <= p."""
+    return tuple(
+        0 if deg % 2 else partitions_with_max_part(deg // 2, p) for deg in range(_SERIES_DEGREE + 1)
+    )
+
+
+def _witness_closed_form(kind: str, genus, punctures, n) -> Optional[dict]:
+    """The computation of a witness of this kind in closed form, its inputs
+    the line's genus, punctures and distinguished count n; None when the
+    kind is unknown or the line gives it no valid input."""
+    if kind == "distinguished_square" and isinstance(n, int):
+        return _distinguished_square(n)
+    if kind == "abelianization" and genus == 1:
+        return {"kind": kind, "presentation": "sl2z", "group": "Z/12"}
+    if kind == "h2_lookup" and isinstance(genus, int) and genus >= 2:
+        return {"kind": kind, "genus": genus, "group": _H2_CLOSED.get(genus, "Z")}
+    if kind == "braid_sign" and punctures in (2, 3):
+        return {"kind": kind, "strands": punctures, "h1_braid": "Z", "h1_symmetric": "Z/2"}
+    if kind == "even_degree_summands" and isinstance(punctures, int) and punctures >= 1:
+        return {
+            "kind": kind,
+            "punctures": punctures,
+            "series_coefficients": list(_wreath_series(punctures)),
+            "positive_in_every_even_degree": True,
+        }
+    return None
+
+
 def check_verdict_line(line: str) -> list[str]:
     """What is wrong with one ``decide --jsonl`` output line, read alone and
     without infsurf: a yes to I or II must be a yes to the next question,
-    and each ``distinguished_square`` witness must equal its closed form,
-    its n the line's ``td_max.value`` for the witness set "distinguished
-    end set" and its punctures for "punctures".  An error line has nothing
-    to check."""
+    and each witness must equal its closed form, read off the line's
+    derived facts.  A ``distinguished_square`` witness has as n the line's
+    ``td_max.value`` for the witness set "distinguished end set" and its
+    punctures for "punctures"; ``abelianization`` is H1 of SL(2, Z) at
+    genus 1, ``h2_lookup`` the H2 table at the line's genus, and
+    ``braid_sign`` and ``even_degree_summands`` are read at its punctures.
+    An error line has nothing to check."""
     v = json.loads(line)
     if "error" in v:
         return []
@@ -502,16 +559,38 @@ def check_verdict_line(line: str) -> list[str]:
         problems.append(f"implication chain broken: {a}, {b}, {c}")
     derived = v["derived"]
     counted = {"distinguished end set": derived.get("td_max", {}).get("value"), "punctures": derived["punctures"]}
+    n = counted.get(derived.get("witness_set"))
     for q in ("qI", "qII", "qIII"):
         witness = v[q]["witness"]
-        if witness is None or witness["computation"]["kind"] != "distinguished_square":
+        if witness is None:
             continue
-        n = counted.get(derived.get("witness_set"))
-        if not isinstance(n, int):
-            problems.append(f"{q}: no distinguished count for witness set {derived.get('witness_set')!r}")
-        elif witness["computation"] != _distinguished_square(n):
-            problems.append(f"{q}: witness {witness['computation']} is not the closed form for n={n}")
+        computation = witness["computation"]
+        want = _witness_closed_form(computation["kind"], derived["genus"], derived["punctures"], n)
+        if want is None:
+            problems.append(f"{q}: no closed form for witness {computation} on derived facts {derived}")
+        elif computation != want:
+            problems.append(f"{q}: witness {computation} is not its closed form {want}")
     return problems
+
+
+# -- complexity guards -----------------------------------------------------------
+
+
+def best_times(calls, runs: int = 5) -> list[float]:
+    """The least ``process_time`` of each call over `runs` interleaved rounds,
+    with the collector off while a call runs.  A guard compares the best
+    times of inputs n and 8n, so one slow run under host load fails none."""
+    best = [INFINITE] * len(calls)
+    for _ in range(runs):
+        for i, call in enumerate(calls):
+            gc.disable()
+            try:
+                start = time.process_time()
+                call()
+                best[i] = min(best[i], time.process_time() - start)
+            finally:
+                gc.enable()
+    return best
 
 
 # -- grid paths ------------------------------------------------------------------

@@ -21,7 +21,6 @@ from infsurf.endspace import (
     LimitCompactification,
     cb_derivative,
     cb_rank,
-    embed,
     normalize,
     strip_marks,
     union,
@@ -40,6 +39,7 @@ from infsurf.ordinal import ONE, ZERO, Ordinal, add, from_int, omega_pow
 from oracles import (
     ball_size,
     determinant,
+    embed,
     full_twist_image,
     gcd_of_minors,
     matmul,

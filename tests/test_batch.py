@@ -745,3 +745,6 @@ def test_every_batch_line_passes_the_verdict_line_checker(tmp_path, capsys, perf
         lines += out
     assert [(line, p) for line in lines for p in check_verdict_line(line)] == []
     assert sum(line.count('"kind": "distinguished_square"') for line in lines) == 5553 + 108
+    # every witness kind is among the lines checked
+    for kind in ("abelianization", "h2_lookup", "braid_sign", "even_degree_summands"):
+        assert any(f'"kind": "{kind}"' in line for line in lines), kind

@@ -5,7 +5,7 @@ import pytest
 
 from infsurf.constructions import MAX_GRID_BOX, GridPath, snake_bijection
 from infsurf.homology import ResourceLimit
-from oracles import ball_size, grid_path_revisits, grown_walk, moves_through, snake_cells
+from oracles import ball_size, best_times, grid_path_revisits, grown_walk, moves_through, snake_cells
 
 
 def test_starts_at_the_origin():
@@ -111,6 +111,15 @@ def test_the_bounding_box_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 100_000, peak
+
+
+def test_a_path_is_checked_in_time_linear_in_its_runs():
+    # a guard: k and 8k repeats of "RRULLU", four runs each, take about 8
+    # times as long, and toward 64 times if each run copied the bitmap; at
+    # these sizes such a copy measured about 15 times, so the bound is 12
+    moves = ["RRULLU" * 1000, "RRULLU" * 8000]
+    small, large = best_times([lambda m=m: GridPath(m) for m in moves])
+    assert large <= 12 * small, (small, large)
 
 
 def test_points_match_the_shell_walk():

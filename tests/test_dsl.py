@@ -1,6 +1,4 @@
-import gc
 import random
-import time
 from pathlib import Path
 
 import pytest
@@ -33,6 +31,7 @@ from infsurf.endspace import (
 from infsurf.ordinal import OMEGA, ZERO, Ordinal, add, from_int, omega_pow
 from infsurf.surface import ValidationError, validate, validate_type
 from oracles import (
+    best_times,
     differential_texts,
     mutate_text,
     nested_endspace_text,
@@ -357,46 +356,26 @@ def test_text_length_budget():
 
 def test_a_union_of_atoms_is_summarized_in_linear_time():
     # a guard: n and 8n irreducible summands take about 8 times as long, and
-    # toward 64 times if each summand copied the atoms before it; best of 3
-    # interleaved process_time runs, with the collector off while they run
+    # toward 64 times if each summand copied the atoms before it
     def text(n):
         return "surface(genus=0, boundary=0, ends=U(" + ", ".join(["seq1pc(U(cantor, pt))"] * n) + "))"
 
     texts = [text(700), text(5600)]
     assert len(texts[1]) <= MAX_CHARS and len(parse_surface_type(texts[1])[2].atoms) == 5600
-    best = [INFINITE, INFINITE]
-    for _ in range(3):
-        for i, t in enumerate(texts):
-            gc.disable()
-            try:
-                start = time.process_time()
-                parse_surface_type(t)
-                best[i] = min(best[i], time.process_time() - start)
-            finally:
-                gc.enable()
-    assert best[1] <= 12 * best[0], best
+    small, large = best_times([lambda t=t: parse_surface_type(t) for t in texts])
+    assert large <= 12 * small, (small, large)
 
 
 def test_an_ordinal_sum_is_read_in_linear_time():
     # a guard: n and 8n decreasing terms take about 8 times as long, and
-    # toward 64 times if each term copied the sum before it; best of 3
-    # interleaved process_time runs, with the collector off while they run
+    # toward 64 times if each term copied the sum before it
     def text(n):
         return " + ".join(f"w^{k}" for k in range(n, 0, -1))
 
     texts = [text(1000), text(8000)]
     assert len(texts[1]) <= MAX_CHARS and len(parse_ordinal(texts[1])) == 8000
-    best = [INFINITE, INFINITE]
-    for _ in range(3):
-        for i, t in enumerate(texts):
-            gc.disable()
-            try:
-                start = time.process_time()
-                parse_ordinal(t)
-                best[i] = min(best[i], time.process_time() - start)
-            finally:
-                gc.enable()
-    assert best[1] <= 20 * best[0], best
+    small, large = best_times([lambda t=t: parse_ordinal(t) for t in texts])
+    assert large <= 20 * small, (small, large)
 
 
 def _random_sum(rng: random.Random, depth: int) -> tuple[str, Ordinal, list[Ordinal]]:

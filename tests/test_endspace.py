@@ -39,7 +39,6 @@ from infsurf.endspace import (
     TdMax,
     cb_derivative,
     cb_rank,
-    embed,
     fold_reduced,
     fold_tree,
     invariants,
@@ -54,7 +53,7 @@ from infsurf.endspace import (
 from infsurf._value import Value
 from infsurf.ordinal import ONE, OMEGA, ZERO, Ordinal, add, from_int, omega_pow
 import oracles
-from oracles import random_countable_expr, random_expr, random_marked_expr, top_rank_profile
+from oracles import embed, random_countable_expr, random_expr, random_marked_expr, top_rank_profile
 
 W2 = omega_pow(from_int(2))
 W3 = omega_pow(from_int(3))

@@ -31,7 +31,7 @@ from infsurf.surface import (
     surfaces_homeomorphic,
     validate,
 )
-from oracles import has_nonplanar, is_infinite_type
+from oracles import embed, has_nonplanar, is_infinite_type
 
 NP_PT = Pt(NONPLANAR)
 LOCH_NESS = SurfaceDescriptor(INFINITE, 0, NP_PT)
@@ -260,7 +260,7 @@ def test_random_descriptors_round_trip_through_text():
 
 
 def test_planar_descriptor_punctures_match_isolated_counts():
-    from infsurf.endspace import Canonical, embed, isolated_count, normalize
+    from infsurf.endspace import Canonical, isolated_count, normalize
 
     rng = random.Random(73)
     checked = 0

@@ -1,11 +1,20 @@
 """Value semantics of the engine's immutable classes.
 
 Every class below is compared, hashed, printed and copied by its fields:
-equal fields give equal objects with the hash of the field tuple, objects
-of different classes are never equal, fields cannot be reassigned, and
-``repr`` is ``Name(field=value, ...)``.  The canonical forms ``Scattered``
-and ``CanonicalEndSpace`` are named tuples, as an ``Ordinal`` is the tuple
-of its terms, so each also equals the plain tuple of its fields.
+equal fields give equal objects with the hash of the field tuple, fields
+cannot be reassigned, and ``repr`` is ``Name(field=value, ...)``.
+
+Two kinds of class meet that contract.  The canonical forms (``Scattered``,
+``CanonicalEndSpace``) and the result records, which check nothing and
+nest to a fixed depth (``TdMax``, ``SpaceInvariants``,
+``SurfaceInvariants``, ``SNFResult``, ``SquareReport``, ``WitnessRef``,
+``DerivedFacts``, ``Verdict``, ``CatalogEntry``), are named tuples, as an
+``Ordinal`` is the tuple of its terms: each also equals the plain tuple of
+its fields.  The rest keep ``_value.Value``, which makes objects of
+different classes unequal: the expression classes, whose trees nest deeper
+than a C tuple hash may recurse; ``Canonical`` and ``Irreducible``, which
+must differ with equal fields; and the classes whose constructor checks
+its arguments.
 """
 
 import copy
@@ -147,6 +156,8 @@ VALUES = [
 ]
 IDS = ["Scattered-points" if row is _POINTS else row[0].__name__ for row in VALUES]
 
+RECORDS = [row for row in VALUES if issubclass(row[0], tuple) and row[0] not in (Scattered, CanonicalEndSpace)]
+
 
 def _hash_or_error(x):
     try:
@@ -195,6 +206,13 @@ def test_copy_and_pickle_keep_the_value(cls, names, values, text):
         assert type(twin) is cls and twin == obj
 
 
+@pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=[row[0].__name__ for row in RECORDS])
+def test_a_record_is_the_plain_tuple_of_its_fields(cls, names, values, text):
+    obj = cls(*values)
+    assert isinstance(obj, tuple) and obj._fields == tuple(names.split())
+    assert obj == values and _hash_or_error(obj) == _hash_or_error(values)
+
+
 def test_equal_fields_across_classes_are_unequal():
     assert Pt(PLANAR) != Cantor(PLANAR)
     assert not (Pt(PLANAR) == Cantor(PLANAR))
@@ -202,6 +220,10 @@ def test_equal_fields_across_classes_are_unequal():
     assert Canonical(form) != Irreducible(form)
     # a canonical form is a named tuple, so it equals the plain tuple of its fields
     assert Scattered(1, ZERO) == (1, ZERO) and hash(Scattered(1, ZERO)) == hash((1, ZERO))
+    # so is a result record, its defaults included
+    assert TdMax(4) == (4, True) and hash(TdMax(4)) == hash((4, True))
+    # a class on Value equals no tuple
+    assert Canonical(form) != (form,) and Pt(PLANAR) != (PLANAR,)
     assert Empty() == Empty() == EMPTY
     assert Empty() != Scattered(1, ZERO)
 
