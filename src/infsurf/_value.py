@@ -12,13 +12,10 @@ compares and hashes in C and equals the plain tuple of its contents:
 ``ordinal.Ordinal`` is the tuple of its terms, and the canonical forms
 (``endspace.Scattered``, ``endspace.CanonicalEndSpace``) and the result
 records (the verdicts, invariants, witness reports and catalog entries)
-are named tuples.  A class stays a ``Value`` when one of three things
-holds:
+are named tuples.  A class stays a ``Value`` for one of two reasons:
 
 * it nests without a fixed bound: an expression tree built through the
   API may be 10^5 levels deep, and a C tuple hash has no recursion guard;
-* it must differ from a class with the same fields, as ``Canonical`` and
-  ``Irreducible`` do;
 * its constructor checks its arguments (``Answer``, ``IntegerMatrix``,
   ``FinitePresentation``, ``AbelianGroup``, ``SurfaceDescriptor``,
   ``GridPath``).

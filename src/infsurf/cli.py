@@ -299,6 +299,7 @@ def _batch_line(line: str, kept: dict[str, tuple[str, str] | list[str]]) -> str:
         if not words:
             return _EMPTY_LINE
         spaced = " ".join(words)
+        # few lines have a glue space, and for the rest joining the words is cheaper than the split
         if _GLUE.search(spaced) is None:
             key = "".join(words)
         else:
@@ -392,13 +393,15 @@ def _parse_presentation(text: str) -> homology.FinitePresentation:
             continue
         if not chunk.startswith(("gens=", "rel=")):
             raise ParseError(at, ("'gens='", "'rel='"), f"bad presentation chunk {chunk!r}")
-        try:
-            if chunk.startswith("gens="):
-                ngens = int(chunk[5:])
-            else:
-                relators.append(tuple(int(tok) for tok in chunk[4:].split()))
-        except ValueError as err:
-            raise ParseError(at, ("integers",), f"bad presentation chunk {chunk!r}") from err
+        # integers are ASCII digit runs, a relator letter may have one leading
+        # '-', and whitespace may surround each token; the patterns compile on
+        # first use, not at import
+        if re.fullmatch(r"gens=\s*[0-9]+", chunk):
+            ngens = int(chunk[5:])
+        elif re.fullmatch(r"rel=\s*(-?[0-9]+(\s+-?[0-9]+)*)?", chunk):
+            relators.append(tuple(map(int, chunk[4:].split())))
+        else:
+            raise ParseError(at, ("integers",), f"bad presentation chunk {chunk!r}")
     if ngens is None:
         raise ParseError(0, ("'gens='",), "presentation needs a generator count")
     return homology.FinitePresentation(ngens, tuple(relators))
@@ -569,7 +572,7 @@ def _main(argv: Optional[list[str]]) -> int:
     except _INTERNAL as err:
         _report_error(args, "internal", str(err))
         return INTERNAL_ERROR
-    except (ValueError, homology.OutOfTable) as err:
+    except ValueError as err:
         _report_error(args, type(err).__name__, str(err))
         return VALIDATION_ERROR
 

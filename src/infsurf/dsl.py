@@ -9,7 +9,9 @@ Surfaces:   surface(genus=inf|<n>, boundary=<n>, ends=<end space>)
 
 Input ordinals need not be in normal form; sums are renormalized, so
 "1 + w" parses to w.  Printing (str() on the values) always emits the
-canonical form, and print/parse round-trips are exact.
+canonical form, and print/parse round-trips are exact, except that the
+empty end space (the derived set of ``pt``, say) prints as "empty", which
+does not parse: a parsed end space is never empty.
 
 One regular expression splits the text into tokens and one loop reads
 them, keeping the open ``U(``, ``seq1pc(``, ``I(``, ``lim1pc(`` and ``w^(``

@@ -262,25 +262,6 @@ EMPTY_CANON = CanonicalEndSpace(False, None)
 CANTOR_CANON = CanonicalEndSpace(True, None)
 
 
-class Canonical(Value):
-    __slots__ = ("form",)
-
-    def __init__(self, form: CanonicalEndSpace) -> None:
-        object.__setattr__(self, "form", form)
-
-
-class Irreducible(Value):
-    """Fully simplified expression outside the decidable fragment."""
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr: EndSpaceExpr) -> None:
-        object.__setattr__(self, "expr", expr)
-
-
-NormalForm = TUnion[Canonical, Irreducible]
-
-
 class RankUndecidable(ValueError):
     """Raised when a Cantor-Bendixson rank is requested outside the canonical fragment."""
 
@@ -339,7 +320,7 @@ class Summary(NamedTuple):
     violation: Optional[str]
 
     def normal_text(self) -> str:
-        """``str`` of the normal form's expression, written without it."""
+        """``str`` of the normal form, ``normalize``'s value, written without building it."""
         return fold_reduced(TEXTS, self.canon, self.atoms)
 
     @property
@@ -622,10 +603,12 @@ def fold_reduced(f: Fold, canon: CanonicalEndSpace, atoms: tuple) -> Any:
     return values[0]
 
 
-def normalize(e: EndSpaceExpr) -> NormalForm:
-    """Confluent normal form of an end-space expression (marks are ignored)."""
+def normalize(e: EndSpaceExpr) -> CanonicalEndSpace | EndSpaceExpr:
+    """Confluent normal form of an end-space expression (marks are ignored):
+    its canonical form, or outside the decidable fragment the fully
+    simplified expression."""
     s = summarize(e)
-    return Irreducible(fold_reduced(TREES, s.canon, s.atoms)) if s.atoms else Canonical(s.canon)
+    return fold_reduced(TREES, s.canon, s.atoms) if s.atoms else s.canon
 
 
 # ---------------------------------------------------------------------------

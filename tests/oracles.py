@@ -540,11 +540,66 @@ def _witness_closed_form(kind: str, genus, punctures, n) -> Optional[dict]:
     return None
 
 
+# The decision table, transcribed from docs/citations.md: each row gives the
+# (answer, coefficient scope, citation) of questions I, II and III.  A yes
+# holds integrally and passes on to the later questions; a vanishing holds
+# with any field coefficients, the Cantor tree's with any coefficients; an
+# open cell has no scope.
+_PROPAGATED = ("yes", "integral", "positive-answers-propagate")
+_COMPACT_VANISHING = ("no", "any_field", "infinite-genus-compact-vanishing")
+DECISION_TABLE = {
+    "finite genus": (("yes", "integral", "finite-genus-nonvanishing"), _PROPAGATED, _PROPAGATED),
+    "infinite genus, no punctures": (_COMPACT_VANISHING,)
+    + 2 * (("no", "any_field", "infinite-genus-no-punctures-vanishing"),),
+    "infinite genus, finitely many punctures": (
+        _COMPACT_VANISHING,
+        ("yes", "integral", "infinite-genus-finite-punctures-nonvanishing"),
+        _PROPAGATED,
+    ),
+    "infinite genus, mixed end": (_COMPACT_VANISHING,) + 2 * (("no", "any_field", "mixed-end-vanishing"),),
+    "infinite genus, no mixed end": (_COMPACT_VANISHING,) + 2 * (("unknown", None, "infinite-genus-unmixed-open"),),
+    "Cantor tree": 3 * (("no", "any_coefficients", "cantor-tree-vanishing"),),
+    "two or three punctures": 2 * (("unknown", None, "two-or-three-punctures-open"),)
+    + (("yes", "integral", "two-or-three-punctures-braid-sign"),),
+    "distinguished ends": (("yes", "integral", "distinguished-ends-nonvanishing"), _PROPAGATED, _PROPAGATED),
+    "single interval": 3 * (("no", "any_field", "single-interval-vanishing"),),
+    "genus zero open": 3 * (("unknown", None, "genus-zero-infinite-punctures-open"),),
+}
+
+
+def _decision_row(derived: dict) -> tuple[str, Optional[str]]:
+    """The row of ``DECISION_TABLE`` for a line's derived facts, and the set
+    whose size the row's witness counts (None for a row without one).  The
+    ends are a single interval [0, w^a] when the ``end_space`` description
+    starts with "1 copy of [", so with no Cantor set beside it."""
+    punctures = derived["punctures"]
+    finite = punctures != "infinity"
+    if derived["genus_class"] == "finite_positive":
+        return "finite genus", None
+    if derived["genus_class"] == "infinite":
+        if punctures == 0:
+            return "infinite genus, no punctures", None
+        if finite:
+            return "infinite genus, finitely many punctures", "punctures"
+        return ("infinite genus, mixed end" if derived["mixed_end"] else "infinite genus, no mixed end"), None
+    if finite:
+        if punctures <= 1:
+            return "Cantor tree", None
+        return ("two or three punctures" if punctures <= 3 else "distinguished ends"), "punctures"
+    if derived["td_max"]["value"] >= 4:
+        return "distinguished ends", "distinguished end set"
+    if derived["end_space"].partition(" (")[2].startswith("1 copy of ["):
+        return "single interval", None
+    return "genus zero open", None
+
+
 def check_verdict_line(line: str) -> list[str]:
     """What is wrong with one ``decide --jsonl`` output line, read alone and
     without infsurf: a yes to I or II must be a yes to the next question,
-    and each witness must equal its closed form, read off the line's
-    derived facts.  A ``distinguished_square`` witness has as n the line's
+    each answer, coefficient scope and citation and the witness set must
+    be those of the line's row of the decision table, and each witness
+    must equal its closed form, read off the line's derived facts.  A
+    ``distinguished_square`` witness has as n the line's
     ``td_max.value`` for the witness set "distinguished end set" and its
     punctures for "punctures"; ``abelianization`` is H1 of SL(2, Z) at
     genus 1, ``h2_lookup`` the H2 table at the line's genus, and
@@ -558,6 +613,13 @@ def check_verdict_line(line: str) -> list[str]:
     if (a == "yes" and b != "yes") or (b == "yes" and c != "yes"):
         problems.append(f"implication chain broken: {a}, {b}, {c}")
     derived = v["derived"]
+    row, witness_set = _decision_row(derived)
+    if derived.get("witness_set") != witness_set:
+        problems.append(f"witness set {derived.get('witness_set')!r}, but row {row!r} counts {witness_set!r}")
+    for q, want in zip(("qI", "qII", "qIII"), DECISION_TABLE[row]):
+        got = (v[q]["answer"], v[q].get("coefficients"), v[q]["citation"])
+        if got != want:
+            problems.append(f"{q}: {got}, but row {row!r} gives {want}")
     counted = {"distinguished end set": derived.get("td_max", {}).get("value"), "punctures": derived["punctures"]}
     n = counted.get(derived.get("witness_set"))
     for q in ("qI", "qII", "qIII"):

@@ -12,7 +12,6 @@ from infsurf.constructions import snake_bijection
 from infsurf.decide import ANY_COEFFICIENTS, ANY_FIELD, INTEGRAL, NO, UNKNOWN, YES, decide
 from infsurf.dsl import parse_surface
 from infsurf.endspace import (
-    Canonical,
     CanonicalEndSpace,
     Interval,
     Pt,
@@ -105,7 +104,7 @@ def test_criterion_02_interval_calculus_suite():
         rng.shuffle(pieces)
         e = union(*pieces)
         nf = normalize(e)
-        if nf != Canonical(CanonicalEndSpace(False, Scattered(1, top))):
+        if nf != CanonicalEndSpace(False, Scattered(1, top)):
             mismatches += 1
         if top_rank_profile(e) != (add(top, ONE), 1):
             mismatches += 1
@@ -118,7 +117,7 @@ def test_criterion_02_interval_calculus_suite():
         e = SeqCompactification(child)
         nf = normalize(e)
         want = Scattered(1, add(alpha, ONE))
-        if not (isinstance(nf, Canonical) and nf.form.scattered == want and not nf.form.has_kernel):
+        if not (isinstance(nf, CanonicalEndSpace) and nf.scattered == want and not nf.has_kernel):
             mismatches += 1
         if top_rank_profile(e) != (add(alpha, from_int(2)), 1):
             mismatches += 1
@@ -130,7 +129,7 @@ def test_criterion_02_interval_calculus_suite():
             lam = _random_alpha_below_w3(rng, minimum=1)
         e = LimitCompactification(lam)
         nf = normalize(e)
-        if not (isinstance(nf, Canonical) and nf.form.scattered == Scattered(1, lam)):
+        if not (isinstance(nf, CanonicalEndSpace) and nf.scattered == Scattered(1, lam)):
             mismatches += 1
         if top_rank_profile(e) != (add(lam, ONE), 1):
             mismatches += 1
@@ -154,7 +153,7 @@ def test_criterion_03_cantor_bendixson_calculus():
         assert cb_rank(cb_derivative(e)) == from_int(delta + 1)
         base = embed(CanonicalEndSpace(False, Scattered(n, ONE)))
         d = normalize(cb_derivative(base))
-        assert isinstance(d, Canonical) and d.form.scattered == Scattered(n, ZERO)
+        assert isinstance(d, CanonicalEndSpace) and d.scattered == Scattered(n, ZERO)
 
     # derivative and normalization commute
     from oracles import random_expr
@@ -164,12 +163,12 @@ def test_criterion_03_cantor_bendixson_calculus():
     while done < 500:
         e = random_expr(rng, depth=4)
         nf = normalize(e)
-        if not isinstance(nf, Canonical):
+        if not isinstance(nf, CanonicalEndSpace):
             continue
         done += 1
         derived = normalize(cb_derivative(e))
-        assert isinstance(derived, Canonical)
-        assert derived.form == _predicted_derivative(nf.form)
+        assert isinstance(derived, CanonicalEndSpace)
+        assert derived == _predicted_derivative(nf)
     _report(3, "rank anchor (200), finite rank drop (100) and derivative/normalize commutation (500)")
 
 
@@ -258,8 +257,8 @@ def test_criterion_08_snake_enumeration():
 def test_criterion_09_flute_end_to_end():
     descriptor = parse_surface("surface(genus=0, boundary=0, ends=I(w))")
     nf = normalize(strip_marks(descriptor.ends))
-    assert isinstance(nf, Canonical)
-    assert nf.form.scattered == Scattered(1, ONE) and not nf.form.has_kernel
+    assert isinstance(nf, CanonicalEndSpace)
+    assert nf.scattered == Scattered(1, ONE) and not nf.has_kernel
     verdict = decide(descriptor)
     assert triple(verdict) == (NO, NO, NO)
     assert all(a.coefficients == ANY_FIELD for a in verdict.answers())

@@ -35,7 +35,14 @@ from infsurf.endspace import (
     SeqCompactification,
 )
 from infsurf.surface import ValidationError
-from oracles import check_verdict_line, differential_texts, huge_natural_texts, mutate_text, random_surface_text
+from oracles import (
+    DECISION_TABLE,
+    check_verdict_line,
+    differential_texts,
+    huge_natural_texts,
+    mutate_text,
+    random_surface_text,
+)
 
 VERDICT = "surface(genus=1, boundary=0, ends=I(w))"
 ERROR_LINES = [
@@ -745,6 +752,8 @@ def test_every_batch_line_passes_the_verdict_line_checker(tmp_path, capsys, perf
         lines += out
     assert [(line, p) for line in lines for p in check_verdict_line(line)] == []
     assert sum(line.count('"kind": "distinguished_square"') for line in lines) == 5553 + 108
-    # every witness kind is among the lines checked
+    # every witness kind and every citation of the decision table is among the lines checked
     for kind in ("abelianization", "h2_lookup", "braid_sign", "even_degree_summands"):
         assert any(f'"kind": "{kind}"' in line for line in lines), kind
+    for tag in {citation for row in DECISION_TABLE.values() for _, _, citation in row}:
+        assert any(f'"citation": "{tag}"' in line for line in lines), tag

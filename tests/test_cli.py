@@ -226,7 +226,9 @@ def test_hom_abelianize_skips_empty_chunks(capsys):
     assert (code, out, err) == (0, "Z + Z/2\n", "")
 
 
-@pytest.mark.parametrize("text", ["gens=x; rel=1", "gens=2; rel=1 a", "gens=; rel=1"])
+@pytest.mark.parametrize(
+    "text", ["gens=x; rel=1", "gens=2; rel=1 a", "gens=; rel=1", "gens=1_0", "gens=٣; rel=1", "gens=2; rel=+1"]
+)
 def test_hom_abelianize_bad_integer_is_a_parse_error(capsys, text):
     code, _, err = run(capsys, "hom", "abelianize", text)
     assert code == 2

@@ -18,6 +18,7 @@ from infsurf.dsl import (
 from infsurf.endspace import (
     Cantor,
     DisjointUnion,
+    EMPTY,
     INFINITE,
     Interval,
     LimitCompactification,
@@ -130,6 +131,10 @@ def test_endspace_round_trips():
         e = random_expr(rng, depth=4)
         if e == strip_marks(e):  # random generator emits planar-only trees
             assert parse_endspace(str(e)) == e
+    # the one exception: the empty space prints, but a parsed space is never empty
+    assert str(EMPTY) == "empty"
+    with pytest.raises(ParseError):
+        parse_endspace("empty")
 
 
 def test_marked_round_trips():

@@ -13,7 +13,6 @@ from infsurf import endspace
 from infsurf.dsl import parse_endspace, parse_surface_type
 from infsurf.endspace import (
     CANTOR_CANON,
-    Canonical,
     CanonicalEndSpace,
     Cantor,
     DisjointUnion,
@@ -23,7 +22,6 @@ from infsurf.endspace import (
     Homeo,
     INFINITE,
     Interval,
-    Irreducible,
     LimitCompactification,
     NONPLANAR,
     NONPLANAR_BIT,
@@ -60,7 +58,7 @@ W3 = omega_pow(from_int(3))
 
 
 def canon(has_kernel, scattered):
-    return Canonical(CanonicalEndSpace(has_kernel, scattered))
+    return CanonicalEndSpace(has_kernel, scattered)
 
 
 # -- constructors -------------------------------------------------------------
@@ -101,16 +99,16 @@ def test_compactified_cantor_dust_is_again_cantor():
     assert isolated_count(e) == 0
     assert cb_derivative(e) == e
     nf = normalize(e)
-    assert nf == Canonical(CANTOR_CANON)
+    assert nf == CANTOR_CANON
 
 
 def test_compactification_over_kernel_and_points_is_irreducible():
     e = SeqCompactification(union(Cantor(), Pt()))
     nf = normalize(e)
-    assert isinstance(nf, Irreducible)
-    assert nf.expr == SeqCompactification(union(Cantor(), Pt()))
+    assert not isinstance(nf, CanonicalEndSpace)
+    assert nf == SeqCompactification(union(Cantor(), Pt()))
     # fully simplified: normalizing again returns the same expression
-    assert normalize(nf.expr) == nf
+    assert normalize(nf) == nf
 
 
 def test_discrete_children_compactify_to_a_convergent_sequence():
@@ -127,7 +125,7 @@ def test_union_merge_rules():
     # equal ranks add up, lower ranks and finite parts are absorbed
     assert normalize(union(Interval(W2), Interval(W2))) == canon(False, Scattered(2, from_int(2)))
     assert normalize(union(Interval(W2), Pt(), Interval(from_int(4)))) == canon(False, Scattered(1, from_int(2)))
-    assert normalize(union(Cantor(), Cantor())) == Canonical(CANTOR_CANON)
+    assert normalize(union(Cantor(), Cantor())) == CANTOR_CANON
     assert normalize(union(Cantor(), Pt(), Pt())) == canon(True, Scattered(2, ZERO))
     assert normalize(union(Cantor(), Interval(OMEGA), Pt())) == canon(True, Scattered(1, ONE))
 
@@ -165,7 +163,7 @@ def _random_partial_rewrite(e, rng):
     """Apply the rewrite rules at random positions before the final pass."""
     if not isinstance(e, Empty) and rng.random() < 0.4:
         nf = normalize(e)
-        return embed(nf.form) if isinstance(nf, Canonical) else nf.expr
+        return embed(nf) if isinstance(nf, CanonicalEndSpace) else nf
     if isinstance(e, DisjointUnion):
         kids = list(e.children)
         rng.shuffle(kids)
@@ -193,10 +191,10 @@ def test_normalize_is_idempotent_through_embedding():
     for _ in range(300):
         e = random_expr(rng, depth=4)
         nf = normalize(e)
-        if isinstance(nf, Canonical):
-            assert normalize(embed(nf.form)) == nf
+        if isinstance(nf, CanonicalEndSpace):
+            assert normalize(embed(nf)) == nf
         else:
-            assert normalize(nf.expr) == nf
+            assert normalize(nf) == nf
 
 
 # -- derivatives ----------------------------------------------------------------
@@ -233,12 +231,12 @@ def test_derivative_commutes_with_normalization():
     while done < 500:
         e = random_expr(rng, depth=4)
         nf = normalize(e)
-        if not isinstance(nf, Canonical):
+        if not isinstance(nf, CanonicalEndSpace):
             continue
         done += 1
         derived = normalize(cb_derivative(e))
-        assert isinstance(derived, Canonical)
-        assert derived.form == _predicted_derivative(nf.form)
+        assert isinstance(derived, CanonicalEndSpace)
+        assert derived == _predicted_derivative(nf)
 
 
 def test_derivative_drops_finite_ranks_by_exactly_one():
@@ -302,9 +300,9 @@ def test_invariants_agree_between_raw_and_normal_form():
     for _ in range(300):
         e = random_expr(rng, depth=4)
         nf = normalize(e)
-        if not isinstance(nf, Canonical):
+        if not isinstance(nf, CanonicalEndSpace):
             continue
-        back = embed(nf.form)
+        back = embed(nf)
         assert isolated_count(e) == isolated_count(back)
         assert cb_rank(e) == cb_rank(back)
         assert td_max(e) == td_max(back)
@@ -398,7 +396,7 @@ def test_homeo_decides_as_the_rule_on_oracle_trees():
 def test_homeo_is_an_equivalence_on_the_canonical_fragment():
     rng = random.Random(47)
     pool = [random_expr(rng, depth=3) for _ in range(40)]
-    pool = [e for e in pool if isinstance(normalize(e), Canonical)]
+    pool = [e for e in pool if isinstance(normalize(e), CanonicalEndSpace)]
     for e in pool:
         assert is_homeomorphic(e, e) is Homeo.YES
     for _ in range(200):
@@ -458,8 +456,8 @@ def test_profile_oracle_agrees_with_normal_forms():
     for _ in range(300):
         e = random_countable_expr(rng, depth=4)
         nf = normalize(e)
-        assert isinstance(nf, Canonical)
-        s = nf.form.scattered
+        assert isinstance(nf, CanonicalEndSpace)
+        s = nf.scattered
         rank, mult = top_rank_profile(e)
         assert (rank, mult) == (add(s.exponent, ONE), s.copies)
 
@@ -564,12 +562,16 @@ def test_text_of_a_normal_form_is_the_text_of_its_expression():
     for e in exprs:
         s = summarize(e)
         nf = normalize(e)
-        kinds.add(type(nf).__name__)
-        expr = embed(nf.form) if isinstance(nf, Canonical) else nf.expr
+        canonical = isinstance(nf, CanonicalEndSpace)
+        assert canonical == (not s.atoms), e
+        kinds.add(canonical)
+        expr = embed(nf) if canonical else nf
         assert s.normal_text() == str(expr), e
-        if isinstance(nf, Canonical):
-            assert str(nf.form) == str(embed(nf.form)), e
-    assert kinds == {"Canonical", "Irreducible"}
+        assert str(nf) == s.normal_text(), e
+        if canonical:
+            assert str(nf) == str(embed(nf)), e
+    # both kinds of normal form occurred
+    assert kinds == {True, False}
 
 
 # -- the tree walks ------------------------------------------------------------
@@ -636,7 +638,7 @@ for i in range(5_000):
     e = SeqCompactification(e) if i % 2 == 0 else union(e, Cantor())
 nf = normalize(e)
 text = summarize(e).normal_text()
-print(type(nf).__name__, str(nf.expr) == text, len(text), is_homeomorphic(e, e).value)
+print(type(nf).__name__, str(nf) == text, len(text), is_homeomorphic(e, e).value)
 for b in (OMEGA, omega_pow(OMEGA)):
     inv = invariants(union(e, Interval(b)))
     print(inv.has_kernel, inv.isolated_count, inv.scattered_rank, inv.td_max.value, td_max(union(e, Interval(b))).value)
@@ -651,7 +653,7 @@ except RankUndecidable as err:
     assert (proc.returncode, proc.stderr) == (0, "")
     # the atoms' rank is 2 500, half the depth, so only [0, w^w] rises above it
     assert proc.stdout.splitlines() == [
-        "Irreducible True 47496 yes",
+        "DisjointUnion True 47496 yes",
         "True inf None 0 0",
         "True inf None 1 1",
         "2500",

@@ -260,7 +260,7 @@ def test_random_descriptors_round_trip_through_text():
 
 
 def test_planar_descriptor_punctures_match_isolated_counts():
-    from infsurf.endspace import Canonical, isolated_count, normalize
+    from infsurf.endspace import CanonicalEndSpace, isolated_count, normalize
 
     rng = random.Random(73)
     checked = 0
@@ -271,8 +271,8 @@ def test_planar_descriptor_punctures_match_isolated_counts():
         checked += 1
         assert punctures_of(d) == isolated_count(d.ends)
         nf = normalize(d.ends)
-        if isinstance(nf, Canonical):
-            assert punctures_of(d) == isolated_count(embed(nf.form))
+        if isinstance(nf, CanonicalEndSpace):
+            assert punctures_of(d) == isolated_count(embed(nf))
 
 
 def test_homeo_yes_propagates_all_invariants():

@@ -12,8 +12,7 @@ nest to a fixed depth (``TdMax``, ``SpaceInvariants``,
 ``Ordinal`` is the tuple of its terms: each also equals the plain tuple of
 its fields.  The rest keep ``_value.Value``, which makes objects of
 different classes unequal: the expression classes, whose trees nest deeper
-than a C tuple hash may recurse; ``Canonical`` and ``Irreducible``, which
-must differ with equal fields; and the classes whose constructor checks
+than a C tuple hash may recurse, and the classes whose constructor checks
 its arguments.
 """
 
@@ -34,13 +33,11 @@ from infsurf.endspace import (
     EMPTY,
     NONPLANAR,
     PLANAR,
-    Canonical,
     CanonicalEndSpace,
     Cantor,
     DisjointUnion,
     Empty,
     Interval,
-    Irreducible,
     LimitCompactification,
     Pt,
     Scattered,
@@ -92,13 +89,6 @@ VALUES = [
         (True, Scattered(1, ZERO)),
         "CanonicalEndSpace(has_kernel=True, scattered=Scattered(copies=1, exponent=Ordinal(0)))",
     ),
-    (
-        Canonical,
-        "form",
-        (CanonicalEndSpace(False, None),),
-        "Canonical(form=CanonicalEndSpace(has_kernel=False, scattered=None))",
-    ),
-    (Irreducible, "expr", (Cantor(),), "Irreducible(expr=Cantor(mark=<Mark.PLANAR: 'p'>))"),
     (TdMax, "value exact", (3, False), "TdMax(value=3, exact=False)"),
     (SpaceInvariants, "countable isolated_count scattered_rank has_kernel td_max", (True, 2, ONE, False, _T), _SI),
     (IntegerMatrix, "entries", (((1, 2), (3, 4)),), "IntegerMatrix(entries=((1, 2), (3, 4)))"),
@@ -216,14 +206,12 @@ def test_a_record_is_the_plain_tuple_of_its_fields(cls, names, values, text):
 def test_equal_fields_across_classes_are_unequal():
     assert Pt(PLANAR) != Cantor(PLANAR)
     assert not (Pt(PLANAR) == Cantor(PLANAR))
-    form = CanonicalEndSpace(True, None)
-    assert Canonical(form) != Irreducible(form)
     # a canonical form is a named tuple, so it equals the plain tuple of its fields
     assert Scattered(1, ZERO) == (1, ZERO) and hash(Scattered(1, ZERO)) == hash((1, ZERO))
     # so is a result record, its defaults included
     assert TdMax(4) == (4, True) and hash(TdMax(4)) == hash((4, True))
     # a class on Value equals no tuple
-    assert Canonical(form) != (form,) and Pt(PLANAR) != (PLANAR,)
+    assert Pt(PLANAR) != (PLANAR,)
     assert Empty() == Empty() == EMPTY
     assert Empty() != Scattered(1, ZERO)
 
