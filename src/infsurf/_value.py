@@ -14,8 +14,8 @@ compares and hashes in C and equals the plain tuple of its contents:
 records (the verdicts, invariants, witness reports and catalog entries)
 are named tuples.  A class stays a ``Value`` for one of two reasons:
 
-* it nests without a fixed bound: an expression tree built through the
-  API may be 10^5 levels deep, and a C tuple hash has no recursion guard;
+* it must differ from a class with the same fields, as the expression
+  classes ``Pt`` and ``Cantor`` do, where named tuples would be equal;
 * its constructor checks its arguments (``Answer``, ``IntegerMatrix``,
   ``FinitePresentation``, ``AbelianGroup``, ``SurfaceDescriptor``,
   ``GridPath``).

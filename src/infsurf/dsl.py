@@ -47,10 +47,9 @@ This is Linux's cap on one argument with its NUL, so only a
 MAX_DEPTH = 100
 """Most ``U``/``seq1pc``/``I``/``lim1pc``/``w^`` parentheses open at once.
 
-The equality, hash and repr of nested values (``_value.Value``) and the
-printer, comparison and hash of nested ordinals still recurse once per
-level, so this keeps every descriptor that parses well inside Python's
-recursion limit.
+A parsed tree nests no deeper than its open parentheses, so this is
+``endspace.MAX_NESTING``, the budget of the expression constructors, and
+every parsed ordinal is inside ``ordinal.MAX_NESTING``.
 """
 
 MAX_DIGITS = 1000

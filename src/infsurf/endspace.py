@@ -32,10 +32,10 @@ The summary rules (the point, Cantor, interval and ``lim1pc`` leaves,
 ``join`` for unions, where one summand is its own union, and the
 compactification rule) are one bottom-up fold, ``SUMMARIES``; the surface
 layer joins top-level summands with the same ``join``.  Three drivers
-run a fold, each on an explicit stack: ``fold_tree`` over an expression
-tree, ``fold_reduced`` over a reduced form and the parser in ``dsl`` over
-descriptor text, which it folds straight into a summary
-(``dsl.parse_surface_type``).  ``summarize``,
+run a fold: ``fold_tree`` over a tree and ``fold_reduced`` over a reduced
+form recurse once a level, within ``MAX_NESTING``, and the parser in
+``dsl`` folds descriptor text on an explicit stack, straight into a
+summary (``dsl.parse_surface_type``).  ``summarize``,
 ``strip_marks``, ``cb_derivative`` and the ``str`` of an expression are
 each one ``fold_tree`` call; ``normalize``, ``normal_text``, the ``str`` of
 a canonical form and the ranks are ``fold_reduced`` calls.
@@ -75,13 +75,49 @@ _BIT = {PLANAR: PLANAR_BIT, NONPLANAR: NONPLANAR_BIT}
 # expression trees
 
 
+MAX_NESTING = 100
+"""Most levels of ``DisjointUnion`` and ``SeqCompactification`` in a tree,
+past which they raise ValueError; a leaf has none.  It is ``dsl.MAX_DEPTH``,
+so every parsed tree is admitted.  The walks and the equality, hash, repr
+and pickle of a tree recurse a few frames a level: at the bound, over the
+deepest ordinal, ``repr`` takes about 850, inside Python's limit of 1 000."""
+
+
 class _Expr(Value):
     """The base of the seven expression classes; the text is the ``TEXTS`` fold."""
 
     __slots__ = ()
+    # the nesting level; a _Nest node stores its own
+    _depth = 0
 
     def __str__(self) -> str:
         return fold_tree(TEXTS, self)
+
+    # a tree is immutable, so it is its own copy
+    def __deepcopy__(self, memo: Optional[dict] = None) -> "_Expr":
+        return self
+
+    __copy__ = __deepcopy__
+
+
+def _typed(value: Any, cls: type, what: str) -> Any:
+    """`value`, if it is a `cls`; otherwise a TypeError, `what` and its repr."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{what}{value!r}")
+    return value
+
+
+class _Nest(_Expr):
+    """The base of the two nodes over expressions: each stores its level in
+    a slot here, not a ``Value`` field, so the bound costs O(children)."""
+
+    __slots__ = ("_depth",)
+
+    def _nest(self, children: Sequence[_Expr]) -> None:
+        depth = max(_typed(c, _Expr, "not an end-space expression: ")._depth for c in children)
+        if depth >= MAX_NESTING:
+            raise ValueError(f"end-space expression nested deeper than {MAX_NESTING} levels")
+        object.__setattr__(self, "_depth", depth + 1)
 
 
 class Empty(_Expr):
@@ -92,7 +128,7 @@ class Pt(_Expr):
     __slots__ = ("mark",)
 
     def __init__(self, mark: Mark = PLANAR) -> None:
-        object.__setattr__(self, "mark", mark)
+        object.__setattr__(self, "mark", _typed(mark, Mark, "mark must be a Mark, got "))
 
 
 class Interval(_Expr):
@@ -101,30 +137,28 @@ class Interval(_Expr):
     __slots__ = ("bound", "mark")
 
     def __init__(self, bound: Ordinal, mark: Mark = PLANAR) -> None:
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "mark", mark)
+        object.__setattr__(self, "bound", _typed(bound, Ordinal, "bound must be an Ordinal, got "))
+        object.__setattr__(self, "mark", _typed(mark, Mark, "mark must be a Mark, got "))
 
 
 class Cantor(_Expr):
     __slots__ = ("mark",)
-
-    def __init__(self, mark: Mark = PLANAR) -> None:
-        object.__setattr__(self, "mark", mark)
+    __init__ = Pt.__init__
 
 
-class DisjointUnion(_Expr):
+class DisjointUnion(_Nest):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple["EndSpaceExpr", ...]) -> None:
         if len(children) < 2:
             raise ValueError("a union needs at least two summands; use union()")
-        for c in children:
-            if isinstance(c, (Empty, DisjointUnion)):
-                raise ValueError("union children must be flattened and nonempty; use union()")
+        if any(isinstance(c, (Empty, DisjointUnion)) for c in children):
+            raise ValueError("union children must be flattened and nonempty; use union()")
+        self._nest(children)
         object.__setattr__(self, "children", children)
 
 
-class SeqCompactification(_Expr):
+class SeqCompactification(_Nest):
     """One-point compactification of countably many disjoint copies of `child`."""
 
     __slots__ = ("child", "point_mark")
@@ -132,8 +166,9 @@ class SeqCompactification(_Expr):
     def __init__(self, child: "EndSpaceExpr", point_mark: Mark = PLANAR) -> None:
         if isinstance(child, Empty):
             raise ValueError("cannot compactify copies of the empty space")
+        self._nest((child,))
         object.__setattr__(self, "child", child)
-        object.__setattr__(self, "point_mark", point_mark)
+        object.__setattr__(self, "point_mark", _typed(point_mark, Mark, "point_mark must be a Mark, got "))
 
 
 class LimitCompactification(_Expr):
@@ -147,9 +182,8 @@ class LimitCompactification(_Expr):
     __slots__ = ("sup", "point_mark")
 
     def __init__(self, sup: Ordinal, point_mark: Mark = PLANAR) -> None:
-        _require_limit(sup)
-        object.__setattr__(self, "sup", sup)
-        object.__setattr__(self, "point_mark", point_mark)
+        object.__setattr__(self, "sup", _require_limit(sup))
+        object.__setattr__(self, "point_mark", _typed(point_mark, Mark, "point_mark must be a Mark, got "))
 
 
 EndSpaceExpr = TUnion[Empty, Pt, Interval, Cantor, DisjointUnion, SeqCompactification, LimitCompactification]
@@ -157,9 +191,10 @@ EndSpaceExpr = TUnion[Empty, Pt, Interval, Cantor, DisjointUnion, SeqCompactific
 EMPTY = Empty()
 
 
-def _require_limit(sup: Ordinal) -> None:
-    if kind(sup) is not Kind.LIMIT:
+def _require_limit(sup: Ordinal) -> Ordinal:
+    if kind(_typed(sup, Ordinal, "sup must be an Ordinal, got ")) is not Kind.LIMIT:
         raise ValueError(f"limit compactification needs a limit ordinal, got {sup}")
+    return sup
 
 
 def union(*children: EndSpaceExpr) -> EndSpaceExpr:
@@ -171,16 +206,12 @@ def union(*children: EndSpaceExpr) -> EndSpaceExpr:
     """
     flat: list[EndSpaceExpr] = []
     for c in children:
-        if isinstance(c, Empty):
-            continue
         if isinstance(c, DisjointUnion):
-            flat.extend(c.children)
-        else:
+            flat += c.children
+        elif not isinstance(c, Empty):
             flat.append(c)
-    if not flat:
-        return EMPTY
-    if len(flat) == 1:
-        return flat[0]
+    if len(flat) < 2:
+        return flat[0] if flat else EMPTY
     return DisjointUnion(tuple(flat))
 
 
@@ -529,43 +560,26 @@ RANKS = Fold(
 )
 """Builds the Cantor-Bendixson rank of a countable space; a Cantor set adds none."""
 
-# on the stack of ``fold_tree`` and ``fold_reduced``, marks that the node
-# below it has the values of its children on top of the value stack
-_CLOSE = object()
-
 
 def fold_tree(f: Fold, e: EndSpaceExpr) -> Any:
-    """The value `f` builds for the expression tree `e`, children first, on an
-    explicit stack, so no depth reaches the recursion limit.  It is the one
-    place that dispatches on the expression classes; anything else in the
-    tree raises TypeError."""
-    todo, values = [e], []
-    while todo:
-        node = todo.pop()
-        if node is _CLOSE:
-            node = todo.pop()
-            if isinstance(node, SeqCompactification):
-                values[-1] = f.seq(values[-1], node.point_mark)
-            else:
-                n = len(node.children)
-                values[-n:] = [f.union(*values[-n:])]
-        elif isinstance(node, Pt):
-            values.append(f.point[node.mark])
-        elif isinstance(node, DisjointUnion):
-            todo += (node, _CLOSE, *reversed(node.children))
-        elif isinstance(node, Interval):
-            values.append(f.interval(node.bound, node.mark))
-        elif isinstance(node, SeqCompactification):
-            todo += (node, _CLOSE, node.child)
-        elif isinstance(node, Cantor):
-            values.append(f.cantor[node.mark])
-        elif isinstance(node, LimitCompactification):
-            values.append(f.lim(node.sup, node.point_mark))
-        elif isinstance(node, Empty):
-            values.append(f.union())
-        else:
-            raise TypeError(f"not an end-space expression: {node!r}")
-    return values[0]
+    """The value `f` builds for the expression tree `e`, children first,
+    recursing once a level.  It is the one place that dispatches on the
+    expression classes; anything else raises TypeError."""
+    if isinstance(e, Pt):
+        return f.point[e.mark]
+    if isinstance(e, DisjointUnion):
+        return f.union(*[fold_tree(f, c) for c in e.children])
+    if isinstance(e, Interval):
+        return f.interval(e.bound, e.mark)
+    if isinstance(e, SeqCompactification):
+        return f.seq(fold_tree(f, e.child), e.point_mark)
+    if isinstance(e, Cantor):
+        return f.cantor[e.mark]
+    if isinstance(e, LimitCompactification):
+        return f.lim(e.sup, e.point_mark)
+    if isinstance(e, Empty):
+        return f.union()
+    raise TypeError(f"not an end-space expression: {e!r}")
 
 
 def _canonical_summands(f: Fold, c: CanonicalEndSpace) -> list:
@@ -582,25 +596,10 @@ def _canonical_summands(f: Fold, c: CanonicalEndSpace) -> list:
 def fold_reduced(f: Fold, canon: CanonicalEndSpace, atoms: tuple) -> Any:
     """The value `f` builds for the unmarked expression of the reduced form
     ``(canon, atoms)``: the union of the summands of ``canon`` and of
-    the atoms' values passed through ``f.seq``, sorted by ``str``.  Like
-    ``fold_tree`` it keeps its stack in a list, so no depth recurses, and
-    closes a form without atoms on first visit, as ``fold_tree`` a leaf."""
-    todo, values = [(canon, atoms)], []
-    while todo:
-        node = todo.pop()
-        if node is _CLOSE:
-            node = todo.pop()
-        elif node[1]:
-            todo += (node, _CLOSE, *reversed(node[1]))
-            continue
-        canon, atoms = node
-        k = len(values) - len(atoms)
-        seqs = [f.seq(v, PLANAR) for v in values[k:]]
-        # a lone atom is not sorted, which keeps a deep nest of them linear
-        if len(seqs) > 1:
-            seqs.sort(key=str)
-        values[k:] = [f.union(*_canonical_summands(f, canon), *seqs)]
-    return values[0]
+    the atoms' values passed through ``f.seq``, sorted by ``str``.  It
+    recurses once a level of atoms, which nest no deeper than their tree."""
+    seqs = sorted([f.seq(fold_reduced(f, c, inner), PLANAR) for c, inner in atoms], key=str)
+    return f.union(*_canonical_summands(f, canon), *seqs)
 
 
 def normalize(e: EndSpaceExpr) -> CanonicalEndSpace | EndSpaceExpr:

@@ -31,7 +31,7 @@ call ``_cnf(Ordinal, terms)``, which checks nothing.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Optional
 
 
 MAX_NESTING = 128
@@ -78,6 +78,13 @@ class Ordinal(tuple):
             exps = {id(exp): exp for exp, _ in level}
             level = [term for exp in exps.values() for term in exp]
         return tuple.__new__(cls, terms)
+
+    # an ordinal is immutable, so it is its own copy; the copy module would
+    # rebuild it level by level and overflow below ``MAX_NESTING``
+    def __deepcopy__(self, memo: Optional[dict] = None) -> "Ordinal":
+        return self
+
+    __copy__ = __deepcopy__
 
     @property
     def terms(self) -> "Ordinal":

@@ -74,6 +74,14 @@ def from_vector(vec: list[int]) -> Ordinal:
     return out
 
 
+def chain(levels: int, innermost: int = 1) -> Ordinal:
+    """w^(w^(...w^0*innermost...)), nested `levels` deep, built through the API."""
+    o = from_int(innermost)
+    for _ in range(levels - 1):
+        o = omega_pow(o)
+    return o
+
+
 def cnf_compare(a: Ordinal, b: Ordinal) -> int:
     """-1, 0 or 1 by a recursive walk over the Cantor normal form terms: the
     first term where they differ decides, by exponent and then coefficient,
@@ -235,6 +243,15 @@ def walk(e: EndSpaceExpr) -> Iterator[EndSpaceExpr]:
             yield from walk(c)
     elif isinstance(e, SeqCompactification):
         yield from walk(e.child)
+
+
+def nesting(e: EndSpaceExpr) -> int:
+    """Levels of unions and sequence compactifications: a leaf has none."""
+    if isinstance(e, DisjointUnion):
+        return 1 + max(map(nesting, e.children))
+    if isinstance(e, SeqCompactification):
+        return 1 + nesting(e.child)
+    return 0
 
 
 def marks(e: EndSpaceExpr) -> Iterator[Mark]:

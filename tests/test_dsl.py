@@ -22,6 +22,7 @@ from infsurf.endspace import (
     INFINITE,
     Interval,
     LimitCompactification,
+    MAX_NESTING,
     NONPLANAR,
     Pt,
     SeqCompactification,
@@ -36,6 +37,7 @@ from oracles import (
     differential_texts,
     mutate_text,
     nested_endspace_text,
+    nesting,
     random_endspace_text,
     random_expr,
     random_ordinal,
@@ -303,7 +305,10 @@ def test_naturals_are_ascii_digits(parse, text):
 
 @pytest.mark.parametrize("kind", ["seq1pc", "U", "w^("])
 def test_nesting_budget(kind):
-    assert parse_endspace(nested_endspace_text(kind, MAX_DEPTH))
+    e = parse_endspace(nested_endspace_text(kind, MAX_DEPTH))
+    # a parsed tree nests no deeper than its open parentheses: a union
+    # directly inside a union is flattened, and w^( nests the ordinal only
+    assert nesting(e) == {"seq1pc": MAX_DEPTH, "U": 1, "w^(": 0}[kind] and MAX_DEPTH <= MAX_NESTING
     text = nested_endspace_text(kind, MAX_DEPTH + 1)
     with pytest.raises(ParseError) as exc:
         parse_endspace(text)

@@ -1,15 +1,14 @@
+import copy
 import json
-import os
+import pickle
 import random
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import infsurf
-
-from infsurf import endspace
+from infsurf import endspace, ordinal
+from infsurf.decide import decide
 from infsurf.dsl import parse_endspace, parse_surface_type
 from infsurf.endspace import (
     CANTOR_CANON,
@@ -23,6 +22,7 @@ from infsurf.endspace import (
     INFINITE,
     Interval,
     LimitCompactification,
+    MAX_NESTING,
     NONPLANAR,
     NONPLANAR_BIT,
     PLANAR,
@@ -50,8 +50,9 @@ from infsurf.endspace import (
 )
 from infsurf._value import Value
 from infsurf.ordinal import ONE, OMEGA, ZERO, Ordinal, add, from_int, omega_pow
+from infsurf.surface import SurfaceDescriptor
 import oracles
-from oracles import embed, random_countable_expr, random_expr, random_marked_expr, top_rank_profile
+from oracles import chain, embed, nesting, random_countable_expr, random_expr, random_marked_expr, top_rank_profile
 
 W2 = omega_pow(from_int(2))
 W3 = omega_pow(from_int(3))
@@ -195,6 +196,9 @@ def test_normalize_is_idempotent_through_embedding():
             assert normalize(embed(nf)) == nf
         else:
             assert normalize(nf) == nf
+        # no walk that builds a tree nests it deeper than its input
+        tree = embed(nf) if isinstance(nf, CanonicalEndSpace) else nf
+        assert max(nesting(tree), nesting(cb_derivative(e)), nesting(strip_marks(e))) <= nesting(e)
 
 
 # -- derivatives ----------------------------------------------------------------
@@ -617,73 +621,88 @@ def test_the_empty_space_is_the_union_of_no_summands():
 
 
 @pytest.mark.parametrize("walk", [summarize, strip_marks, cb_derivative])
-@pytest.mark.parametrize("bad", [42, DisjointUnion((Pt(), 42)), SeqCompactification(42)], ids=["int", "in-union", "in-seq"])
+@pytest.mark.parametrize(
+    "bad",
+    [lambda: 42, lambda: DisjointUnion((Pt(), 42)), lambda: SeqCompactification(42)],
+    ids=["int", "in-union", "in-seq"],
+)
 def test_tree_walks_refuse_a_non_expression(walk, bad):
+    # a walk refuses 42 itself; a union or a compactification refuses it as
+    # a child when it is built, with the same error, so no tree holds it
     with pytest.raises(TypeError, match="^not an end-space expression: 42$"):
-        walk(bad)
+        walk(bad())
 
 
-def test_reduced_form_walks_run_on_an_api_tree_5000_deep():
-    # every level of this tree holds one atom inside the last; fold_reduced
-    # keeps its stack in a list, so writing, building and ranking the reduced
-    # form reach no recursion limit (the recursive walks failed near 1 000
-    # levels, the rank near 2 000)
-    code = """
-from infsurf import endspace
-from infsurf.endspace import Cantor, Interval, Pt, RankUndecidable, SeqCompactification, cb_rank
-from infsurf.endspace import invariants, is_homeomorphic, normalize, summarize, td_max, union
-from infsurf.ordinal import OMEGA, omega_pow
-e = Pt()
-for i in range(5_000):
-    e = SeqCompactification(e) if i % 2 == 0 else union(e, Cantor())
-nf = normalize(e)
-text = summarize(e).normal_text()
-print(type(nf).__name__, str(nf) == text, len(text), is_homeomorphic(e, e).value)
-for b in (OMEGA, omega_pow(OMEGA)):
-    inv = invariants(union(e, Interval(b)))
-    print(inv.has_kernel, inv.isolated_count, inv.scattered_rank, inv.td_max.value, td_max(union(e, Interval(b))).value)
-print(endspace._atom_rank(summarize(e).atoms))
-try:
-    cb_rank(e)
-except RankUndecidable as err:
-    print(str(err) == "rank undecidable outside the canonical fragment: " + text)
-"""
-    env = dict(os.environ, PYTHONPATH=str(Path(infsurf.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    # the atoms' rank is 2 500, half the depth, so only [0, w^w] rises above it
-    assert proc.stdout.splitlines() == [
-        "DisjointUnion True 47496 yes",
-        "True inf None 0 0",
-        "True inf None 1 1",
-        "2500",
-        "True",
-    ]
+def _alternating(leaf, levels):
+    """`leaf` under `levels` alternating levels of seq1pc and of a union with
+    a Cantor set, so every level from the third holds one atom in the last."""
+    e = leaf
+    for i in range(levels):
+        e = SeqCompactification(e) if i % 2 == 0 else union(e, Cantor())
+    return e
 
 
-def test_tree_walks_run_on_an_api_tree_100000_deep():
-    # the parser stops at dsl.MAX_DEPTH, the API does not; fold_tree keeps
-    # its stack in a list, so no walk over the tree reaches the recursion limit
-    code = """
-from infsurf.endspace import CANTOR_CANON, Cantor, DisjointUnion, Pt, SeqCompactification, cb_derivative
-from infsurf.endspace import invariants, strip_marks, summarize, union
-e = Pt()
-for i in range(100_000):
-    e = SeqCompactification(e) if i % 2 == 0 else union(e, Cantor())
-s = summarize(e)
-print(s.canon == CANTOR_CANON, len(s.atoms))
-inv = invariants(e)
-print(inv.has_kernel, inv.isolated_count, inv.td_max.value)
-print(type(strip_marks(e)).__name__, type(cb_derivative(e)).__name__)
-text = str(e)
-print(len(text), text.count("U(seq1pc("), text.count(", cantor)"), text.count("seq1pc(pt)"))
-"""
-    env = dict(os.environ, PYTHONPATH=str(Path(infsurf.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600, env=env)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines() == [
-        "True 1",
-        "True inf 0",
-        "DisjointUnion DisjointUnion",
-        "950002 50000 50000 1",
-    ]
+# the leaf; the atoms' rank, the leaf's plus 49; the td_max of the tree
+# beside [0, w^w], which counts [0, w^w]'s top point only when it ranks
+# above the atoms; the levels of the derived tree; the length of the text
+AT_THE_BOUND = [
+    pytest.param(Pt, from_int(50), 1, MAX_NESTING - 1, 946, id="pt"),
+    pytest.param(
+        lambda: Interval(chain(ordinal.MAX_NESTING)),
+        add(chain(ordinal.MAX_NESTING - 1), from_int(50)),
+        0,
+        MAX_NESTING,
+        1450,
+        id="deepest-interval",
+    ),
+]
+
+
+@pytest.mark.parametrize("leaf, rank, td, derived, length", AT_THE_BOUND)
+def test_every_operation_returns_on_a_tree_at_the_nesting_bound(leaf, rank, td, derived, length):
+    # each recurses a few frames a level, and at the bound, over the deepest
+    # ordinal too, stays inside the default recursion limit
+    assert sys.getrecursionlimit() == 1000
+    e, twin = _alternating(leaf(), MAX_NESTING), _alternating(leaf(), MAX_NESTING)
+    assert nesting(e) == MAX_NESTING and e is not twin
+    assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin) and str(e) == str(twin)
+    assert copy.copy(e) is e and copy.deepcopy(e) is e
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(e, protocol)) == e
+    s = summarize(e)
+    nf = normalize(e)
+    text = s.normal_text()
+    assert type(nf) is DisjointUnion and str(nf) == text and len(text) == length and normalize(nf) == nf
+    assert strip_marks(e) == e and nesting(cb_derivative(e)) == derived
+    assert is_homeomorphic(e, twin) is Homeo.YES
+    assert decide(SurfaceDescriptor(0, 0, e)) == decide(SurfaceDescriptor(0, 0, twin))
+    assert endspace._atom_rank(s.atoms) == rank
+    for b, claimed in ((OMEGA, 0), (omega_pow(OMEGA), td)):
+        inv = invariants(union(e, Interval(b)))
+        assert inv == (False, INFINITE, None, True, TdMax(claimed, exact=False))
+        assert td_max(union(e, Interval(b))) == inv.td_max
+    with pytest.raises(RankUndecidable) as err:
+        cb_rank(e)
+    assert str(err.value) == "rank undecidable outside the canonical fragment: " + text
+
+
+def test_a_tree_at_the_nesting_bound_parses_back():
+    # it opens no more parentheses than dsl.MAX_DEPTH admits
+    e = _alternating(Pt(), MAX_NESTING)
+    assert parse_endspace(str(e)) == e
+
+
+def test_an_api_tree_100000_deep_is_refused_cleanly():
+    # the parser stops at dsl.MAX_DEPTH and the constructors at MAX_NESTING,
+    # each node checking only its children's stored levels
+    message = f"^end-space expression nested deeper than {MAX_NESTING} levels$"
+    e = Pt()
+    with pytest.raises(ValueError, match=message):
+        for n in range(100_000):
+            e = SeqCompactification(e) if n % 2 == 0 else union(e, Cantor())
+    assert n == MAX_NESTING and nesting(e) == MAX_NESTING
+    seqs = Pt()
+    for _ in range(MAX_NESTING):
+        seqs = SeqCompactification(seqs)
+    with pytest.raises(ValueError, match=message):
+        union(seqs, Cantor())

@@ -26,6 +26,7 @@ from infsurf.ordinal import (
 )
 from infsurf.dsl import MAX_DEPTH, parse_ordinal
 from oracles import (
+    chain,
     cnf_compare,
     div_omega_vector,
     from_vector,
@@ -314,14 +315,6 @@ def nesting(o: Ordinal) -> int:
     return max((1 + nesting(e) for e, _ in o), default=0)
 
 
-def chain(levels: int, innermost: int = 1) -> Ordinal:
-    """w^(w^(...w^0*innermost...)), nested `levels` deep, built through the API."""
-    o = from_int(innermost)
-    for _ in range(levels - 1):
-        o = omega_pow(o)
-    return o
-
-
 def test_the_nesting_budget_admits_every_parsed_ordinal():
     # the deepest ordinal the parser builds: a w^w inside MAX_DEPTH open w^(
     deepest = parse_ordinal("w^(" * MAX_DEPTH + "w^w" + ")" * MAX_DEPTH)
@@ -333,6 +326,7 @@ def test_at_the_nesting_bound_an_ordinal_prints_hashes_and_compares():
     a, b, twin = chain(MAX_NESTING), chain(MAX_NESTING, 2), chain(MAX_NESTING)
     assert nesting(a) == nesting(b) == MAX_NESTING
     assert a is not twin and a == twin and hash(a) == hash(twin) and str(a) == str(twin)
+    assert copy.deepcopy(a) is a and copy.copy(a) is a
     # they differ only at the innermost level
     assert a < b and not b < a and a != b and compare(b, a) == 1
     assert str(b).endswith("w^2" + ")" * (MAX_NESTING - 2))

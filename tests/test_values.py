@@ -11,9 +11,9 @@ nest to a fixed depth (``TdMax``, ``SpaceInvariants``,
 ``DerivedFacts``, ``Verdict``, ``CatalogEntry``), are named tuples, as an
 ``Ordinal`` is the tuple of its terms: each also equals the plain tuple of
 its fields.  The rest keep ``_value.Value``, which makes objects of
-different classes unequal: the expression classes, whose trees nest deeper
-than a C tuple hash may recurse, and the classes whose constructor checks
-its arguments.
+different classes unequal: the expression classes, where classes with
+equal fields such as ``Pt`` and ``Cantor`` must differ, and the classes
+whose constructor checks its arguments.
 """
 
 import copy
@@ -266,6 +266,18 @@ def test_equal_fields_across_classes_are_unequal():
             lambda: Answer("unknown", "infinite-genus-unmixed-open", coefficients="any_field"),
             InternalInvariantViolation,
             "an unknown answer carries no scope or witness",
+        ),
+        # a bad mark or bound is refused where it is given, not in a later walk
+        pytest.param(lambda: Pt("np"), TypeError, "mark must be a Mark, got 'np'", id="Pt-str"),
+        pytest.param(lambda: Cantor(None), TypeError, "mark must be a Mark, got None", id="Cantor-None"),
+        pytest.param(lambda: Interval(5), TypeError, "bound must be an Ordinal, got 5", id="Interval-int"),
+        pytest.param(lambda: Interval(OMEGA, "p"), TypeError, "mark must be a Mark, got 'p'", id="Interval-str"),
+        pytest.param(lambda: LimitCompactification(5), TypeError, "sup must be an Ordinal, got 5", id="Limit-int"),
+        pytest.param(
+            lambda: LimitCompactification(OMEGA, "np"), TypeError, "point_mark must be a Mark, got 'np'", id="Limit-str"
+        ),
+        pytest.param(
+            lambda: SeqCompactification(Pt(), "np"), TypeError, "point_mark must be a Mark, got 'np'", id="Seq-str"
         ),
     ],
 )
