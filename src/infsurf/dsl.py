@@ -13,20 +13,21 @@ canonical form, and print/parse round-trips are exact, except that the
 empty end space (the derived set of ``pt``, say) prints as "empty", which
 does not parse: a parsed end space is never empty.
 
-One regular expression splits the text into tokens and one loop reads
-them, keeping the open ``U(``, ``seq1pc(``, ``I(``, ``lim1pc(`` and ``w^(``
-constructs on an explicit stack.  A text has at most ``MAX_CHARS``
-characters, at most ``MAX_DEPTH`` constructs may be open at once, and a
-natural has at most ``MAX_DIGITS`` digits; more is a parse error.
+One regular expression splits the text into tokens, and recursive descent
+reads them: ``_ordinal`` reads a sum and ``_endspace`` an end space, one
+Python frame per open ``U(``, ``seq1pc(``, ``I(``, ``lim1pc(`` or ``w^(``.
+A text has at most ``MAX_CHARS`` characters, at most ``MAX_DEPTH``
+constructs may be open at once, and a natural has at most ``MAX_DIGITS``
+digits; more is a parse error.
 
-The loop is one of the three drivers that run an end-space fold
+``_endspace`` is one of the three drivers that run an end-space fold
 (``endspace.Fold``); ``endspace.fold_tree`` over an expression tree and
 ``endspace.fold_reduced`` over a reduced form are the others.  At each
-end-space construct it closes, the loop asks the fold for its value:
+end-space construct it closes, it asks the fold for its value:
 ``parse_surface`` and ``parse_endspace`` build the expression
 (``endspace.TREES``), and ``parse_surface_type`` folds the text straight
 into the summary of the ends (``endspace.SUMMARIES``) without building a
-tree.  The loop flattens unions itself: a ``U(`` directly inside a ``U(``
+tree.  The parser flattens unions itself: a ``U(`` directly inside a ``U(``
 hands its summands to the outer one.
 """
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import re
 
-from .endspace import EndSpaceExpr, Fold, INFINITE, NONPLANAR, PLANAR, SUMMARIES, Summary, TREES
+from .endspace import EndSpaceExpr, Fold, INFINITE, MAX_NESTING, NONPLANAR, PLANAR, SUMMARIES, Summary, TREES
 from .ordinal import ONE, OMEGA, ZERO, Ordinal, _cnf, from_int
 from .surface import SurfaceDescriptor
 
@@ -44,12 +45,14 @@ refused before it is split into tokens, which take many times its size.
 This is Linux's cap on one argument with its NUL, so only a
 ``decide --jsonl`` line can pass it."""
 
-MAX_DEPTH = 100
+MAX_DEPTH = MAX_NESTING
 """Most ``U``/``seq1pc``/``I``/``lim1pc``/``w^`` parentheses open at once.
 
 A parsed tree nests no deeper than its open parentheses, so this is
 ``endspace.MAX_NESTING``, the budget of the expression constructors, and
-every parsed ordinal is inside ``ordinal.MAX_NESTING``.
+every parsed ordinal is inside ``ordinal.MAX_NESTING``.  The parser takes
+one frame per open parenthesis, so a parse at the bound needs about
+``MAX_DEPTH`` + 10 frames above its caller, inside Python's limit of 1 000.
 """
 
 MAX_DIGITS = 1000
@@ -87,12 +90,10 @@ _SMALL_INT = {str(n): n for n in range(100)}
 _LEAF_MARKS = {"!np": NONPLANAR, "!p": PLANAR}
 _POINT_MARKS = {"np": NONPLANAR, "p": PLANAR}
 _HEADS = ("'pt'", "'cantor'", "'I'", "'U'", "'seq1pc'", "'lim1pc'")
+_OPENERS = frozenset(("U", "seq1pc", "I", "lim1pc"))
 
-# what is being parsed, and the constructs that wait on the stack for a value;
-# a _SPLICE is a union directly inside a union, whose summands it shares
+# what is being parsed
 _ORDINAL, _ENDSPACE, _SURFACE = range(3)
-_UNION, _SPLICE, _SEQ, _INTERVAL, _LIMIT, _POWER = range(6)
-_OPENERS = {"U": _UNION, "seq1pc": _SEQ, "I": _INTERVAL, "lim1pc": _LIMIT}
 
 
 def _offset(text: str, i: int) -> int:
@@ -193,6 +194,112 @@ def _surface_head(text: str, toks: list[str]) -> tuple[int | float, int]:
     return genus, boundary
 
 
+def _ordinal(text: str, toks: list[str], i: int, depth: int) -> tuple[Ordinal, int]:
+    """The sum at token ``i`` inside ``depth`` open constructs, and the index after it."""
+    # the Cantor normal form of the terms read so far; its Ordinal is built
+    # once, when the sum ends
+    terms: list[tuple[Ordinal, int]] = []
+    while True:
+        tok = toks[i]
+        if tok[:1] in _DIGITS:
+            exp = ZERO
+            coeff = _SMALL_INT.get(tok)
+            if coeff is None:
+                coeff = _int(text, toks, i)
+            i += 1
+        elif tok == "w":
+            exp = ONE
+            if toks[i + 1] == "^":
+                i += 2
+                tok = toks[i]
+                if tok == "(":
+                    if depth == MAX_DEPTH:
+                        raise _too_deep(text, i)
+                    exp, i = _ordinal(text, toks, i + 1, depth + 1)
+                    if toks[i] != ")":
+                        raise _fail(text, i, ("')'",))
+                elif tok[:1] == "w":
+                    if tok != "w":
+                        raise _fail(text, i, ("'w'", "natural number"), "malformed exponent", word=True)
+                    exp = OMEGA
+                elif tok[:1] in _DIGITS:
+                    exp = _finite(text, toks, i)
+                else:
+                    raise _fail(text, i, ("'('", "'w'", "natural number"), "malformed exponent")
+            coeff, i = _coefficient(text, toks, i + 1)
+        else:
+            raise _fail(text, i, ("'w'", "natural number"))
+        # a zero term adds nothing, and absorbs nothing either
+        if coeff:
+            _add_term(terms, exp, coeff)
+        if toks[i] != "+":
+            return (_cnf(Ordinal, terms) if terms else ZERO), i
+        i += 1
+
+
+def _endspace(text: str, toks: list[str], i: int, depth: int, fold: Fold, summands: list | None = None):
+    """The fold's value of the end space at token ``i`` inside ``depth`` open
+    constructs, and the index after it.  A summand of a union is read with
+    the union's ``summands``: if it is a union itself, it appends all its
+    summands but the last there and returns that one, so unions stay flat."""
+    tok = toks[i]
+    leaf = fold.point if tok == "pt" else fold.cantor if tok == "cantor" else None
+    if leaf is not None:
+        mark = _LEAF_MARKS.get(toks[i + 1])
+        if mark is None:
+            return leaf[PLANAR], i + 1
+        return leaf[mark], i + 2
+    if tok not in _OPENERS:
+        raise _fail(text, i, _HEADS)
+    if toks[i + 1] != "(":
+        raise _fail(text, i + 1, ("'('",))
+    if depth == MAX_DEPTH:
+        raise _too_deep(text, i + 1)
+    head = i
+    i += 2
+    depth += 1
+    if tok == "U":
+        flat = [] if summands is None else summands
+        while True:
+            value, i = _endspace(text, toks, i, depth, fold, flat)
+            flat.append(value)
+            if toks[i] != ",":
+                break
+            i += 1
+        if toks[i] != ")":
+            raise _fail(text, i, ("')'",))
+        if summands is not None:
+            return flat.pop(), i + 1
+        return fold.union(*flat), i + 1
+    if tok == "seq1pc":
+        value, i = _endspace(text, toks, i, depth, fold)
+    else:
+        value, i = _ordinal(text, toks, i, depth)
+        if tok == "I":
+            if toks[i] != ")":
+                raise _fail(text, i, ("')'",))
+            mark = _LEAF_MARKS.get(toks[i + 1])
+            if mark is None:
+                return fold.interval(value, PLANAR), i + 1
+            return fold.interval(value, mark), i + 2
+    # seq1pc / lim1pc: an optional "; p" or "; np", then ")"
+    mark = PLANAR
+    if toks[i] == ";":
+        mark = _POINT_MARKS.get(toks[i + 1])
+        if mark is None:
+            raise _fail(text, i + 1, ("'p'", "'np'"), "bad point mark", word=True)
+        i += 2
+    if toks[i] != ")":
+        raise _fail(text, i, ("')'",))
+    if tok == "seq1pc":
+        # a parsed child is never empty, so this cannot fail
+        return fold.seq(value, mark), i + 1
+    try:
+        return fold.lim(value, mark), i + 1
+    except ValueError as err:
+        raise ParseError(_offset(text, head), ("limit ordinal",), str(err)) from err
+
+
 def _parse(text: str, goal: int, fold: Fold = TREES):
     """Parse `text` as an ordinal, an end space or a surface; `fold` says
     what an end space is built into."""
@@ -200,155 +307,18 @@ def _parse(text: str, goal: int, fold: Fold = TREES):
         raise ParseError(MAX_CHARS, (f"at most {MAX_CHARS} characters",), "text too long")
     toks = _TOKEN.findall(text)
     toks.append("")  # end of input; equal to no token the grammar expects
-    i = 0
-    if goal == _SURFACE:
+    if goal == _ORDINAL:
+        value, i = _ordinal(text, toks, 0, 0)
+    elif goal == _ENDSPACE:
+        value, i = _endspace(text, toks, 0, 0, fold)
+    else:
         genus, boundary = _surface_head(text, toks)
-        i = 12
-    # (tag, index of the head token, the union's summands, which a splice
-    # shares, or the terms of the sum before a w^( exponent)
-    stack: list[tuple] = []
-    want_ordinal = goal == _ORDINAL
-    # the Cantor normal form of the terms read so far of the innermost sum;
-    # its Ordinal is built once, when the sum ends
-    terms: list[tuple[Ordinal, int]] = []
-    while True:
-        tok = toks[i]
-        if want_ordinal:
-            if tok[:1] in _DIGITS:
-                exp = ZERO
-                coeff = _SMALL_INT.get(tok)
-                if coeff is None:
-                    coeff = _int(text, toks, i)
-                i += 1
-            elif tok == "w":
-                exp = ONE
-                if toks[i + 1] == "^":
-                    i += 2
-                    tok = toks[i]
-                    if tok == "(":
-                        if len(stack) == MAX_DEPTH:
-                            raise _too_deep(text, i)
-                        stack.append((_POWER, i, terms))
-                        i += 1
-                        terms = []
-                        continue
-                    if tok[:1] == "w":
-                        if tok != "w":
-                            raise _fail(text, i, ("'w'", "natural number"), "malformed exponent", word=True)
-                        exp = OMEGA
-                    elif tok[:1] in _DIGITS:
-                        exp = _finite(text, toks, i)
-                    else:
-                        raise _fail(text, i, ("'('", "'w'", "natural number"), "malformed exponent")
-                coeff, i = _coefficient(text, toks, i + 1)
-            else:
-                raise _fail(text, i, ("'w'", "natural number"))
-            # a zero term adds nothing, and absorbs nothing either
-            if coeff:
-                _add_term(terms, exp, coeff)
-            if toks[i] == "+":
-                i += 1
-                continue
-            value = _cnf(Ordinal, terms) if terms else ZERO
-        else:
-            leaf = fold.point if tok == "pt" else fold.cantor if tok == "cantor" else None
-            if leaf is not None:
-                i += 1
-                mark = _LEAF_MARKS.get(toks[i])
-                if mark is None:
-                    value = leaf[PLANAR]
-                else:
-                    value = leaf[mark]
-                    i += 1
-            else:
-                tag = _OPENERS.get(tok)
-                if tag is None:
-                    raise _fail(text, i, _HEADS)
-                if toks[i + 1] != "(":
-                    raise _fail(text, i + 1, ("'('",))
-                if len(stack) == MAX_DEPTH:
-                    raise _too_deep(text, i + 1)
-                if tag != _UNION:
-                    stack.append((tag, i, None))
-                elif stack and stack[-1][0] <= _SPLICE:
-                    stack.append((_SPLICE, i, stack[-1][2]))
-                else:
-                    stack.append((_UNION, i, []))
-                i += 2
-                want_ordinal = tag == _INTERVAL or tag == _LIMIT
-                terms = []
-                continue
-        # ``value`` is complete: close the constructs it finishes, up to the
-        # first one that reads more input; an empty stack ends the parse
-        while stack:
-            tag, head, data = stack[-1]
-            tok = toks[i]
-            if tag <= _SPLICE:
-                if tok == ",":
-                    data.append(value)
-                    i += 1
-                    want_ordinal = False
-                    break
-                if tok != ")":
-                    raise _fail(text, i, ("')'",))
-                i += 1
-                # a spliced union leaves its last summand to the enclosing one
-                if tag == _UNION:
-                    data.append(value)
-                    value = fold.union(*data)
-            elif tag == _POWER:
-                if tok != ")":
-                    raise _fail(text, i, ("')'",))
-                coeff, i = _coefficient(text, toks, i + 1)
-                terms = data
-                if coeff:
-                    _add_term(terms, value, coeff)
-                if toks[i] == "+":
-                    stack.pop()
-                    i += 1
-                    want_ordinal = True
-                    break
-                value = _cnf(Ordinal, terms) if terms else ZERO
-            elif tag == _INTERVAL:
-                if tok != ")":
-                    raise _fail(text, i, ("')'",))
-                i += 1
-                mark = _LEAF_MARKS.get(toks[i])
-                if mark is None:
-                    mark = PLANAR
-                else:
-                    i += 1
-                value = fold.interval(value, mark)
-            else:
-                # seq1pc / lim1pc: an optional "; p" or "; np", then ")"
-                mark = PLANAR
-                if tok == ";":
-                    mark = _POINT_MARKS.get(toks[i + 1])
-                    if mark is None:
-                        raise _fail(text, i + 1, ("'p'", "'np'"), "bad point mark", word=True)
-                    i += 2
-                if toks[i] != ")":
-                    raise _fail(text, i, ("')'",))
-                i += 1
-                if tag == _SEQ:
-                    # a parsed child is never empty, so this cannot fail
-                    value = fold.seq(value, mark)
-                else:
-                    try:
-                        value = fold.lim(value, mark)
-                    except ValueError as err:
-                        raise ParseError(_offset(text, head), ("limit ordinal",), str(err)) from err
-            stack.pop()
-        else:
-            break
-    if goal == _SURFACE:
+        ends, i = _endspace(text, toks, 12, 0, fold)
         if toks[i] != ")":
             raise _fail(text, i, ("')'",))
-        i += 1
+        value, i = (genus, boundary, ends), i + 1
     if toks[i]:
         raise _fail(text, i, ("end of input",), "trailing input")
-    if goal == _SURFACE:
-        return genus, boundary, value
     return value
 
 

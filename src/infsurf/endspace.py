@@ -32,10 +32,10 @@ The summary rules (the point, Cantor, interval and ``lim1pc`` leaves,
 ``join`` for unions, where one summand is its own union, and the
 compactification rule) are one bottom-up fold, ``SUMMARIES``; the surface
 layer joins top-level summands with the same ``join``.  Three drivers
-run a fold: ``fold_tree`` over a tree and ``fold_reduced`` over a reduced
-form recurse once a level, within ``MAX_NESTING``, and the parser in
-``dsl`` folds descriptor text on an explicit stack, straight into a
-summary (``dsl.parse_surface_type``).  ``summarize``,
+run a fold, each recursing once a level within the one budget,
+``MAX_NESTING``: ``fold_tree`` over a tree, ``fold_reduced`` over a
+reduced form, and the parser in ``dsl``, which folds descriptor text
+straight into a summary (``dsl.parse_surface_type``).  ``summarize``,
 ``strip_marks``, ``cb_derivative`` and the ``str`` of an expression are
 each one ``fold_tree`` call; ``normalize``, ``normal_text``, the ``str`` of
 a canonical form and the ranks are ``fold_reduced`` calls.
@@ -202,7 +202,8 @@ def union(*children: EndSpaceExpr) -> EndSpaceExpr:
 
     Nested unions are inlined and empty summands dropped, so the returned
     expression satisfies the union invariants (or collapses to its single
-    summand, or to the empty space).
+    summand, or to the empty space).  A summand that is not an expression is
+    refused with TypeError, by ``DisjointUnion`` or here if it stands alone.
     """
     flat: list[EndSpaceExpr] = []
     for c in children:
@@ -211,7 +212,7 @@ def union(*children: EndSpaceExpr) -> EndSpaceExpr:
         elif not isinstance(c, Empty):
             flat.append(c)
     if len(flat) < 2:
-        return flat[0] if flat else EMPTY
+        return _typed(flat[0], _Expr, "not an end-space expression: ") if flat else EMPTY
     return DisjointUnion(tuple(flat))
 
 

@@ -22,6 +22,8 @@ from .endspace import (
     PLANAR_BIT,
     SpaceInvariants,
     Summary,
+    _Expr,
+    _typed,
     join,
     summarize,
 )
@@ -59,7 +61,7 @@ class SurfaceDescriptor(Value):
             raise ValueError(f"boundary must be a non-negative integer, got {boundary!r}")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "ends", _typed(ends, _Expr, "not an end-space expression: "))
 
     def __str__(self) -> str:
         g = "inf" if self.genus == INFINITE else str(self.genus)

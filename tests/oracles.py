@@ -743,10 +743,10 @@ def grown_walk(rng: random.Random, limit: int) -> str:
 # -- reference parser ------------------------------------------------------------
 #
 # The recursive character scanner the engine parsed with before its
-# tokenizer and explicit-stack loop; kept unchanged apart from the entry
-# point names as the oracle for values and error positions.  It reads
-# naturals with str.isdigit, so it is a reference on ASCII input only, and
-# it recurses once per nesting level.
+# tokenizer and recursive descent over the tokens; kept unchanged apart
+# from the entry point names as the oracle for values and error positions.
+# It reads naturals with str.isdigit, so it is a reference on ASCII input
+# only, and it recurses a few frames per nesting level.
 
 
 class _Scanner:
@@ -1097,12 +1097,26 @@ def huge_natural_texts(rng: random.Random, count: int, max_digits: int) -> list[
     return texts
 
 
+NESTING_KINDS = ("seq1pc", "U", "w^(", "lim1pc", "mixed")
+
+
 def nested_endspace_text(kind: str, depth: int) -> str:
-    """An end space with ``depth`` parentheses of ``kind`` open at once."""
+    """An end space with ``depth`` parentheses of ``kind`` open at once.
+
+    ``w^(`` and ``lim1pc`` nest exponents inside one ``I(`` or ``lim1pc(``;
+    ``mixed`` opens ``U(``, ``U(`` and ``seq1pc(`` in turn for half the
+    levels, so a union sits directly in a union, then ``I(`` and ``w^(``."""
     if kind == "seq1pc":
         return "seq1pc(" * depth + "pt" + ")" * depth
     if kind == "U":
         return "U(pt, " * depth + "cantor" + ")" * depth
+    if kind == "lim1pc":
+        # w, w^w, w^(w^w), ...: every bound is a limit ordinal
+        return "lim1pc(" + "w^(" * (depth - 1) + "w" + ")" * depth
+    if kind == "mixed":
+        ends = depth // 2
+        opens = "".join(("U(pt, ", "U(cantor, ", "seq1pc(")[k % 3] for k in range(ends))
+        return opens + "I(" + "w^(" * (depth - ends - 1) + "1" + ")" * depth
     # I( holds the ordinal, so one level fewer of w^(
     return "I(" + "w^(" * (depth - 1) + "1" + ")" * depth
 
@@ -1114,7 +1128,7 @@ def differential_texts(rng: random.Random, bases: int, max_depth: int) -> list[s
     for _ in range(bases):
         text = random_surface_text(rng)
         texts += [text, mutate_text(rng, text), mutate_text(rng, mutate_text(rng, text))]
-    for kind in ("seq1pc", "U", "w^("):
+    for kind in NESTING_KINDS:
         for depth in (max_depth, max_depth + 1):
             for genus in ("0", "inf"):
                 texts.append(f"surface(genus={genus}, boundary=0, ends={nested_endspace_text(kind, depth)})")

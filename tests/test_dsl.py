@@ -1,9 +1,11 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infsurf import ordinal
 from infsurf.catalog import CATALOG
 from infsurf.dsl import (
     MAX_CHARS,
@@ -33,6 +35,7 @@ from infsurf.endspace import (
 from infsurf.ordinal import OMEGA, ZERO, Ordinal, add, from_int, omega_pow
 from infsurf.surface import ValidationError, validate, validate_type
 from oracles import (
+    NESTING_KINDS,
     best_times,
     differential_texts,
     mutate_text,
@@ -303,12 +306,17 @@ def test_naturals_are_ascii_digits(parse, text):
         parse(text)
 
 
-@pytest.mark.parametrize("kind", ["seq1pc", "U", "w^("])
+@pytest.mark.parametrize("kind", NESTING_KINDS)
 def test_nesting_budget(kind):
-    e = parse_endspace(nested_endspace_text(kind, MAX_DEPTH))
+    # one budget: every parsed tree is admitted, and so is every parsed
+    # ordinal, a w^w inside MAX_DEPTH open w^(
+    assert MAX_DEPTH == MAX_NESTING and MAX_DEPTH + 3 <= ordinal.MAX_NESTING
+    text = nested_endspace_text(kind, MAX_DEPTH)
+    e = parse_endspace(text)
+    assert e == scan_endspace(text)
     # a parsed tree nests no deeper than its open parentheses: a union
     # directly inside a union is flattened, and w^( nests the ordinal only
-    assert nesting(e) == {"seq1pc": MAX_DEPTH, "U": 1, "w^(": 0}[kind] and MAX_DEPTH <= MAX_NESTING
+    assert nesting(e) == {"seq1pc": MAX_DEPTH, "U": 1, "w^(": 0, "lim1pc": 0, "mixed": 33}[kind]
     text = nested_endspace_text(kind, MAX_DEPTH + 1)
     with pytest.raises(ParseError) as exc:
         parse_endspace(text)
@@ -321,6 +329,37 @@ def test_nesting_budget(kind):
         parse_ordinal("w^(" + deep + ")")
     with pytest.raises(ParseError):
         parse_surface(f"surface(genus=0, boundary=0, ends={nested_endspace_text(kind, 1300)})")
+
+
+def _frames() -> int:
+    """The Python frames of the caller and of the calls it is inside."""
+    n, frame = 0, sys._getframe(1)
+    while frame is not None:
+        n, frame = n + 1, frame.f_back
+    return n
+
+
+@pytest.mark.parametrize("kind", NESTING_KINDS)
+def test_a_parse_at_the_nesting_bound_takes_a_frame_a_level(kind):
+    # the parser recurses once per open parenthesis, and a fold adds a few
+    # frames at the innermost level only
+    ends = nested_endspace_text(kind, MAX_DEPTH)
+    surface = f"surface(genus=0, boundary=0, ends={ends})"
+    calls = [
+        (parse_ordinal, "w^(" * MAX_DEPTH + "w^w" + ")" * MAX_DEPTH),
+        (parse_endspace, ends),
+        (parse_surface, surface),
+        (parse_surface_type, surface),
+    ]
+    got = []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + MAX_DEPTH + 20)
+    try:
+        for parse, text in calls:
+            got.append(parse(text))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [parse(text) for parse, text in calls]
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,7 @@ from infsurf.endspace import (
     SeqCompactification,
     SpaceInvariants,
     TdMax,
+    union,
 )
 from infsurf.homology import AbelianGroup, FinitePresentation, IntegerMatrix, SNFResult, SquareReport
 from infsurf.ordinal import OMEGA, ONE, ZERO, from_int
@@ -278,6 +279,13 @@ def test_equal_fields_across_classes_are_unequal():
         ),
         pytest.param(
             lambda: SeqCompactification(Pt(), "np"), TypeError, "point_mark must be a Mark, got 'np'", id="Seq-str"
+        ),
+        # a lone summand and the ends of a descriptor are checked too, so
+        # neither hands 42 on to a later walk
+        pytest.param(lambda: union(42), TypeError, "not an end-space expression: 42", id="union-int"),
+        pytest.param(lambda: union(EMPTY, 42), TypeError, "not an end-space expression: 42", id="union-empty-int"),
+        pytest.param(
+            lambda: SurfaceDescriptor(0, 0, 42), TypeError, "not an end-space expression: 42", id="SurfaceDescriptor-int"
         ),
     ],
 )
