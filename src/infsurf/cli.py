@@ -211,8 +211,10 @@ def _cmd_decide(args) -> int:
 
 
 VERDICT_CACHE_SIZE = 2048
-"""Surface types whose verdict lines ``decide --jsonl`` keeps
-(``_verdict_line``), so that lines of one type are decided once.
+"""Surface types whose verdict lines the process keeps (``_verdict_line``),
+so that lines of one type are decided once.  The cache, like
+``_answers_text``, lives for the process, across its ``decide --jsonl``
+calls; only the line cache (``kept`` in ``_run_batch``) is one call's.
 
 A 10 000-line ``batch_mixed`` file has 1 124-1 160 distinct valid types
 (seeds 1, 7 and 101), so each is decided once; with the invalid types,
@@ -397,6 +399,8 @@ def _parse_presentation(text: str) -> homology.FinitePresentation:
         # '-', and whitespace may surround each token; the patterns compile on
         # first use, not at import
         if re.fullmatch(r"gens=\s*[0-9]+", chunk):
+            if ngens is not None:
+                raise ParseError(at, ("'rel='",), f"second generator count {chunk!r}")
             ngens = int(chunk[5:])
         elif re.fullmatch(r"rel=\s*(-?[0-9]+(\s+-?[0-9]+)*)?", chunk):
             relators.append(tuple(map(int, chunk[4:].split())))

@@ -319,11 +319,10 @@ def row_key(genus: int | float, s: Summary) -> tuple:
         return ("finite_genus", int(genus))
     if p != INFINITE:
         return ("finite_punctures", int(p))
-    td = s.td_max()
     part = s.canon.scattered
     # one copy of [0, w^0] is one point, never infinitely many punctures
     single = not s.atoms and not s.canon.has_kernel and part is not None and part.copies == 1
-    return ("infinite_punctures", td.value, td.exact, single)
+    return ("infinite_punctures", s.td_max(), single)
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -403,11 +402,10 @@ def _decide_finite_punctures(p: int) -> _Row:
     )
 
 
-def _decide_infinite_punctures(td_value: int, td_exact: bool, single_interval: bool) -> _Row:
+def _decide_infinite_punctures(td: TdMax, single_interval: bool) -> _Row:
     """Genus 0 with infinitely many punctures, from the bound on the
     distinguished set and whether the ends are one ordinal interval."""
-    td = TdMax(td_value, td_exact)
-    if td.at_least(4):
+    if td.value >= 4:
         note = None if td.exact else "distinguished set certified by a lower bound"
         return _yes_from_I(
             "distinguished-ends-nonvanishing",

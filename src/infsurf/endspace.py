@@ -666,9 +666,6 @@ class TdMax(NamedTuple):
     value: int
     exact: bool = True
 
-    def at_least(self, n: int) -> bool:
-        return self.value >= n
-
 
 def _canonical_td(c: CanonicalEndSpace) -> int:
     # the finite germ classes of a canonical space: the (finitely many)

@@ -952,13 +952,6 @@ def random_ordinal(rng: random.Random, max_exp: int = 3, max_coeff: int = 4, all
     return Ordinal([(from_int(e), rng.randint(1, max_coeff)) for e in exps])
 
 
-def random_positive_ordinal(rng: random.Random, max_exp: int = 2, max_coeff: int = 3) -> Ordinal:
-    while True:
-        o = random_ordinal(rng, max_exp=max_exp, max_coeff=max_coeff)
-        if not o.is_zero():
-            return o
-
-
 def random_limit_ordinal(rng: random.Random, max_exp: int = 3, max_coeff: int = 3) -> Ordinal:
     exps = sorted(rng.sample(range(1, max_exp + 1), k=rng.randint(1, max_exp)), reverse=True)
     return Ordinal([(from_int(e), rng.randint(1, max_coeff)) for e in exps])

@@ -275,6 +275,26 @@ def test_hom_abelianize_bad_integer_is_a_parse_error(capsys, text):
                 "offset": 17,
             },
         ),
+        # one generator count: a second one neither replaces the first nor
+        # admits a relator letter past it
+        (
+            "gens=3; rel=1; gens=1",
+            {
+                "expected": ["'rel='"],
+                "kind": "parse",
+                "message": "second generator count 'gens=1' at offset 15 (expected 'rel=')",
+                "offset": 15,
+            },
+        ),
+        (
+            "gens=2; rel=3; gens=3",
+            {
+                "expected": ["'rel='"],
+                "kind": "parse",
+                "message": "second generator count 'gens=3' at offset 15 (expected 'rel=')",
+                "offset": 15,
+            },
+        ),
     ],
 )
 def test_hom_abelianize_malformed_presentation(capsys, text, error):
@@ -801,10 +821,14 @@ def test_main_called_again_in_one_process_behaves_like_a_new_process(capsys):
 GOLDEN = Path(__file__).parent / "data"
 
 
-def test_golden_batch_output(capsys):
-    code, out, err = run(capsys, "decide", "--jsonl", str(GOLDEN / "golden_batch.txt"))
+@pytest.mark.parametrize("copies", [1, 2])
+def test_golden_batch_output(capsys, tmp_path, copies):
+    # a second copy comes from kept lines
+    f = tmp_path / "batch.txt"
+    f.write_bytes((GOLDEN / "golden_batch.txt").read_bytes() * copies)
+    code, out, err = run(capsys, "decide", "--jsonl", str(f))
     assert (code, err) == (0, "")
-    assert out.encode("utf-8") == (GOLDEN / "golden_batch.jsonl").read_bytes()
+    assert out.encode("utf-8") == (GOLDEN / "golden_batch.jsonl").read_bytes() * copies
 
 
 @pytest.mark.parametrize("copies", [1, 2])
